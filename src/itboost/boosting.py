@@ -223,29 +223,38 @@ def load_model(path) -> Model:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != MODEL_FORMAT_VERSION:
         raise ValueError(f"load_model: {path} is not a {MODEL_FORMAT_VERSION} file")
-    header = dict(item.split("=", 1) for item in lines[1].split())
+    header = dict(item.split("=", 1) for item in lines[1].split()) if len(lines) > 1 else {}
+    missing = [key for key in ("base_score", "n_features", "n_trees") if key not in header]
+    if missing:
+        raise ValueError(f"load_model: {path} header lacks {', '.join(missing)}")
     base_score = float(header.pop("base_score"))
     n_features = int(header.pop("n_features"))
     n_trees = int(header.pop("n_trees"))
     config = BoostConfig.from_mapping(header)
+    tree_lines = lines[2:]
+    if len(tree_lines) != n_trees:
+        raise ValueError(f"load_model: expected {n_trees} trees, found {len(tree_lines)}")
     trees = []
-    for line in lines[2 : 2 + n_trees]:
-        _, _, payload = line.partition(": ")
+    for i, line in enumerate(tree_lines):
+        label, _, payload = line.partition(": ")
+        if label != f"tree {i}":
+            raise ValueError(f"load_model: {path} line {i + 3} should start 'tree {i}: ', got {line[:20]!r}")
         trees.append(RegressionTree.from_tokens(payload.split(), n_features))
-    if len(trees) != n_trees:
-        raise ValueError(f"load_model: expected {n_trees} trees, found {len(trees)}")
     return Model(base_score=base_score, n_features=n_features, trees=trees, config=config)
 
 
 @dataclass
 class RunTrace:
-    """Per-iteration training record: residuals, trust state, loss, trust-step time."""
+    """Per-iteration training record: residuals, trust state, loss, and the
+    seconds spent per round in the trust step and in the tree fit (the fit
+    plus the score update)."""
 
     row_ids: np.ndarray
     gradients: list[np.ndarray] = field(default_factory=list)
     trust: list[TrustState] = field(default_factory=list)
     train_loss: list[float] = field(default_factory=list)
     trust_seconds: list[float] = field(default_factory=list)
+    fit_seconds: list[float] = field(default_factory=list)
 
     @property
     def n_iterations(self) -> int:
@@ -253,6 +262,9 @@ class RunTrace:
 
     def total_trust_seconds(self) -> float:
         return float(sum(self.trust_seconds))
+
+    def total_fit_seconds(self) -> float:
+        return float(sum(self.fit_seconds))
 
     def weights_at(self, iteration: int) -> np.ndarray:
         """Trust weights at a 1-based iteration."""
@@ -270,28 +282,43 @@ class RunTrace:
 
 
 def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
-    """Read a trace CSV back into per-iteration trust states keyed by iteration."""
-    by_iter: dict[int, dict[str, list]] = {}
-    row_ids_first: list[int] = []
+    """Read a trace CSV back into per-iteration trust states keyed by iteration.
+
+    The data rows must form one block per iteration, in order 1..M, and every
+    block must list iteration 1's row ids in iteration 1's order (as
+    :meth:`RunTrace.to_csv` writes them).  A reordered, truncated or
+    concatenated trace is rejected rather than read with its rows misaligned.
+    """
+    blocks: list[dict[str, list]] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "iteration,row_id,raw_C,normalized_C,tau,weight":
             raise ValueError(f"load_trace_csv: unexpected header in {path}")
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             it_s, rid_s, raw_s, norm_s, tau_s, w_s = line.rstrip("\n").split(",")
             m = int(it_s)
-            bucket = by_iter.setdefault(m, {"row_id": [], "raw": [], "norm": [], "tau": [], "w": []})
+            if m != len(blocks):
+                if m != len(blocks) + 1:
+                    raise ValueError(
+                        f"load_trace_csv: {path} line {line_no}: iteration {m} after iteration "
+                        f"{len(blocks)}; iterations must run 1..M in order, one block each"
+                    )
+                blocks.append({"row_id": [], "raw": [], "norm": [], "tau": [], "w": []})
+            bucket = blocks[-1]
             bucket["row_id"].append(int(rid_s))
             bucket["raw"].append(int(raw_s))
             bucket["norm"].append(float(norm_s))
             bucket["tau"].append(float(tau_s))
             bucket["w"].append(float(w_s))
-    if not by_iter:
+    if not blocks:
         raise ValueError(f"load_trace_csv: {path} has no data rows")
+    row_ids = blocks[0]["row_id"]
+    if len(set(row_ids)) != len(row_ids):
+        raise ValueError(f"load_trace_csv: {path} lists a row id twice in iteration 1")
     states: dict[int, TrustState] = {}
-    for m, bucket in sorted(by_iter.items()):
-        if not row_ids_first:
-            row_ids_first = bucket["row_id"]
+    for m, bucket in enumerate(blocks, start=1):
+        if bucket["row_id"] != row_ids:
+            raise ValueError(f"load_trace_csv: {path} iteration {m} does not list iteration 1's row ids in order")
         states[m] = TrustState(
             iteration=m,
             raw_complexity=np.asarray(bucket["raw"], dtype=np.int64),
@@ -299,7 +326,7 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
             tau=np.asarray(bucket["tau"], dtype=np.float64),
             weights=np.asarray(bucket["w"], dtype=np.float64),
         )
-    return np.asarray(row_ids_first, dtype=np.int64), states
+    return np.asarray(row_ids, dtype=np.int64), states
 
 
 def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -> tuple[Model, RunTrace]:
@@ -362,10 +389,10 @@ def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -
             normalized = np.zeros(n, dtype=np.float64)
             tau = np.ones(n, dtype=np.float64)
             weights = np.ones(n, dtype=np.float64)
-        trust_dt = time.perf_counter() - t0
-
+        t1 = time.perf_counter()
         tree = fit_tree_weighted(X, g, weights, config.max_depth, config.min_samples_leaf)
         scores = scores + config.learning_rate * tree.predict(X)
+        t2 = time.perf_counter()
         trees.append(tree)
 
         trace.gradients.append(np.array(g, dtype=np.float64))
@@ -373,7 +400,8 @@ def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -
             TrustState(iteration=m, raw_complexity=raw, normalized=normalized, tau=tau, weights=weights)
         )
         trace.train_loss.append(float(np.mean(loss_value(y, scores, config.loss))))
-        trace.trust_seconds.append(trust_dt)
+        trace.trust_seconds.append(t1 - t0)
+        trace.fit_seconds.append(t2 - t1)
         prev_g = g
 
     model = Model(base_score=f0, n_features=dataset.n_features, trees=trees, config=config)

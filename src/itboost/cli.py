@@ -132,7 +132,10 @@ def cmd_train(args) -> int:
     save_model(model, args.out)
     if args.trace:
         trace.to_csv(args.trace)
-    print(f"trained {len(model.trees)} trees in {dt:.3f}s (trust step: {trace.total_trust_seconds():.3f}s)")
+    print(
+        f"trained {len(model.trees)} trees in {dt:.3f}s (trust step: {trace.total_trust_seconds():.3f}s, "
+        f"tree fit: {trace.total_fit_seconds():.3f}s)"
+    )
     print(f"model written to {args.out}" + (f", trace to {args.trace}" if args.trace else ""))
     return 0
 

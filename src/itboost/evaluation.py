@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
+from scipy.stats import chi2, rankdata
 
 from .boosting import BoostConfig, RunTrace, train
 from .data import Dataset, FoldPlan, random_undersample
@@ -300,57 +299,11 @@ class FriedmanResult:
     p_value: float
 
 
-def _lower_gamma_series(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) via its power series (x < s + 1)."""
-    term = 1.0 / s
-    total = term
-    a = s
-    for _ in range(1000):
-        a += 1.0
-        term *= x / a
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-
-def _upper_gamma_cf(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) via Lentz's continued fraction (x >= s + 1)."""
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / max(b, tiny)
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x + s * math.log(x) - math.lgamma(s)) * h
-
-
 def chi_square_sf(x: float, dof: int) -> float:
-    """Upper-tail chi-square probability via the regularized incomplete gamma."""
+    """Upper-tail chi-square probability P(X >= x) for ``dof`` degrees of freedom."""
     if dof < 1:
         raise ValueError("chi_square_sf: dof must be >= 1")
-    if x < 0:
-        return 1.0
-    if x == 0:
-        return 1.0
-    s = dof / 2.0
-    x2 = x / 2.0
-    if x2 < s + 1.0:
-        return 1.0 - _lower_gamma_series(s, x2)
-    return _upper_gamma_cf(s, x2)
+    return float(chi2.sf(x, dof))
 
 
 def friedman_from_mean_ranks(mean_ranks, n_datasets: int) -> FriedmanResult:

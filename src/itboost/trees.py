@@ -90,6 +90,10 @@ class RegressionTree:
                 return node
             if kind == "I":
                 feature = int(tokens[pos + 1])
+                if not 0 <= feature < n_features:
+                    raise ValueError(
+                        f"RegressionTree.from_tokens: feature {feature} outside [0, {n_features})"
+                    )
                 threshold = float(tokens[pos + 2])
                 pos += 3
                 left = parse()
@@ -97,7 +101,10 @@ class RegressionTree:
                 return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
             raise ValueError(f"RegressionTree.from_tokens: bad node kind {kind!r}")
 
-        root = parse()
+        try:
+            root = parse()
+        except IndexError:
+            raise ValueError("RegressionTree.from_tokens: token list ends inside a node") from None
         if pos != len(tokens):
             raise ValueError("RegressionTree.from_tokens: trailing tokens")
         return cls(root=root, n_features=n_features)
@@ -118,45 +125,96 @@ def split_tolerance(g, w) -> float:
     return 1e-12 * max(scale, 1e-300)
 
 
-def _best_split(X, g, w, min_samples_leaf):
+def _best_split(XT, g, w, order, tol, min_samples_leaf):
     """Smallest total weighted SSE over all (feature, midpoint-threshold) candidates.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values.  Ties (up to :func:`split_tolerance`) break toward the lowest
-    feature index, then the lowest threshold.  Returns (sse, feature,
-    threshold) or None if no candidate leaves at least ``min_samples_leaf``
-    samples on each side.
+    ``XT`` is the (d, N) transposed feature matrix.  ``order`` is a (d, n)
+    array whose row f lists the node's samples (indices into ``g``, ``w`` and
+    the columns of ``XT``) sorted stably by feature f.  All features are
+    searched at once: one gather per array, cumulative sums along each row
+    and the SSE of every cut.  Candidate thresholds are midpoints between
+    consecutive distinct sorted values.  Ties (up to ``tol``, the node's
+    :func:`split_tolerance`) break toward the lowest feature index, then the
+    lowest threshold.  Returns (sse, feature, threshold) or None if no
+    candidate leaves at least ``min_samples_leaf`` samples on each side.
     """
-    n, d = X.shape
-    tol = split_tolerance(g, w)
+    d, n = order.shape
+    xs = np.take(XT, order + np.arange(0, XT.size, XT.shape[1])[:, None])
+    # split after sorted position i is valid only between distinct values
+    valid = xs[:, :-1] < xs[:, 1:]
+    valid[:, : min_samples_leaf - 1] = False
+    valid[:, n - min_samples_leaf :] = False
+    # Running sums of w, w*g and w*g*g along each feature's order, computed in
+    # place: the same float operations as one feature at a time, in the same
+    # order, with fewer (d, n) temporaries alive.
+    gs = g[order]
+    cw = w[order]
+    cwg = cw * gs
+    cwgg = gs
+    cwgg *= cwg
+    for running in (cw, cwg, cwgg):
+        np.cumsum(running, axis=1, out=running)
+    lw, lwg, lwgg = cw[:, :-1], cwg[:, :-1], cwgg[:, :-1]
+    rw = cw[:, -1:] - lw
+    # rw can cancel to exactly 0 when the right side's weights are absorbed
+    # by the cumsum; a side with (numerically) zero total weight has zero
+    # weighted SSE.
+    right_empty = ~(rw > 0)
+    rw[right_empty] = 1.0
+    right = cwg[:, -1:] - lwg
+    right *= right
+    right /= rw
+    np.subtract(cwgg[:, -1:] - lwgg, right, out=right)
+    right[right_empty] = 0.0
+    sse = lwg * lwg
+    sse /= lw
+    np.subtract(lwgg, sse, out=sse)
+    sse += right
+    sse[~valid] = np.inf
+    # per feature: the first valid cut within tol of that feature's minimum
+    near = valid & (sse <= sse.min(axis=1, keepdims=True) + tol)
+    cut = np.argmax(near, axis=1)
+    cut_sse = sse[np.arange(d), cut].tolist()
     best = None
-    for f in range(d):
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        gs = g[order]
-        ws = w[order]
-        # split after sorted position i is valid only between distinct values
-        cut = np.nonzero(xs[:-1] < xs[1:])[0]
-        if min_samples_leaf > 1:
-            cut = cut[(cut >= min_samples_leaf - 1) & (cut <= n - 1 - min_samples_leaf)]
-        if cut.size == 0:
-            continue
-        wg = ws * gs
-        cw = np.cumsum(ws)
-        cwg = np.cumsum(wg)
-        cwgg = np.cumsum(wg * gs)
-        lw, lwg, lwgg = cw[cut], cwg[cut], cwgg[cut]
-        rw, rwg, rwgg = cw[-1] - lw, cwg[-1] - lwg, cwgg[-1] - lwgg
-        # rw can cancel to exactly 0 when the right side's weights are absorbed
-        # by the cumsum; a side with (numerically) zero total weight has zero
-        # weighted SSE.
-        rw_safe = np.where(rw > 0, rw, 1.0)
-        sse = (lwgg - lwg * lwg / lw) + np.where(rw > 0, rwgg - rwg * rwg / rw_safe, 0.0)
-        j = int(np.nonzero(sse <= sse.min() + tol)[0][0])
-        if best is None or sse[j] < best[0] - tol:
-            best = (float(sse[j]), f, float((xs[cut[j]] + xs[cut[j] + 1]) / 2.0))
-    return best
+    for f in np.flatnonzero(valid.any(axis=1)).tolist():
+        if best is None or cut_sse[f] < best[0] - tol:
+            best = (cut_sse[f], f, int(cut[f]))
+    if best is None:
+        return None
+    sse_f, f, j = best
+    return sse_f, f, float((xs[f, j] + xs[f, j + 1]) / 2.0)
+
+
+def _grow(XT, g, w, order, rows, depth, max_depth, min_samples_leaf) -> TreeNode:
+    """Subtree for the samples ``rows`` (ascending), whose per-feature sorted
+    order is ``order`` (see :func:`_best_split`).
+
+    A module-level function rather than a closure: a recursive closure is a
+    reference cycle, which would keep each fit's arrays alive until the
+    garbage collector next runs.
+    """
+    gn, wn = g[rows], w[rows]
+    if depth >= max_depth or rows.shape[0] < 2 * min_samples_leaf or np.all(gn == gn[0]):
+        return TreeNode(value=_weighted_mean(gn, wn))
+    found = _best_split(XT, g, w, order, split_tolerance(gn, wn), min_samples_leaf)
+    if found is None:
+        return TreeNode(value=_weighted_mean(gn, wn))
+    _, feature, threshold = found
+    row_left = XT[feature, rows] <= threshold
+    go_left = np.zeros(g.shape[0], dtype=bool)
+    go_left[rows] = row_left
+    # a stable filter of each feature's order keeps it sorted, ties in row order
+    left = go_left[order].ravel()
+    d = order.shape[0]
+    left_child = _grow(
+        XT, g, w, np.compress(left, order).reshape(d, -1), rows[row_left],
+        depth + 1, max_depth, min_samples_leaf,
+    )
+    right_child = _grow(
+        XT, g, w, np.compress(~left, order).reshape(d, -1), rows[~row_left],
+        depth + 1, max_depth, min_samples_leaf,
+    )
+    return TreeNode(feature=feature, threshold=threshold, left=left_child, right=right_child)
 
 
 def fit_tree_weighted(
@@ -173,6 +231,10 @@ def fit_tree_weighted(
     leaf values, though the finished tree still routes them at prediction
     time).  Recursion stops at max_depth, at min_samples_leaf, or when the
     node's targets are constant.
+
+    The samples are argsorted per feature once, at the root; each child
+    inherits its parent's per-feature order through a stable filter, which
+    is the order a stable argsort of the child's samples would give.
     """
     X = np.asarray(features, dtype=np.float64)
     g = np.asarray(targets, dtype=np.float64)
@@ -188,25 +250,8 @@ def fit_tree_weighted(
     active = w > 0
     if not np.any(active):
         raise ValueError("fit_tree_weighted: all weights are zero")
-    Xa, ga, wa = X[active], g[active], w[active]
-
-    def build(Xn, gn, wn, depth) -> TreeNode:
-        if (
-            depth >= max_depth
-            or Xn.shape[0] < 2 * min_samples_leaf
-            or np.all(gn == gn[0])
-        ):
-            return TreeNode(value=_weighted_mean(gn, wn))
-        found = _best_split(Xn, gn, wn, min_samples_leaf)
-        if found is None:
-            return TreeNode(value=_weighted_mean(gn, wn))
-        _, feature, threshold = found
-        go_left = Xn[:, feature] <= threshold
-        return TreeNode(
-            feature=feature,
-            threshold=threshold,
-            left=build(Xn[go_left], gn[go_left], wn[go_left], depth + 1),
-            right=build(Xn[~go_left], gn[~go_left], wn[~go_left], depth + 1),
-        )
-
-    return RegressionTree(root=build(Xa, ga, wa, 0), n_features=X.shape[1])
+    XT = np.ascontiguousarray(X[active].T)
+    order = np.argsort(XT, axis=1, kind="stable")
+    rows = np.arange(XT.shape[1])
+    root = _grow(XT, g[active], w[active], order, rows, 0, max_depth, min_samples_leaf)
+    return RegressionTree(root=root, n_features=X.shape[1])

@@ -105,6 +105,94 @@ def brute_force_tree(X, g, w, max_depth, min_samples_leaf=1):
     return RegressionTree(root=build(Xa, ga, wa, 0), n_features=X.shape[1])
 
 
+def _per_feature_best_split(X, g, w, min_samples_leaf):
+    """Smallest total weighted SSE over all (feature, midpoint-threshold) candidates.
+
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values.  Ties (up to :func:`split_tolerance`) break toward the lowest
+    feature index, then the lowest threshold.  Returns (sse, feature,
+    threshold) or None if no candidate leaves at least ``min_samples_leaf``
+    samples on each side.
+    """
+    n, d = X.shape
+    tol = split_tolerance(g, w)
+    best = None
+    for f in range(d):
+        x = X[:, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        gs = g[order]
+        ws = w[order]
+        # split after sorted position i is valid only between distinct values
+        cut = np.nonzero(xs[:-1] < xs[1:])[0]
+        if min_samples_leaf > 1:
+            cut = cut[(cut >= min_samples_leaf - 1) & (cut <= n - 1 - min_samples_leaf)]
+        if cut.size == 0:
+            continue
+        wg = ws * gs
+        cw = np.cumsum(ws)
+        cwg = np.cumsum(wg)
+        cwgg = np.cumsum(wg * gs)
+        lw, lwg, lwgg = cw[cut], cwg[cut], cwgg[cut]
+        rw, rwg, rwgg = cw[-1] - lw, cwg[-1] - lwg, cwgg[-1] - lwgg
+        # rw can cancel to exactly 0 when the right side's weights are absorbed
+        # by the cumsum; a side with (numerically) zero total weight has zero
+        # weighted SSE.
+        rw_safe = np.where(rw > 0, rw, 1.0)
+        sse = (lwgg - lwg * lwg / lw) + np.where(rw > 0, rwgg - rwg * rwg / rw_safe, 0.0)
+        j = int(np.nonzero(sse <= sse.min() + tol)[0][0])
+        if best is None or sse[j] < best[0] - tol:
+            best = (float(sse[j]), f, float((xs[cut[j]] + xs[cut[j] + 1]) / 2.0))
+    return best
+
+
+def per_feature_tree(
+    features: np.ndarray,
+    targets: np.ndarray,
+    weights: np.ndarray,
+    max_depth: int,
+    min_samples_leaf: int = 1,
+) -> RegressionTree:
+    """The per-feature, per-node-argsort greedy CART that the vectorised
+    split search in :mod:`itboost.trees` replaced, kept unchanged as a
+    token-level oracle: same float operations in the same order, so the two
+    must produce identical ``to_tokens()``.
+
+    Leaf values are weighted means of the targets reaching the leaf.  Samples
+    with zero weight are excluded entirely.  Recursion stops at max_depth, at
+    min_samples_leaf, or when the node's targets are constant.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    g = np.asarray(targets, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    active = w > 0
+    Xa, ga, wa = X[active], g[active], w[active]
+
+    def weighted_mean(gn, wn):
+        return float(np.sum(wn * gn) / np.sum(wn))
+
+    def build(Xn, gn, wn, depth) -> TreeNode:
+        if (
+            depth >= max_depth
+            or Xn.shape[0] < 2 * min_samples_leaf
+            or np.all(gn == gn[0])
+        ):
+            return TreeNode(value=weighted_mean(gn, wn))
+        found = _per_feature_best_split(Xn, gn, wn, min_samples_leaf)
+        if found is None:
+            return TreeNode(value=weighted_mean(gn, wn))
+        _, feature, threshold = found
+        go_left = Xn[:, feature] <= threshold
+        return TreeNode(
+            feature=feature,
+            threshold=threshold,
+            left=build(Xn[go_left], gn[go_left], wn[go_left], depth + 1),
+            right=build(Xn[~go_left], gn[~go_left], wn[~go_left], depth + 1),
+        )
+
+    return RegressionTree(root=build(Xa, ga, wa, 0), n_features=X.shape[1])
+
+
 def tree_weighted_sse(tree: RegressionTree, X, g, w) -> float:
     pred = tree.predict(np.asarray(X, dtype=float))
     return float(np.sum(np.asarray(w, dtype=float) * (np.asarray(g, dtype=float) - pred) ** 2))

@@ -219,6 +219,13 @@ class TestTrain:
             assert len(model.trees) == 5
             assert trace.trust[-1].raw_complexity.max() >= 1
 
+    def test_trace_times_every_round(self):
+        ds = random_dataset(30, 2, seed=16)
+        _, trace = train(ds, BoostConfig(iterations=7, loss="squared", trust="enabled"))
+        assert len(trace.fit_seconds) == len(trace.trust_seconds) == 7
+        assert all(t >= 0.0 for t in trace.fit_seconds)
+        assert trace.total_fit_seconds() == pytest.approx(sum(trace.fit_seconds))
+
     def test_disabled_skips_history_bookkeeping(self):
         ds = random_dataset(30, 2, seed=10)
         _, trace = train(ds, BoostConfig(iterations=4, loss="squared", trust="disabled"))
@@ -258,7 +265,84 @@ class TestModelSerialization:
             load_model(path)
 
 
+    def _saved(self, tmp_path):
+        ds = random_dataset(20, 2, seed=15)
+        model, _ = train(ds, BoostConfig(iterations=3, loss="squared", trust="enabled"))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        return path, path.read_text().splitlines()
+
+    def test_missing_header_key_rejected(self, tmp_path):
+        path, lines = self._saved(tmp_path)
+        lines[1] = " ".join(item for item in lines[1].split() if not item.startswith("n_trees="))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="n_trees"):
+            load_model(path)
+
+    def test_tree_lines_beyond_n_trees_rejected(self, tmp_path):
+        path, lines = self._saved(tmp_path)
+        path.write_text("\n".join(lines + [lines[-1].replace("tree 2:", "tree 3:")]) + "\n")
+        with pytest.raises(ValueError, match="expected 3 trees"):
+            load_model(path)
+
+    def test_tree_lines_out_of_order_rejected(self, tmp_path):
+        path, lines = self._saved(tmp_path)
+        lines[2], lines[3] = lines[3], lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="tree 0"):
+            load_model(path)
+
+    def test_feature_index_outside_range_rejected(self):
+        for feature in ("2", "-1"):
+            with pytest.raises(ValueError, match="outside"):
+                RegressionTree.from_tokens(["I", feature, "0.5", "L", "0.0", "L", "1.0"], n_features=2)
+        with pytest.raises(ValueError):
+            RegressionTree.from_tokens(["I", "0", "0.5", "L", "0.0"], n_features=2)
+
+
 class TestTraceCsv:
+    @staticmethod
+    def _written(tmp_path):
+        ds = random_dataset(6, 2, seed=17)
+        _, trace = train(ds, BoostConfig(iterations=3, loss="squared", trust="enabled"))
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        header, *rows = path.read_text().splitlines()
+        return path, header, rows
+
+    def _rejects(self, path, header, rows, match):
+        path.write_text("\n".join([header] + rows) + "\n")
+        with pytest.raises(ValueError, match=match):
+            load_trace_csv(path)
+
+    def test_swapped_rows_rejected(self, tmp_path):
+        path, header, rows = self._written(tmp_path)
+        rows[7], rows[8] = rows[8], rows[7]  # two rows of iteration 2
+        self._rejects(path, header, rows, "iteration 2 does not list")
+
+    def test_repeated_iteration_block_rejected(self, tmp_path):
+        path, header, rows = self._written(tmp_path)
+        self._rejects(path, header, rows + rows[6:12], "iteration 2 after iteration 3")
+        self._rejects(path, header, rows + rows, "iteration 1 after iteration 3")
+
+    def test_missing_iteration_rejected(self, tmp_path):
+        path, header, rows = self._written(tmp_path)
+        self._rejects(path, header, rows[:6] + rows[12:], "iteration 3 after iteration 1")
+
+    def test_repeated_row_id_rejected(self, tmp_path):
+        path, header, rows = self._written(tmp_path)
+        first_id = rows[0].split(",")[1]
+        for block in range(3):  # every block lists the same ids, one of them twice
+            fields = rows[6 * block + 1].split(",")
+            fields[1] = first_id
+            rows[6 * block + 1] = ",".join(fields)
+        self._rejects(path, header, rows, "row id twice")
+
+    def test_iteration_split_across_blocks_rejected(self, tmp_path):
+        path, header, rows = self._written(tmp_path)
+        self._rejects(path, header, rows[:6] + rows[6:9] + rows[6:9] + rows[12:], "iteration 2 does not list")
+
+
     def test_round_trip_values(self, tmp_path):
         ds = random_dataset(25, 2, seed=12)
         _, trace = train(ds, BoostConfig(iterations=5, loss="squared", trust="enabled"))

@@ -38,7 +38,7 @@ class TestSynth:
 
 
 class TestTrain:
-    def test_writes_model_and_trace(self, small_csv, tmp_path):
+    def test_writes_model_and_trace(self, small_csv, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
         trace_path = tmp_path / "trace.csv"
         code = run("train", "--data", str(small_csv), "--label", "label",
@@ -48,6 +48,8 @@ class TestTrain:
         model = load_model(model_path)
         assert len(model.trees) == 5
         assert trace_path.read_text().startswith("iteration,row_id,raw_C")
+        printed = capsys.readouterr().out
+        assert "(trust step: " in printed and ", tree fit: " in printed
 
     def test_config_file_with_flag_override(self, small_csv, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -272,6 +272,10 @@ class TestFriedman:
         with pytest.raises(ValueError):
             RankMatrix(np.array([[0.1, np.nan], [0.2, 0.3]]))
 
+    def test_chi_square_sf_rejects_zero_dof(self):
+        with pytest.raises(ValueError, match="dof"):
+            chi_square_sf(1.0, 0)
+
     def test_chi_square_sf_matches_scipy(self):
         rng = np.random.default_rng(13)
         for _ in range(200):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from itboost.trees import RegressionTree, fit_tree_weighted
-from reference import brute_force_tree, tree_weighted_sse
+from reference import brute_force_tree, per_feature_tree, tree_weighted_sse
 
 
 class TestFitBasics:
@@ -140,6 +140,56 @@ class TestOracleAgreement:
         assert tree_weighted_sse(mine, X, g, w) == pytest.approx(
             tree_weighted_sse(oracle, X, g, w), abs=1e-9
         )
+
+
+class TestPerFeatureOracle:
+    """The vectorised split search against the per-feature search it replaced.
+
+    Both do the same float operations in the same order, so the trees must
+    agree token for token, thresholds and leaf values included.  The cases
+    lean on ties: integer-valued features, duplicated columns (exactly tied
+    features) and zero weights, over every min_samples_leaf x depth pair.
+    """
+
+    @staticmethod
+    def _case(rng, trial):
+        n = 2 if trial % 10 == 0 else int(rng.integers(3, 41))
+        d = 1 if trial % 5 == 0 else int(rng.integers(2, 6))
+        X = rng.normal(size=(n, d))
+        if trial % 3 == 0:
+            X = rng.integers(0, 4, size=(n, d)).astype(float)  # integer-valued, many ties
+        if trial % 4 == 1 and d > 1:
+            X[:, d - 1] = X[:, 0]  # duplicated column: every cut ties across features
+        g = rng.normal(size=n)
+        if (trial // 3) % 3 == 1:
+            g = np.round(g)
+        elif (trial // 3) % 3 == 2:
+            g = rng.choice([-1.0, 1.0], size=n)  # two-valued: mirror-image cuts tie within a feature
+        w = np.ones(n) if trial % 4 < 2 else rng.random(n) + 0.05
+        if trial % 2 == 1:
+            w[rng.random(n) < 0.2] = 0.0
+        if not np.any(w > 0):
+            w[0] = 1.0
+        return X, g, w
+
+    @pytest.mark.parametrize("min_samples_leaf", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [1, 3, 5, 8])
+    def test_tokens_match_per_feature_search(self, depth, min_samples_leaf):
+        rng = np.random.default_rng(1000 * depth + min_samples_leaf)
+        for trial in range(30):
+            X, g, w = self._case(rng, trial)
+            mine = fit_tree_weighted(X, g, w, max_depth=depth, min_samples_leaf=min_samples_leaf)
+            oracle = per_feature_tree(X, g, w, max_depth=depth, min_samples_leaf=min_samples_leaf)
+            assert mine.to_tokens() == oracle.to_tokens(), (trial, X.shape)
+
+    def test_duplicated_column_resolves_to_the_lowest_feature(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=30)
+        X = np.column_stack([rng.normal(size=30), x, x])
+        g = np.where(x > 0, 1.0, -1.0)
+        tree = fit_tree_weighted(X, g, np.ones(30), max_depth=1)
+        assert tree.root.feature == 1
+        assert tree.to_tokens() == per_feature_tree(X, g, np.ones(30), max_depth=1).to_tokens()
 
 
 class TestSerialization:

@@ -21,10 +21,8 @@ from .boosting import (
 from .complexity import (
     SymbolSequence,
     TrustState,
-    binarize_gradient,
     lz76_complexity,
     normalize_complexities,
-    quantize_gradient,
     trust_weights,
 )
 from .data import (
@@ -86,7 +84,6 @@ __all__ = [
     "TrustState",
     "accuracy",
     "auc",
-    "binarize_gradient",
     "cross_validate",
     "f1",
     "fit_tree_weighted",
@@ -104,7 +101,6 @@ __all__ = [
     "make_gaussian_dataset",
     "noise_sweep",
     "normalize_complexities",
-    "quantize_gradient",
     "random_undersample",
     "ratio_bound_check",
     "save_csv",

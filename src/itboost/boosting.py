@@ -10,7 +10,7 @@ trust term to 1 (ablation arm).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -35,13 +35,17 @@ SCORE_CLAMP = 50.0  # overflow guard ahead of the logistic link
 
 @dataclass(frozen=True)
 class BoostConfig:
+    """Training settings.  The fields are the one schema of a run: config files,
+    the ``itboost-model v1`` header (in field order) and the CLI flags (all but
+    ``seed``) are derived from them."""
+
     iterations: int = 100
     learning_rate: float = 0.1
     max_depth: int = 3
     min_samples_leaf: int = 1
-    loss: str = "logistic"
-    encoding: str = "binary-sign"
-    trust: str = "enabled"
+    loss: str = field(default="logistic", metadata={"choices": LOSSES})
+    encoding: str = field(default="binary-sign", metadata={"choices": ENCODINGS})
+    trust: str = field(default="enabled", metadata={"choices": TRUST_MODES})
     seed: int = 42
 
     def __post_init__(self):
@@ -53,27 +57,17 @@ class BoostConfig:
             raise ValueError("BoostConfig: max_depth must be >= 1")
         if self.min_samples_leaf < 1:
             raise ValueError("BoostConfig: min_samples_leaf must be >= 1")
-        if self.loss not in LOSSES:
-            raise ValueError(f"BoostConfig: loss must be one of {LOSSES}, got {self.loss!r}")
-        if self.encoding not in ENCODINGS:
-            raise ValueError(f"BoostConfig: encoding must be one of {ENCODINGS}, got {self.encoding!r}")
-        if self.trust not in TRUST_MODES:
-            raise ValueError(f"BoostConfig: trust must be one of {TRUST_MODES}, got {self.trust!r}")
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            value = getattr(self, f.name)
+            if choices is not None and value not in choices:
+                raise ValueError(f"BoostConfig: {f.name} must be one of {choices}, got {value!r}")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "BoostConfig":
         """Build a config from string-valued keys (config files, CLI overrides)."""
+        casts = {f.name: type(f.default) for f in fields(cls)}
         kwargs = {}
-        casts = {
-            "iterations": int,
-            "learning_rate": float,
-            "max_depth": int,
-            "min_samples_leaf": int,
-            "loss": str,
-            "encoding": str,
-            "trust": str,
-            "seed": int,
-        }
         for key, value in mapping.items():
             if key not in casts:
                 raise ValueError(f"BoostConfig: unknown field {key!r}")
@@ -81,16 +75,7 @@ class BoostConfig:
         return cls(**kwargs)
 
     def to_mapping(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "loss": self.loss,
-            "encoding": self.encoding,
-            "trust": self.trust,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def parse_config_file(path) -> dict:
@@ -103,8 +88,10 @@ def parse_config_file(path) -> dict:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"config file {path}, line {line_no}: expected 'key = value'")
-            key, value = stripped.split("=", 1)
-            mapping[key.strip()] = value.strip()
+            key, value = (part.strip() for part in stripped.split("=", 1))
+            if key in mapping:
+                raise ValueError(f"config file {path}, line {line_no}: key {key!r} given twice")
+            mapping[key] = value
     return mapping
 
 
@@ -207,7 +194,7 @@ MODEL_FORMAT_VERSION = "itboost-model v1"
 def save_model(model: Model, path) -> None:
     """Versioned plain-text format: config header, then one preorder line per tree."""
     lines = [MODEL_FORMAT_VERSION]
-    header = dict(model.config.to_mapping())
+    header = model.config.to_mapping()
     header["base_score"] = repr(model.base_score)
     header["n_features"] = model.n_features
     header["n_trees"] = len(model.trees)
@@ -223,7 +210,14 @@ def load_model(path) -> Model:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != MODEL_FORMAT_VERSION:
         raise ValueError(f"load_model: {path} is not a {MODEL_FORMAT_VERSION} file")
-    header = dict(item.split("=", 1) for item in lines[1].split()) if len(lines) > 1 else {}
+    header = {}
+    for token in lines[1].split() if len(lines) > 1 else ():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"load_model: {path} header token {token!r} is not key=value")
+        if key in header:
+            raise ValueError(f"load_model: {path} header gives {key!r} twice")
+        header[key] = value
     missing = [key for key in ("base_score", "n_features", "n_trees") if key not in header]
     if missing:
         raise ValueError(f"load_model: {path} header lacks {', '.join(missing)}")
@@ -338,10 +332,13 @@ def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -
     |g| * trust; (4) weighted tree fit on the residuals, then scores advance
     by learning_rate * tree(x).
 
-    ``trust='disabled'`` skips steps 2-3 and fits with uniform weights (the
-    classic GBDT baseline).  ``trust='magnitude-only'`` forces the trust term
-    to 1, so weights are |g|; history bookkeeping is skipped since it cannot
-    affect the fit.  With ``incremental_lz`` complexities come from the online
+    Only ``trust='enabled'`` keeps histories (step 2).  The other modes are
+    ablations of the same weight step with every normalized complexity 0, so
+    the trust term is 1: ``magnitude-only`` fits with weights |g|, and
+    ``disabled`` then replaces them with uniform weights (the classic GBDT
+    baseline).  A round whose residuals are all exactly 0 (the fit is exact)
+    appends no symbol and fits with uniform weights, giving a single 0.0 leaf
+    in every mode.  With ``incremental_lz`` complexities come from the online
     parser instead of a from-scratch parse of each history every round; the
     two are exactly equivalent.
     """
@@ -366,7 +363,10 @@ def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -
         g = gradient(y, scores, config.loss)
 
         t0 = time.perf_counter()
-        if track_history:
+        raw = np.zeros(n, dtype=np.int64)
+        normalized = np.zeros(n, dtype=np.float64)
+        moved = bool(np.any(g))
+        if track_history and moved:
             symbols = encode_gradients(g, config.encoding, g_prev=prev_g, first_round=(m == 1))
             if sequences is not None:
                 raw = np.fromiter(
@@ -378,16 +378,8 @@ def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -
                 histories = [h + s for h, s in zip(histories, symbols)]
                 raw = np.fromiter((lz76_complexity(h) for h in histories), dtype=np.int64, count=n)
             normalized = normalize_complexities(raw)
-            tau, weights = trust_weights(g, normalized)
-        elif config.trust == "magnitude-only":
-            raw = np.zeros(n, dtype=np.int64)
-            normalized = np.zeros(n, dtype=np.float64)
-            tau = np.ones(n, dtype=np.float64)
-            weights = np.abs(g)
-        else:  # disabled: classic GBDT
-            raw = np.zeros(n, dtype=np.int64)
-            normalized = np.zeros(n, dtype=np.float64)
-            tau = np.ones(n, dtype=np.float64)
+        tau, weights = trust_weights(g, normalized)
+        if config.trust == "disabled" or not moved:
             weights = np.ones(n, dtype=np.float64)
         t1 = time.perf_counter()
         tree = fit_tree_weighted(X, g, weights, config.max_depth, config.min_samples_leaf)
@@ -407,7 +399,3 @@ def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -
     model = Model(base_score=f0, n_features=dataset.n_features, trees=trees, config=config)
     return model, trace
 
-
-def with_trust_mode(config: BoostConfig, trust: str) -> BoostConfig:
-    """Copy of the config with a different trust mode (baseline/ablation arms)."""
-    return replace(config, trust=trust)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .boosting import (
     parse_config_file,
     save_model,
     train,
-    with_trust_mode,
 )
 from .data import DataError, load_csv, random_undersample, save_csv, stratified_kfold
 from .evaluation import (
@@ -49,15 +48,8 @@ class CliParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-BOOST_FLAGS = {
-    "iterations": int,
-    "learning_rate": float,
-    "max_depth": int,
-    "min_samples_leaf": int,
-    "loss": str,
-    "encoding": str,
-    "trust": str,
-}
+# One --dashed-name flag per BoostConfig field; seed is a global flag.
+BOOST_FLAGS = tuple(f for f in fields(BoostConfig) if f.name != "seed")
 
 
 def _add_global_flags(p: argparse.ArgumentParser) -> None:
@@ -74,13 +66,9 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_boost_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None, dest="learning_rate")
-    p.add_argument("--max-depth", type=int, default=None, dest="max_depth")
-    p.add_argument("--min-samples-leaf", type=int, default=None, dest="min_samples_leaf")
-    p.add_argument("--loss", choices=("logistic", "squared"), default=None)
-    p.add_argument("--encoding", choices=("binary-sign", "binary-delta", "quantized"), default=None)
-    p.add_argument("--trust", choices=("enabled", "disabled", "magnitude-only"), default=None)
+    for f in BOOST_FLAGS:
+        flag = "--" + f.name.replace("_", "-")
+        p.add_argument(flag, type=type(f.default), choices=f.metadata.get("choices"), default=None)
 
 
 def _resolve_label(label: str):
@@ -91,14 +79,12 @@ def _build_config(args) -> BoostConfig:
     mapping = {}
     if args.config:
         mapping.update(parse_config_file(args.config))
-    for name in BOOST_FLAGS:
-        value = getattr(args, name, None)
+    for f in BOOST_FLAGS:
+        value = getattr(args, f.name, None)
         if value is not None:
-            mapping[name] = value
+            mapping[f.name] = value
     if args.seed is not None:
         mapping["seed"] = args.seed
-    elif "seed" not in mapping:
-        mapping["seed"] = 42
     try:
         return BoostConfig.from_mapping(mapping)
     except ValueError as exc:
@@ -188,7 +174,7 @@ def cmd_noise_sweep(args) -> int:
     folds = stratified_kfold(dataset, args.k, config.seed)
     rows = []
     for mode in modes:
-        mode_config = with_trust_mode(config, mode)
+        mode_config = replace(config, trust=mode)
         for rate, report in noise_sweep(
             dataset, mode_config, args.kind, rates, config.seed, folds, threads=args.threads
         ):

@@ -9,52 +9,12 @@ samples receive an exponentially reduced trust weight.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 BINARY_ALPHABET = "01"
 QUATERNARY_ALPHABET = "0123"
-
-SIGN_MODE = "sign"
-DELTA_SIGN_MODE = "delta-sign"
-
-
-def binarize_gradient(g: float, mode: str = SIGN_MODE, g_prev: float | None = None) -> str:
-    """Map a pseudo-residual to a binary symbol.
-
-    In ``sign`` mode the symbol is '1' iff g > 0 (a tie at exactly zero maps
-    to '0').  In ``delta-sign`` mode the symbol encodes the direction of
-    change relative to the previous round's residual; the first round, which
-    has no predecessor, falls back to sign mode.
-    """
-    if not math.isfinite(g):
-        raise ValueError(f"binarize_gradient: non-finite gradient {g!r}")
-    if mode == SIGN_MODE:
-        return "1" if g > 0 else "0"
-    if mode == DELTA_SIGN_MODE:
-        if g_prev is None:
-            return "1" if g > 0 else "0"
-        if not math.isfinite(g_prev):
-            raise ValueError(f"binarize_gradient: non-finite previous gradient {g_prev!r}")
-        return "1" if g - g_prev > 0 else "0"
-    raise ValueError(f"binarize_gradient: unknown mode {mode!r}")
-
-
-def quantize_gradient(g: float, magnitude_threshold: float) -> str:
-    """Map a pseudo-residual to one of four symbols: sign x small/large magnitude.
-
-    Symbol code is 2*[g > 0] + [|g| >= threshold].  The threshold is supplied
-    by the caller (the per-round median of |g| across all samples).
-    """
-    if not math.isfinite(g) or not math.isfinite(magnitude_threshold):
-        raise ValueError("quantize_gradient: non-finite input")
-    if magnitude_threshold <= 0:
-        raise ValueError(f"quantize_gradient: threshold must be positive, got {magnitude_threshold!r}")
-    code = 2 * int(g > 0) + int(abs(g) >= magnitude_threshold)
-    return QUATERNARY_ALPHABET[code]
-
 
 def encode_gradients(
     g: np.ndarray,
@@ -76,6 +36,9 @@ def encode_gradients(
     elif encoding == "binary-delta":
         if g_prev is None:
             raise ValueError("encode_gradients: binary-delta needs previous gradients")
+        g_prev = np.asarray(g_prev, dtype=np.float64)
+        if not np.all(np.isfinite(g_prev)):
+            raise ValueError("encode_gradients: non-finite previous gradients")
         codes = (g - g_prev > 0).astype(np.int64)
         alphabet = BINARY_ALPHABET
     elif encoding == "quantized":

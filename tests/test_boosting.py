@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from itboost import boosting
 from itboost.boosting import (
     BoostConfig,
     Model,
@@ -18,6 +20,7 @@ from itboost.boosting import (
     train,
 )
 from itboost.data import Dataset
+from itboost.synth import make_gaussian_dataset
 from itboost.trees import RegressionTree, TreeNode
 from conftest import random_dataset
 from reference import ReferenceGBDT
@@ -242,6 +245,49 @@ class TestTrain:
             models.append([t.to_tokens() for t in model.trees])
         assert models[0] == models[1] == models[2]
 
+    # sha256 of the classic-GBDT models below, as saved before exact fits were
+    # handled; the header records the encoding, so each has its own digest
+    EXACT_FIT_DISABLED_SHA256 = {
+        "binary-sign": "adb7be57acf235f955fa267b5cd535b5f9da152119066a8b3e2573b516f6faa9",
+        "binary-delta": "1e864127ab6657b36c8b6ff97d1ff49fabb2d0c9f72e0b07ec5f946848456dcd",
+        "quantized": "bb85755f74b4d8b1e489bed96932971d69c17dcfe784cc2c418d84216e41d5a2",
+    }
+
+    @pytest.mark.parametrize("encoding", ["binary-sign", "binary-delta", "quantized"])
+    @pytest.mark.parametrize("trust", ["enabled", "disabled", "magnitude-only"])
+    def test_exact_fit_trains_every_round(self, tmp_path, trust, encoding):
+        # lr=1 and depth 8 fit these separated classes exactly in round 1, so
+        # every residual is 0 from round 2 on
+        ds = make_gaussian_dataset(n_rows=60, n_informative=2, separation=8.0, seed=0)
+        cfg = BoostConfig(iterations=5, learning_rate=1.0, max_depth=8, loss="squared",
+                          encoding=encoding, trust=trust)
+        model, trace = train(ds, cfg)
+        assert len(model.trees) == trace.n_iterations == 5
+        for tree, g, state in list(zip(model.trees, trace.gradients, trace.trust))[1:]:
+            assert not np.any(g)
+            assert tree.to_tokens() == ["L", "0.0"]
+            assert np.all(state.normalized == 0.0) and np.all(state.tau == 1.0)
+            assert np.all(state.weights == 1.0)
+        if trust == "disabled":
+            path = tmp_path / "model.txt"
+            save_model(model, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == self.EXACT_FIT_DISABLED_SHA256[encoding]
+
+    def test_layers_are_called_through_module_globals(self, monkeypatch):
+        # the traced benchmark attributes time to layers by wrapping these
+        # names on the boosting module; train must keep calling them there
+        calls = {}
+        for name in ("encode_gradients", "lz76_complexity", "normalize_complexities",
+                     "trust_weights", "fit_tree_weighted"):
+            def counted(*args, _inner=getattr(boosting, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(boosting, name, counted)
+        ds = random_dataset(20, 2, seed=18)
+        train(ds, BoostConfig(iterations=4, loss="squared", trust="enabled"))
+        assert calls == {"encode_gradients": 4, "lz76_complexity": 4 * 20, "normalize_complexities": 4,
+                         "trust_weights": 4, "fit_tree_weighted": 4}
+
 
 class TestModelSerialization:
     def test_round_trip(self, tmp_path):
@@ -264,6 +310,14 @@ class TestModelSerialization:
         with pytest.raises(ValueError):
             load_model(path)
 
+    def test_default_config_header_is_golden(self, tmp_path):
+        # pins the itboost-model v1 header: BoostConfig field order, then the model keys
+        path = tmp_path / "model.txt"
+        save_model(Model(base_score=0.25, n_features=2, trees=[], config=BoostConfig()), path)
+        assert path.read_text().splitlines()[1] == (
+            "iterations=100 learning_rate=0.1 max_depth=3 min_samples_leaf=1 loss=logistic "
+            "encoding=binary-sign trust=enabled seed=42 base_score=0.25 n_features=2 n_trees=0"
+        )
 
     def _saved(self, tmp_path):
         ds = random_dataset(20, 2, seed=15)
@@ -277,6 +331,20 @@ class TestModelSerialization:
         lines[1] = " ".join(item for item in lines[1].split() if not item.startswith("n_trees="))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="n_trees"):
+            load_model(path)
+
+    def test_header_token_without_equals_rejected(self, tmp_path):
+        path, lines = self._saved(tmp_path)
+        lines[1] += " stray"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="'stray' is not key=value"):
+            load_model(path)
+
+    def test_header_key_given_twice_rejected(self, tmp_path):
+        path, lines = self._saved(tmp_path)
+        lines[1] += " n_trees=0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="'n_trees' twice"):
             load_model(path)
 
     def test_tree_lines_beyond_n_trees_rejected(self, tmp_path):
@@ -389,3 +457,14 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             BoostConfig.from_mapping({"depth": "3"})
+
+    def test_config_file_key_given_twice_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("iterations = 7\nloss = squared\niterations = 9\n")
+        with pytest.raises(ValueError, match="line 3: key 'iterations' given twice"):
+            parse_config_file(path)
+
+    def test_string_mapping_round_trip(self):
+        cfg = BoostConfig(iterations=7, learning_rate=0.25, max_depth=5, min_samples_leaf=2,
+                          loss="squared", encoding="quantized", trust="magnitude-only", seed=9)
+        assert BoostConfig.from_mapping({k: str(v) for k, v in cfg.to_mapping().items()}) == cfg

@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from itboost.cli import main
-from itboost.boosting import load_model
+from itboost.cli import build_parser, main
+from itboost.boosting import ENCODINGS, LOSSES, TRUST_MODES, BoostConfig, load_model
 from itboost.data import load_csv, save_csv
 from itboost.synth import make_gaussian_dataset
 
@@ -160,6 +162,25 @@ class TestExitCodes:
         assert run("train", "--data", str(small_csv), "--iterations", "2",
                    "--loss", "squared", "--out", str(model_path)) == 0
         assert load_model(model_path).config.seed == 42
+
+
+class TestBoostFlags:
+    COMMANDS = ("train", "evaluate", "noise-sweep", "ablate", "trajectory")
+
+    def test_one_flag_per_config_field(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        choices = {"loss": LOSSES, "encoding": ENCODINGS, "trust": TRUST_MODES}
+        for command in self.COMMANDS:
+            actions = subparsers[command]._option_string_actions
+            for f in fields(BoostConfig):
+                action = actions["--" + f.name.replace("_", "-")]
+                assert action.dest == f.name
+                assert action.type is type(f.default), (command, f.name)
+                if f.name == "seed":
+                    assert action.help == "master seed (default 42)"  # the global flag
+                else:
+                    assert action.default is None
+                    assert action.choices == choices.get(f.name), (command, f.name)
 
 
 class TestUndersampleFlag:

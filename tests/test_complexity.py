@@ -9,65 +9,79 @@ from itboost.complexity import (
     BINARY_ALPHABET,
     QUATERNARY_ALPHABET,
     SymbolSequence,
-    binarize_gradient,
     encode_gradients,
     lz76_complexity,
     normalize_complexities,
-    quantize_gradient,
     trust_weights,
 )
 from reference import naive_lz76
 
 
+ENCODINGS = ("binary-sign", "binary-delta", "quantized")
+
+
 class TestBinarize:
     def test_positive_gradient_is_one(self):
-        assert binarize_gradient(0.7) == "1"
+        assert encode_gradients([0.7], "binary-sign") == ["1"]
 
     def test_zero_ties_to_zero(self):
-        assert binarize_gradient(0.0) == "0"
+        assert encode_gradients([0.0, -0.0], "binary-sign") == ["0", "0"]
+        assert encode_gradients([0.0, 0.5], "binary-delta", first_round=True) == ["0", "1"]
+        assert encode_gradients([0.0, 0.5], "quantized") == ["0", "3"]
 
     def test_negative_is_zero(self):
-        assert binarize_gradient(-0.3) == "0"
+        assert encode_gradients([-0.3], "binary-sign") == ["0"]
 
     def test_delta_sign_decrease(self):
-        assert binarize_gradient(0.3, mode="delta-sign", g_prev=0.5) == "0"
+        assert encode_gradients([0.3, -0.6], "binary-delta", g_prev=[0.5, -0.1]) == ["0", "0"]
 
     def test_delta_sign_increase(self):
-        assert binarize_gradient(0.9, mode="delta-sign", g_prev=0.5) == "1"
+        assert encode_gradients([0.9, -0.1], "binary-delta", g_prev=[0.5, -0.6]) == ["1", "1"]
 
     def test_delta_sign_first_round_falls_back_to_sign(self):
-        assert binarize_gradient(0.3, mode="delta-sign", g_prev=None) == "1"
-        assert binarize_gradient(-0.3, mode="delta-sign", g_prev=None) == "0"
+        assert encode_gradients([0.3, -0.3], "binary-delta", g_prev=None, first_round=True) == ["1", "0"]
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            binarize_gradient(float("nan"))
-        with pytest.raises(ValueError):
-            binarize_gradient(float("inf"))
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            for encoding in ENCODINGS:
+                with pytest.raises(ValueError, match="non-finite gradients"):
+                    encode_gradients([0.5, bad], encoding, g_prev=[0.1, 0.1])
+
+    def test_non_finite_previous_rejected(self):
+        with pytest.raises(ValueError, match="non-finite previous"):
+            encode_gradients([0.5, -0.2], "binary-delta", g_prev=[float("nan"), float("inf")])
 
 
 class TestQuantize:
+    # median |g| is 0.4: codes are 2*[g > 0] + [|g| >= 0.4]
+    G = [0.9, -0.1, 0.1, -0.9, 0.4, -0.4]
+
+    def _code(self, g):
+        return encode_gradients(self.G, "quantized")[self.G.index(g)]
+
     def test_positive_large(self):
-        assert quantize_gradient(0.9, 0.4) == "3"
+        assert self._code(0.9) == "3"
 
     def test_negative_small(self):
-        assert quantize_gradient(-0.1, 0.4) == "0"
+        assert self._code(-0.1) == "0"
 
     def test_positive_small(self):
-        assert quantize_gradient(0.1, 0.4) == "2"
+        assert self._code(0.1) == "2"
 
     def test_negative_large(self):
-        assert quantize_gradient(-0.9, 0.4) == "1"
+        assert self._code(-0.9) == "1"
+
+    def test_threshold_counts_as_large(self):
+        assert (self._code(0.4), self._code(-0.4)) == ("3", "1")
 
     def test_nonpositive_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            quantize_gradient(0.5, 0.0)
-        with pytest.raises(ValueError):
-            quantize_gradient(0.5, -1.0)
+        # a zero median |g| while some residuals are not 0 stays undefined
+        with pytest.raises(ValueError, match="median"):
+            encode_gradients([0.0, 0.0, 0.0, 0.5], "quantized")
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            quantize_gradient(float("nan"), 0.4)
+            encode_gradients([float("nan"), 0.4], "quantized")
 
 
 class TestEncodeGradients:

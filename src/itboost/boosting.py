@@ -239,9 +239,10 @@ def load_model(path) -> Model:
 
 @dataclass
 class RunTrace:
-    """Per-iteration training record: residuals, trust state, loss, and the
+    """Per-iteration training record: residuals, trust state, loss, the
     seconds spent per round in the trust step and in the tree fit (the fit
-    plus the score update)."""
+    plus the score update), and the number of distinct histories the round
+    parsed from scratch (0 unless trust is enabled and the parse is literal)."""
 
     row_ids: np.ndarray
     gradients: list[np.ndarray] = field(default_factory=list)
@@ -249,6 +250,7 @@ class RunTrace:
     train_loss: list[float] = field(default_factory=list)
     trust_seconds: list[float] = field(default_factory=list)
     fit_seconds: list[float] = field(default_factory=list)
+    distinct_histories: list[int] = field(default_factory=list)
 
     @property
     def n_iterations(self) -> int:
@@ -338,8 +340,9 @@ def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -
     ``disabled`` then replaces them with uniform weights (the classic GBDT
     baseline).  A round whose residuals are all exactly 0 (the fit is exact)
     appends no symbol and fits with uniform weights, giving a single 0.0 leaf
-    in every mode.  With ``incremental_lz`` complexities come from the online
-    parser instead of a from-scratch parse of each history every round; the
+    in every mode.  The phrase count depends on the history string alone, so
+    rows that share a history share one from-scratch parse per round.  With
+    ``incremental_lz`` complexities come from the online parser instead; the
     two are exactly equivalent.
     """
     X = dataset.features
@@ -365,6 +368,7 @@ def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -
         t0 = time.perf_counter()
         raw = np.zeros(n, dtype=np.int64)
         normalized = np.zeros(n, dtype=np.float64)
+        distinct = 0
         moved = bool(np.any(g))
         if track_history and moved:
             symbols = encode_gradients(g, config.encoding, g_prev=prev_g, first_round=(m == 1))
@@ -376,7 +380,9 @@ def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -
                 )
             else:
                 histories = [h + s for h, s in zip(histories, symbols)]
-                raw = np.fromiter((lz76_complexity(h) for h in histories), dtype=np.int64, count=n)
+                parsed = {h: lz76_complexity(h) for h in set(histories)}
+                raw = np.fromiter((parsed[h] for h in histories), dtype=np.int64, count=n)
+                distinct = len(parsed)
             normalized = normalize_complexities(raw)
         tau, weights = trust_weights(g, normalized)
         if config.trust == "disabled" or not moved:
@@ -394,6 +400,7 @@ def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -
         trace.train_loss.append(float(np.mean(loss_value(y, scores, config.loss))))
         trace.trust_seconds.append(t1 - t0)
         trace.fit_seconds.append(t2 - t1)
+        trace.distinct_histories.append(distinct)
         prev_g = g
 
     model = Model(base_score=f0, n_features=dataset.n_features, trees=trees, config=config)

@@ -53,7 +53,7 @@ BOOST_FLAGS = tuple(f for f in fields(BoostConfig) if f.name != "seed")
 
 
 def _add_global_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 42)")
+    p.add_argument("--seed", type=int, default=None, help=f"master seed (default {BoostConfig.seed})")
     p.add_argument("--config", default=None, help="key=value config file; flags override it")
     p.add_argument("--out", required=True, help="primary output path")
     p.add_argument("--threads", type=int, default=1, help="parallelism bound; 1 is fully serial")
@@ -96,7 +96,7 @@ def _load(args):
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else 42
+    seed = args.seed if args.seed is not None else BoostConfig.seed
     dataset = make_gaussian_dataset(
         n_rows=args.n,
         n_informative=args.d,

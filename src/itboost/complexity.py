@@ -26,6 +26,8 @@ def encode_gradients(
 
     ``encoding`` is one of ``binary-sign``, ``binary-delta`` or ``quantized``.
     ``g_prev`` is required for binary-delta except on the first round.
+    The quantized magnitude threshold is the median |g|, or the median of the
+    nonzero |g| when more than half of the residuals are exactly 0.
     """
     g = np.asarray(g, dtype=np.float64)
     if not np.all(np.isfinite(g)):
@@ -42,10 +44,15 @@ def encode_gradients(
         codes = (g - g_prev > 0).astype(np.int64)
         alphabet = BINARY_ALPHABET
     elif encoding == "quantized":
-        threshold = float(np.median(np.abs(g)))
+        magnitude = np.abs(g)
+        threshold = float(np.median(magnitude))
         if threshold <= 0:
-            raise ValueError("encode_gradients: median |g| is zero, quantized encoding undefined")
-        codes = 2 * (g > 0).astype(np.int64) + (np.abs(g) >= threshold).astype(np.int64)
+            # most residuals are exactly 0: the nonzero ones set the scale
+            nonzero = magnitude[magnitude > 0]
+            if nonzero.size == 0:
+                raise ValueError("encode_gradients: every residual is zero, quantized encoding undefined")
+            threshold = float(np.median(nonzero))
+        codes = 2 * (g > 0).astype(np.int64) + (magnitude >= threshold).astype(np.int64)
         alphabet = QUATERNARY_ALPHABET
     else:
         raise ValueError(f"encode_gradients: unknown encoding {encoding!r}")

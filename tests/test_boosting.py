@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from itboost import boosting
 from itboost.boosting import (
+    ENCODINGS,
+    LOSSES,
+    TRUST_MODES,
     BoostConfig,
     Model,
     init_score,
@@ -19,6 +24,7 @@ from itboost.boosting import (
     squared_gradient,
     train,
 )
+from itboost.complexity import encode_gradients, lz76_complexity
 from itboost.data import Dataset
 from itboost.synth import make_gaussian_dataset
 from itboost.trees import RegressionTree, TreeNode
@@ -235,6 +241,7 @@ class TestTrain:
         for state in trace.trust:
             assert np.all(state.weights == 1.0)
             assert np.all(state.raw_complexity == 0)
+        assert trace.distinct_histories == [0, 0, 0, 0]
 
     def test_encoding_irrelevant_when_disabled(self):
         ds = random_dataset(30, 2, seed=14)
@@ -284,9 +291,118 @@ class TestTrain:
                 return _inner(*args, **kwargs)
             monkeypatch.setattr(boosting, name, counted)
         ds = random_dataset(20, 2, seed=18)
-        train(ds, BoostConfig(iterations=4, loss="squared", trust="enabled"))
-        assert calls == {"encode_gradients": 4, "lz76_complexity": 4 * 20, "normalize_complexities": 4,
+        _, trace = train(ds, BoostConfig(iterations=4, loss="squared", trust="enabled"))
+        distinct = sum(len(set(h)) for h in replayed_histories(trace, "binary-sign"))
+        assert calls == {"encode_gradients": 4, "lz76_complexity": distinct, "normalize_complexities": 4,
                          "trust_weights": 4, "fit_tree_weighted": 4}
+        assert sum(trace.distinct_histories) == distinct
+
+    # sha256 of (save_model, RunTrace.to_csv) bytes for the duplicated-row runs
+    # below, as saved when every row's history was parsed on its own
+    DUPLICATED_ROWS_SHA256 = {
+        ("binary-sign", "squared"): ("7702c9e516638b47623578d41778de82900cee07f37d01d47643a74046c112cb",
+                                     "2f14f95980ace389747a51b8276ea8ac608b9496a7b78f35f26f218eee57a718"),
+        ("binary-sign", "logistic"): ("d541b3eb8b16c29fa7a3f9be67419d7b357f1df1fa932be1c13e8163fb63ee67",
+                                      "0ec6acc00bc4b7dd1e051055a42109de042a4a4d25c6080bed6d6880c29bae53"),
+        ("binary-delta", "squared"): ("39cbeb9f237c5b90da3ac81d049309ced74af616bc3bcfd49d7fbf36e1f89d90",
+                                      "eca7b35c13c735850c9c7cb39237fd62146b6d5a03ad7ed3fca892a98e7f7b53"),
+        ("binary-delta", "logistic"): ("113d5cb7da54de9b5c9114562c87d3211a53b967dead8250a6601c5f53f6f702",
+                                       "cc99fa49a380191f784ada750321483511842de5b03c414edaefed76463e4af3"),
+        ("quantized", "squared"): ("03d1d1ed8fe01f4715df10d61d5cb8d9d1936b9866e80b53996fcec4b3845fce",
+                                   "64f09a37d509d2e0e385e068eb9d9addf89aba5fc66a01a8359804605b1ba698"),
+        ("quantized", "logistic"): ("55d465d65f7d7d4f1cac1b6f327099d102df5cd1ebed51e3d82d43baac5de88b",
+                                    "3cfdf1cb86687272eea78eddf5e9aef7e779fb3316c75b379e84b9ad5f61fb7c"),
+    }
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("encoding", ["binary-sign", "binary-delta", "quantized"])
+    def test_shared_histories_are_parsed_once_per_round(self, tmp_path, monkeypatch, encoding, loss):
+        # every row appears twice, so no round has more than n/2 distinct histories
+        base = random_dataset(15, 2, seed=19)
+        ds = Dataset(features=np.vstack([base.features, base.features]),
+                     labels=np.concatenate([base.labels, base.labels]), row_ids=np.arange(30))
+        per_round = []  # lz76_complexity calls after each encode_gradients call
+
+        def encode(*args, _inner=boosting.encode_gradients, **kwargs):
+            per_round.append(0)
+            return _inner(*args, **kwargs)
+
+        def parse(history, _inner=boosting.lz76_complexity):
+            per_round[-1] += 1
+            return _inner(history)
+
+        monkeypatch.setattr(boosting, "encode_gradients", encode)
+        monkeypatch.setattr(boosting, "lz76_complexity", parse)
+        model, trace = train(ds, BoostConfig(iterations=8, loss=loss, encoding=encoding, trust="enabled"))
+        assert len(per_round) == 8 and max(per_round) <= ds.n_rows // 2
+        assert trace.distinct_histories == per_round
+        for histories, state in zip(replayed_histories(trace, encoding), trace.trust):
+            assert state.raw_complexity.tolist() == [lz76_complexity(h) for h in histories]
+        model_path, trace_path = tmp_path / "model.txt", tmp_path / "trace.csv"
+        save_model(model, model_path)
+        trace.to_csv(trace_path)
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (model_path, trace_path))
+        assert digests == self.DUPLICATED_ROWS_SHA256[(encoding, loss)]
+
+
+@st.composite
+def datasets(draw):
+    # rows are drawn from a small pool, so repeated rows (with either label) are common
+    d = draw(st.integers(1, 3))
+    value = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e3, 1e3, allow_nan=False))
+    pool = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))
+    X = np.array([pool[i] for i in picks])
+    n = len(picks)
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return Dataset(features=X, labels=np.array(labels), row_ids=np.arange(n))
+
+
+configs = st.builds(
+    BoostConfig,
+    iterations=st.integers(1, 6),
+    learning_rate=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    max_depth=st.integers(1, 8),
+    min_samples_leaf=st.integers(1, 3),
+    loss=st.sampled_from(LOSSES),
+    encoding=st.sampled_from(ENCODINGS),
+    trust=st.sampled_from(TRUST_MODES),
+)
+
+# squared loss, lr=1 and deep trees fit the five distinct points exactly; the
+# two extra copies of row 0 carry the opposite label, so from round 2 on most
+# residuals are 0 and a few are not (median |g| is 0)
+_MOSTLY_EXACT = Dataset(features=np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [0.0], [0.0]]),
+                        labels=np.array([1, -1, 1, -1, 1, -1, -1]), row_ids=np.arange(7))
+
+
+class TestTrainNeverRaises:
+    @given(dataset=datasets(), config=configs, incremental_lz=st.booleans())
+    @example(dataset=_MOSTLY_EXACT, incremental_lz=False,
+             config=BoostConfig(iterations=4, learning_rate=1.0, max_depth=8, loss="squared", encoding="quantized"))
+    @settings(max_examples=150, deadline=None)
+    def test_train_runs_every_round(self, dataset, config, incremental_lz):
+        if config.loss == "logistic" and np.unique(dataset.labels).size < 2:
+            # rejected before any round: the initial log-odds are infinite
+            with pytest.raises(ValueError, match="both classes"):
+                train(dataset, config, incremental_lz=incremental_lz)
+            return
+        model, trace = train(dataset, config, incremental_lz=incremental_lz)
+        assert len(model.trees) == trace.n_iterations == config.iterations
+        assert all(np.all(np.isfinite(state.weights)) for state in trace.trust)
+
+
+def replayed_histories(trace, encoding):
+    """Each round's row histories, rebuilt by re-encoding ``trace.gradients``."""
+    histories = [""] * len(trace.row_ids)
+    rounds = []
+    for m, g in enumerate(trace.gradients):
+        if np.any(g):
+            g_prev = trace.gradients[m - 1] if m else None
+            symbols = encode_gradients(g, encoding, g_prev=g_prev, first_round=(m == 0))
+            histories = [h + s for h, s in zip(histories, symbols)]
+        rounds.append(histories)
+    return rounds
 
 
 class TestModelSerialization:

@@ -31,6 +31,13 @@ class TestSynth:
                    "--seed", "7", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_default_seed_is_the_config_default(self, tmp_path):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        assert run("synth", "--n", "30", "--d", "2", "--out", str(a)) == 0
+        assert run("synth", "--n", "30", "--d", "2", "--seed", str(BoostConfig.seed), "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_output_loadable_with_distractors(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run("synth", "--n", "40", "--d", "2", "--distractors", "3", "--out", str(out)) == 0

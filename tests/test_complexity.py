@@ -74,10 +74,10 @@ class TestQuantize:
     def test_threshold_counts_as_large(self):
         assert (self._code(0.4), self._code(-0.4)) == ("3", "1")
 
-    def test_nonpositive_threshold_rejected(self):
-        # a zero median |g| while some residuals are not 0 stays undefined
-        with pytest.raises(ValueError, match="median"):
-            encode_gradients([0.0, 0.0, 0.0, 0.5], "quantized")
+    def test_zero_median_uses_median_of_nonzero(self):
+        # median |g| is 0; the nonzero |g| (0.2, 0.6, 0.9) give the threshold 0.6
+        g = [0.0, 0.0, 0.0, 0.0, 0.2, -0.6, 0.9]
+        assert encode_gradients(g, "quantized") == ["0", "0", "0", "0", "2", "1", "3"]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

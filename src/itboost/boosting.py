@@ -165,16 +165,29 @@ class Model:
         return self.config.learning_rate
 
     def predict_score(self, X):
+        """Raw additive score of each row of X (n, d); a float for one row x (d,).
+
+        One row is summed in Python floats, tree by tree: the same float
+        operations in the same order as its row of the batch, so both agree
+        bit for bit.  A batch is laid out column-major once, so the transposed
+        (d, n) view each tree reads is already contiguous and never copied.
+        """
         X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.shape[1] != self.n_features:
-            raise ValueError(f"Model.predict_score: expected {self.n_features} features, got {X.shape[1]}")
+        if X.ndim not in (1, 2):
+            raise ValueError(f"Model.predict_score: expected 1-D or 2-D input, got shape {X.shape}")
+        if X.shape[-1] != self.n_features:
+            raise ValueError(f"Model.predict_score: expected {self.n_features} features, got {X.shape[-1]}")
+        lr = self.learning_rate
+        if X.ndim == 1:
+            score = float(self.base_score)
+            for tree in self.trees:
+                score += lr * tree.predict(X)
+            return score
+        X = np.asfortranarray(X)
         scores = np.full(X.shape[0], self.base_score, dtype=np.float64)
         for tree in self.trees:
-            scores += self.learning_rate * tree.predict(X)
-        return float(scores[0]) if single else scores
+            scores += lr * tree.predict(X)
+        return scores
 
     def predict_proba(self, X):
         score = np.clip(self.predict_score(X), -SCORE_CLAMP, SCORE_CLAMP)

@@ -139,7 +139,7 @@ def cmd_evaluate(args) -> int:
         threads=args.threads,
         undersample_train=(args.undersample == "after"),
     )
-    report.peak_memory_estimate = _peak_memory_mb()
+    peak_mb = _peak_memory_mb()
     report.to_csv(args.out)
     for m in METRIC_NAMES:
         print(f"{m}_mean={report.mean(m):.6f} {m}_std={report.std(m):.6f}")
@@ -148,8 +148,8 @@ def cmd_evaluate(args) -> int:
     print(f"trust_seconds={report.trust_seconds:.3f}")
     per_iter = report.trust_seconds / (config.iterations * folds.k)
     print(f"trust_seconds_per_iteration={per_iter:.6f}")
-    if report.peak_memory_estimate is not None:
-        print(f"peak_memory_mb={report.peak_memory_estimate:.1f}")
+    if peak_mb is not None:
+        print(f"peak_memory_mb={peak_mb:.1f}")
     print(f"report written to {args.out}")
     return 0
 

@@ -86,7 +86,6 @@ class MetricReport:
     wall_time_seconds: float
     fold_train_seconds: np.ndarray
     trust_seconds: float
-    peak_memory_estimate: float | None = None
 
     @property
     def n_folds(self) -> int:

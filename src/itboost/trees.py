@@ -28,23 +28,25 @@ class RegressionTree:
     n_features: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.shape[1] != self.n_features:
-            raise ValueError(f"RegressionTree.predict: expected {self.n_features} features, got {X.shape[1]}")
-        out = np.empty(X.shape[0], dtype=np.float64)
-        self._fill(self.root, X, np.arange(X.shape[0]), out)
-        return float(out[0]) if single else out
+        """Leaf value of each row of X (n, d); a float for one row x (d,).
 
-    def _fill(self, node: TreeNode, X, idx, out) -> None:
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        go_left = X[idx, node.feature] <= node.threshold
-        self._fill(node.left, X, idx[go_left], out)
-        self._fill(node.right, X, idx[~go_left], out)
+        A row goes left when ``x[feature] <= threshold`` and right otherwise,
+        so NaN goes right.  One row walks a single root-to-leaf path; a batch
+        partitions its row indices down the tree (see :func:`_route`).
+        """
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim not in (1, 2):
+            raise ValueError(f"RegressionTree.predict: expected 1-D or 2-D input, got shape {X.shape}")
+        if X.shape[-1] != self.n_features:
+            raise ValueError(f"RegressionTree.predict: expected {self.n_features} features, got {X.shape[-1]}")
+        if X.ndim == 1:
+            node = self.root
+            while node.left is not None:
+                node = node.left if X[node.feature] <= node.threshold else node.right
+            return float(node.value)
+        out = np.empty(X.shape[0], dtype=np.float64)
+        _route(self.root, np.ascontiguousarray(X.T), np.arange(X.shape[0]), out)
+        return out
 
     def depth(self) -> int:
         def walk(node):
@@ -108,6 +110,21 @@ class RegressionTree:
         if pos != len(tokens):
             raise ValueError("RegressionTree.from_tokens: trailing tokens")
         return cls(root=root, n_features=n_features)
+
+
+def _route(node: TreeNode, XT: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+    """Write the leaf value of each row in ``idx`` into ``out``.
+
+    ``XT`` is the (d, n) transposed batch, so a split reads one contiguous
+    feature row with ``take``; ``compress`` splits the index without a
+    boolean-mask gather.
+    """
+    if node.left is None:
+        out[idx] = node.value
+        return
+    go_left = XT[node.feature].take(idx) <= node.threshold
+    _route(node.left, XT, idx.compress(go_left), out)
+    _route(node.right, XT, idx.compress(~go_left), out)
 
 
 def _weighted_mean(g: np.ndarray, w: np.ndarray) -> float:

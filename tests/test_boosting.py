@@ -120,6 +120,34 @@ class TestPredict:
         proba = model.predict_proba(np.zeros((1, 1)))
         assert np.all(np.isfinite(proba)) and proba[0] <= 1.0
 
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_single_row_equals_its_row_of_the_batch(self, loss):
+        ds = random_dataset(60, 3, seed=11)
+        model, _ = train(ds, BoostConfig(iterations=20, max_depth=3, loss=loss, trust="disabled"))
+        X = np.vstack([ds.features, np.random.default_rng(12).normal(size=(20, 3))])
+        X[-1, 0] = np.nan
+        proba, score = model.predict_proba(X), model.predict_score(X)
+        for i, x in enumerate(X):
+            assert model.predict_proba(x) == proba[i]
+            assert model.predict_score(x) == score[i]
+        np.testing.assert_array_equal(model.predict_proba(np.asfortranarray(X)), proba)
+        np.testing.assert_array_equal(model.predict_proba(X[::3]), proba[::3])
+
+    def test_single_row_equals_batch_without_trees(self):
+        model = Model(base_score=0.7, n_features=2, trees=[], config=BoostConfig())
+        X = np.array([[1.0, 2.0], [np.nan, 0.0]])
+        proba = model.predict_proba(X)
+        assert [model.predict_proba(x) for x in X] == proba.tolist()
+        assert type(model.predict_score(X[0])) is float
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 3), (1, 1, 3)])
+    def test_input_not_1d_or_2d_rejected(self, shape):
+        stump = RegressionTree(root=TreeNode(value=1.0), n_features=3)
+        model = Model(base_score=0.0, n_features=3, trees=[stump], config=BoostConfig())
+        for predict in (model.predict_score, model.predict_proba):
+            with pytest.raises(ValueError, match=r"1-D or 2-D.*shape"):
+                predict(np.ones(shape))
+
 
 class TestTrain:
     def test_single_iteration_single_tree(self):

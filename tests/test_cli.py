@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -83,6 +84,10 @@ class TestEvaluate:
         printed = capsys.readouterr().out
         assert "acc_mean=" in printed
         assert "trust_seconds=" in printed
+        # the process-wide peak RSS, printed just before the closing line
+        peak_line = printed.splitlines()[-2]
+        assert re.fullmatch(r"peak_memory_mb=\d+\.\d", peak_line)
+        assert float(peak_line.split("=")[1]) > 0
 
     def test_threads_flag(self, small_csv, tmp_path):
         out = tmp_path / "report.csv"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itboost.trees import RegressionTree, fit_tree_weighted
-from reference import brute_force_tree, per_feature_tree, tree_weighted_sse
+from reference import ReferenceGBDT, brute_force_tree, per_feature_tree, tree_weighted_sse
 
 
 class TestFitBasics:
@@ -206,3 +208,66 @@ class TestSerialization:
         tree = fit_tree_weighted(np.ones((2, 2)), np.array([0.0, 1.0]), np.ones(2), max_depth=1)
         with pytest.raises(ValueError):
             tree.predict(np.ones((3, 5)))
+
+
+@st.composite
+def fitted_trees(draw):
+    """A tree fitted on integer-valued columns (the last may duplicate the
+    first), plus query rows that hit its thresholds exactly and hold NaN."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 4))
+    depth = draw(st.sampled_from([1, 3, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 4, size=(n, d)).astype(float)
+    if d > 1 and draw(st.booleans()):
+        X[:, -1] = X[:, 0]
+    g = rng.normal(size=n)
+    tree = fit_tree_weighted(X, g, np.ones(n), max_depth=depth)
+    # integer data splits at midpoints x.5, so these values land on thresholds
+    pool = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, np.nan])
+    Q = np.vstack([X, rng.choice(pool, size=(draw(st.integers(0, 10)), d))])
+    return tree, Q
+
+
+class TestPredictPaths:
+    """A row scored alone walks one root-to-leaf path; a batch partitions its
+    row indices down the tree.  Both must give the same leaf, and the same as
+    the reference GBDT's independent tree walker."""
+
+    @given(case=fitted_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_single_row_equals_batch_and_oracle(self, case):
+        tree, Q = case
+        batch = tree.predict(Q)
+        oracle = ReferenceGBDT(1, 0.1, 1, 1, "squared")._predict_tree(tree.root, Q)
+        np.testing.assert_array_equal(batch, oracle)
+        for i, x in enumerate(Q):
+            single = tree.predict(x)
+            assert type(single) is float
+            assert single == batch[i]
+        np.testing.assert_array_equal(tree.predict(np.asfortranarray(Q)), batch)
+        np.testing.assert_array_equal(tree.predict(Q[::2]), batch[::2])
+        wide = np.hstack([Q, Q])[:, : Q.shape[1]]  # column-strided view
+        np.testing.assert_array_equal(tree.predict(wide), batch)
+
+    def _stump(self):
+        return RegressionTree.from_tokens(["I", "1", "1.5", "L", "-1.0", "L", "2.0"], n_features=2)
+
+    def test_value_at_threshold_goes_left(self):
+        tree = self._stump()
+        assert tree.predict(np.array([9.0, 1.5])) == -1.0
+        assert tree.predict(np.array([9.0, np.nextafter(1.5, 2.0)])) == 2.0
+        np.testing.assert_array_equal(tree.predict(np.array([[9.0, 1.5], [0.0, 1.6]])), [-1.0, 2.0])
+
+    def test_nan_goes_right(self):
+        tree = self._stump()
+        assert tree.predict(np.array([0.0, np.nan])) == 2.0
+        np.testing.assert_array_equal(tree.predict(np.array([[0.0, np.nan], [0.0, 0.0]])), [2.0, -1.0])
+
+    def test_empty_batch(self):
+        assert self._stump().predict(np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 2), (1, 1, 2)])
+    def test_input_not_1d_or_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"1-D or 2-D.*shape"):
+            self._stump().predict(np.ones(shape))

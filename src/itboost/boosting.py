@@ -16,7 +16,6 @@ import numpy as np
 from scipy.special import expit
 
 from .complexity import (
-    SymbolSequence,
     TrustState,
     encode_gradients,
     lz76_complexity,
@@ -255,7 +254,7 @@ class RunTrace:
     """Per-iteration training record: residuals, trust state, loss, the
     seconds spent per round in the trust step and in the tree fit (the fit
     plus the score update), and the number of distinct histories the round
-    parsed from scratch (0 unless trust is enabled and the parse is literal)."""
+    parsed from scratch (0 unless trust is enabled)."""
 
     row_ids: np.ndarray
     gradients: list[np.ndarray] = field(default_factory=list)
@@ -338,7 +337,7 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     return np.asarray(row_ids, dtype=np.int64), states
 
 
-def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -> tuple[Model, RunTrace]:
+def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
     """Run the full boosting loop and return the model plus its training trace.
 
     Per iteration m: (1) pseudo-residuals against the current scores; (2) one
@@ -353,10 +352,9 @@ def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -
     ``disabled`` then replaces them with uniform weights (the classic GBDT
     baseline).  A round whose residuals are all exactly 0 (the fit is exact)
     appends no symbol and fits with uniform weights, giving a single 0.0 leaf
-    in every mode.  The phrase count depends on the history string alone, so
-    rows that share a history share one from-scratch parse per round.  With
-    ``incremental_lz`` complexities come from the online parser instead; the
-    two are exactly equivalent.
+    in every mode.  Every round parses each history from scratch with
+    :func:`lz76_complexity`; the phrase count depends on the history string
+    alone, so rows that share a history share one parse per round.
     """
     X = dataset.features
     y = dataset.labels.astype(np.float64)
@@ -366,10 +364,6 @@ def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -
 
     track_history = config.trust == "enabled"
     histories: list[str] = [""] * n
-    sequences: list[SymbolSequence] | None = None
-    if track_history and incremental_lz:
-        alphabet = "0123" if config.encoding == "quantized" else "01"
-        sequences = [SymbolSequence(alphabet) for _ in range(n)]
 
     trees: list[RegressionTree] = []
     trace = RunTrace(row_ids=dataset.row_ids.copy())
@@ -385,17 +379,10 @@ def train(dataset: Dataset, config: BoostConfig, incremental_lz: bool = False) -
         moved = bool(np.any(g))
         if track_history and moved:
             symbols = encode_gradients(g, config.encoding, g_prev=prev_g, first_round=(m == 1))
-            if sequences is not None:
-                raw = np.fromiter(
-                    (seq.append(sym) for seq, sym in zip(sequences, symbols)),
-                    dtype=np.int64,
-                    count=n,
-                )
-            else:
-                histories = [h + s for h, s in zip(histories, symbols)]
-                parsed = {h: lz76_complexity(h) for h in set(histories)}
-                raw = np.fromiter((parsed[h] for h in histories), dtype=np.int64, count=n)
-                distinct = len(parsed)
+            histories = [h + s for h, s in zip(histories, symbols)]
+            parsed = {h: lz76_complexity(h) for h in set(histories)}
+            raw = np.fromiter((parsed[h] for h in histories), dtype=np.int64, count=n)
+            distinct = len(parsed)
             normalized = normalize_complexities(raw)
         tau, weights = trust_weights(g, normalized)
         if config.trust == "disabled" or not moved:

@@ -56,7 +56,7 @@ def _add_global_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help=f"master seed (default {BoostConfig.seed})")
     p.add_argument("--config", default=None, help="key=value config file; flags override it")
     p.add_argument("--out", required=True, help="primary output path")
-    p.add_argument("--threads", type=int, default=1, help="parallelism bound; 1 is fully serial")
+    p.add_argument("--threads", type=int, default=1, help="accepted; cross-validation folds always run serially")
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -225,14 +225,13 @@ def cmd_trajectory(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     row_ids, states = load_trace_csv(args.trace)
-    rows, kind = NoiseMask.read_rows(args.mask)
-    mask = NoiseMask(flipped_rows=rows, spec=NoiseSpec(kind=kind or "symmetric", rate=0.0, seed=0))
+    noisy_rows, _ = NoiseMask.read_rows(args.mask)
     iterations = sorted(states)
     iteration = args.iteration if args.iteration is not None else iterations[-1]
     if iteration not in states:
         raise DataError(f"verify-bounds: iteration {iteration} not present in trace {args.trace}")
     state = states[iteration]
-    noisy_sel = np.isin(row_ids, sorted(mask.flipped_rows))
+    noisy_sel = np.isin(row_ids, sorted(noisy_rows))
     if not np.any(noisy_sel) or np.all(noisy_sel):
         raise DataError("verify-bounds: mask must mark some but not all trace rows")
 

@@ -66,6 +66,8 @@ class SymbolSequence:
     by :func:`lz76_complexity`: symbols are appended one at a time, and after
     every append :attr:`complexity` equals a from-scratch parse of the current
     contents.  Existing symbols are never modified (it is a history).
+    Training parses with :func:`lz76_complexity`; this parser is kept as an
+    independent check of it (acceptance criterion 1).
     """
 
     __slots__ = ("alphabet", "_chars", "_phrase_start", "_closed")
@@ -115,11 +117,9 @@ def lz76_complexity(sequence) -> int:
     that never stopped matching counts as one phrase.  The empty sequence has
     complexity 0.
 
-    Accepts a string, a :class:`SymbolSequence`, or an iterable of small ints.
+    Accepts a string or an iterable of small ints.
     """
-    if isinstance(sequence, SymbolSequence):
-        s = sequence.symbols
-    elif isinstance(sequence, str):
+    if isinstance(sequence, str):
         s = sequence
     else:
         s = "".join(str(int(c)) for c in sequence)

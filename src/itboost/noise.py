@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,18 +44,39 @@ class NoiseMask:
 
     @staticmethod
     def read_rows(path) -> tuple[frozenset, str]:
-        """Row-id set and kind from a mask CSV (spec rate/seed are not stored)."""
+        """Row-id set and kind from a mask CSV (spec rate/seed are not stored).
+
+        Blank lines are skipped.  A record that is not two cells, a row id
+        that is not an integer, a row id given twice and a second kind are
+        rejected with :class:`DataError` naming the path and line.
+        """
         rows = set()
-        kind = ""
+        kind = None
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["row_id", "kind"]:
                 raise DataError(f"NoiseMask.read_rows: unexpected header in {path}")
+
+            def error(message: str) -> DataError:
+                return DataError(f"NoiseMask.read_rows: {path} line {reader.line_num}: {message}")
+
             for record in reader:
-                rows.add(int(record[0]))
+                if not record:
+                    continue
+                if len(record) != 2:
+                    raise error(f"expected 2 cells (row_id,kind), got {len(record)}")
+                try:
+                    row_id = int(record[0])
+                except ValueError:
+                    raise error(f"row id {record[0]!r} is not an integer") from None
+                if row_id in rows:
+                    raise error(f"row id {row_id} given twice")
+                if kind is not None and record[1] != kind:
+                    raise error(f"kind {record[1]!r} after {kind!r}; a mask has one kind")
+                rows.add(row_id)
                 kind = record[1]
-        return frozenset(rows), kind
+        return frozenset(rows), kind or ""
 
 
 def inject_symmetric(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, NoiseMask]:
@@ -65,14 +86,8 @@ def inject_symmetric(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset,
     flip = rng.random(dataset.n_rows) < rate
     labels = dataset.labels.copy()
     labels[flip] = -labels[flip]
-    noisy = Dataset(
-        features=dataset.features.copy(),
-        labels=labels,
-        row_ids=dataset.row_ids.copy(),
-        feature_names=dataset.feature_names,
-    )
     mask = NoiseMask(flipped_rows=frozenset(int(r) for r in dataset.row_ids[flip]), spec=spec)
-    return noisy, mask
+    return replace(dataset, labels=labels), mask
 
 
 def inject_asymmetric(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, NoiseMask]:
@@ -88,14 +103,8 @@ def inject_asymmetric(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset
     flip = positive & (rng.random(dataset.n_rows) < rate)
     labels = dataset.labels.copy()
     labels[flip] = -1
-    noisy = Dataset(
-        features=dataset.features.copy(),
-        labels=labels,
-        row_ids=dataset.row_ids.copy(),
-        feature_names=dataset.feature_names,
-    )
     mask = NoiseMask(flipped_rows=frozenset(int(r) for r in dataset.row_ids[flip]), spec=spec)
-    return noisy, mask
+    return replace(dataset, labels=labels), mask
 
 
 def inject_feature_noise(dataset: Dataset, rate: float, seed: int) -> tuple[Dataset, NoiseMask]:
@@ -114,14 +123,8 @@ def inject_feature_noise(dataset: Dataset, rate: float, seed: int) -> tuple[Data
     if n_perturb:
         sigma = np.std(dataset.features, axis=0)
         features[chosen] += rng.standard_normal((n_perturb, dataset.n_features)) * sigma
-    noisy = Dataset(
-        features=features,
-        labels=dataset.labels.copy(),
-        row_ids=dataset.row_ids.copy(),
-        feature_names=dataset.feature_names,
-    )
     mask = NoiseMask(flipped_rows=frozenset(int(r) for r in dataset.row_ids[chosen]), spec=spec)
-    return noisy, mask
+    return replace(dataset, features=features), mask
 
 
 def inject(dataset: Dataset, spec: NoiseSpec) -> tuple[Dataset, NoiseMask]:
@@ -139,9 +142,4 @@ def apply_label_mask(dataset: Dataset, mask: NoiseMask) -> Dataset:
     flip = np.isin(dataset.row_ids, sorted(mask.flipped_rows))
     labels = dataset.labels.copy()
     labels[flip] = -labels[flip]
-    return Dataset(
-        features=dataset.features.copy(),
-        labels=labels,
-        row_ids=dataset.row_ids.copy(),
-        feature_names=dataset.feature_names,
-    )
+    return replace(dataset, labels=labels)

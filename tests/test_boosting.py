@@ -238,17 +238,6 @@ class TestTrain:
         assert paths[0][0] == paths[1][0]
         assert paths[0][1] == paths[1][1]
 
-    def test_incremental_lz_is_bit_identical(self, tmp_path):
-        ds = random_dataset(40, 2, seed=8)
-        for encoding in ("binary-sign", "binary-delta", "quantized"):
-            cfg = BoostConfig(iterations=12, loss="squared", encoding=encoding, trust="enabled")
-            m_full, tr_full = train(ds, cfg, incremental_lz=False)
-            m_incr, tr_incr = train(ds, cfg, incremental_lz=True)
-            for a, b in zip(m_full.trees, m_incr.trees):
-                assert a.to_tokens() == b.to_tokens()
-            for sa, sb in zip(tr_full.trust, tr_incr.trust):
-                assert np.array_equal(sa.raw_complexity, sb.raw_complexity)
-
     def test_quantized_and_delta_encodings_run(self):
         ds = random_dataset(30, 2, seed=9)
         for encoding in ("binary-delta", "quantized"):
@@ -405,17 +394,17 @@ _MOSTLY_EXACT = Dataset(features=np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [0
 
 
 class TestTrainNeverRaises:
-    @given(dataset=datasets(), config=configs, incremental_lz=st.booleans())
-    @example(dataset=_MOSTLY_EXACT, incremental_lz=False,
+    @given(dataset=datasets(), config=configs)
+    @example(dataset=_MOSTLY_EXACT,
              config=BoostConfig(iterations=4, learning_rate=1.0, max_depth=8, loss="squared", encoding="quantized"))
     @settings(max_examples=150, deadline=None)
-    def test_train_runs_every_round(self, dataset, config, incremental_lz):
+    def test_train_runs_every_round(self, dataset, config):
         if config.loss == "logistic" and np.unique(dataset.labels).size < 2:
             # rejected before any round: the initial log-odds are infinite
             with pytest.raises(ValueError, match="both classes"):
-                train(dataset, config, incremental_lz=incremental_lz)
+                train(dataset, config)
             return
-        model, trace = train(dataset, config, incremental_lz=incremental_lz)
+        model, trace = train(dataset, config)
         assert len(model.trees) == trace.n_iterations == config.iterations
         assert all(np.all(np.isfinite(state.weights)) for state in trace.trust)
 

@@ -147,6 +147,32 @@ class TestTrajectoryAndBounds:
         body = report.read_text()
         assert body.startswith("key,value")
 
+    @pytest.mark.parametrize(
+        "edit, code",
+        [
+            (lambda text: text + "\n", 0),
+            (lambda text: text + text.splitlines()[1] + "\n", 2),
+            (lambda text: text.replace("symmetric", "asymmetric", 1), 2),
+            (lambda text: text + "12\n", 2),
+        ],
+        ids=["trailing-blank-line", "repeated-row-id", "mixed-kinds", "one-cell-record"],
+    )
+    def test_verify_bounds_mask_reader(self, small_csv, tmp_path, capsys, edit, code):
+        mask = tmp_path / "mask.csv"
+        trace = tmp_path / "trace.csv"
+        assert run("trajectory", "--data", str(small_csv), "--noise-rate", "0.25", "--iterations", "5",
+                   "--loss", "squared", "--out", str(tmp_path / "curves.csv"),
+                   "--mask-out", str(mask), "--trace-out", str(trace)) == 0
+        mask.write_text(edit(mask.read_text()))
+        capsys.readouterr()
+        assert run("verify-bounds", "--trace", str(trace), "--mask", str(mask),
+                   "--out", str(tmp_path / "bounds.csv")) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("data error: NoiseMask.read_rows: ")
+        else:
+            assert err == ""
+
 
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, small_csv, tmp_path):

@@ -1,9 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from itboost import evaluation
 from itboost.boosting import BoostConfig, train
 from itboost.data import stratified_kfold
 from itboost.evaluation import (
@@ -117,6 +119,21 @@ class TestCrossValidate:
         parallel = cross_validate(ds, cfg, folds, threads=4)
         for name in ("acc", "f1", "auc", "log_loss"):
             np.testing.assert_array_equal(serial.per_fold[name], parallel.per_fold[name])
+
+    def test_folds_train_in_order_on_the_calling_thread(self, monkeypatch):
+        ds, folds = self._task()
+        cfg = BoostConfig(iterations=4, loss="squared", trust="enabled", seed=0)
+        calls = []
+        real_train = evaluation.train
+
+        def recording_train(dataset, config):
+            calls.append((threading.get_ident(), dataset.row_ids.tolist()))
+            return real_train(dataset, config)
+
+        monkeypatch.setattr(evaluation, "train", recording_train)
+        cross_validate(ds, cfg, folds, threads=2)
+        expected = [(threading.get_ident(), ds.row_ids[folds.train_indices(f)].tolist()) for f in range(folds.k)]
+        assert calls == expected
 
     def test_separable_task_solved_by_baseline(self):
         ds = make_gaussian_dataset(200, 4, separation=5.0, seed=3)

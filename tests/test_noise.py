@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,34 @@ class TestMaskCsv:
         rows, kind = NoiseMask.read_rows(path)
         assert rows == mask.flipped_rows
         assert kind == "symmetric"
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        path.write_text("row_id,kind\n3,symmetric\n\n7,symmetric\n\n")
+        assert NoiseMask.read_rows(path) == (frozenset({3, 7}), "symmetric")
+
+    def test_header_only_gives_no_rows(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        path.write_text("row_id,kind\n")
+        assert NoiseMask.read_rows(path) == (frozenset(), "")
+
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("3,symmetric\n4\n", 3, "expected 2 cells"),
+            ("3,symmetric,extra\n", 2, "expected 2 cells"),
+            ("3,symmetric\nx,symmetric\n", 3, "not an integer"),
+            ("3,symmetric\n\n3,symmetric\n", 4, "given twice"),
+            ("3,symmetric\n4,asymmetric\n", 3, "one kind"),
+            ("3,\n4,symmetric\n", 3, "one kind"),
+        ],
+        ids=["one-cell", "three-cells", "non-integer-id", "repeated-id", "mixed-kinds", "empty-then-named-kind"],
+    )
+    def test_inconsistent_record_rejected(self, tmp_path, body, line, message):
+        path = tmp_path / "mask.csv"
+        path.write_text("row_id,kind\n" + body)
+        with pytest.raises(DataError, match=rf"{re.escape(str(path))} line {line}: .*{message}"):
+            NoiseMask.read_rows(path)
 
     def test_inject_dispatch(self):
         ds = make_dataset()

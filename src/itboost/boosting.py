@@ -35,8 +35,8 @@ SCORE_CLAMP = 50.0  # overflow guard ahead of the logistic link
 @dataclass(frozen=True)
 class BoostConfig:
     """Training settings.  The fields are the one schema of a run: config files,
-    the ``itboost-model v1`` header (in field order) and the CLI flags (all but
-    ``seed``) are derived from them."""
+    the ``itboost-model v1`` header (in field order) and the CLI flags are
+    derived from them."""
 
     iterations: int = 100
     learning_rate: float = 0.1
@@ -156,10 +156,6 @@ class Model:
     config: BoostConfig
 
     @property
-    def loss(self) -> str:
-        return self.config.loss
-
-    @property
     def learning_rate(self) -> float:
         return self.config.learning_rate
 
@@ -274,10 +270,6 @@ class RunTrace:
     def total_fit_seconds(self) -> float:
         return float(sum(self.fit_seconds))
 
-    def weights_at(self, iteration: int) -> np.ndarray:
-        """Trust weights at a 1-based iteration."""
-        return self.trust[iteration - 1].weights
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("iteration,row_id,raw_C,normalized_C,tau,weight\n")
@@ -296,6 +288,8 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     block must list iteration 1's row ids in iteration 1's order (as
     :meth:`RunTrace.to_csv` writes them).  A reordered, truncated or
     concatenated trace is rejected rather than read with its rows misaligned.
+    Blank lines are skipped; a record that is not six cells, or whose cells
+    are not three integers and three floats, is rejected naming the line.
     """
     blocks: list[dict[str, list]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -303,8 +297,19 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
         if header != "iteration,row_id,raw_C,normalized_C,tau,weight":
             raise ValueError(f"load_trace_csv: unexpected header in {path}")
         for line_no, line in enumerate(fh, start=2):
-            it_s, rid_s, raw_s, norm_s, tau_s, w_s = line.rstrip("\n").split(",")
-            m = int(it_s)
+            cells = line.split(",")
+            if len(cells) != 6:
+                if not line.strip():
+                    continue
+                raise ValueError(f"load_trace_csv: {path} line {line_no}: expected 6 cells, got {len(cells)}")
+            try:
+                m, row_id, raw = int(cells[0]), int(cells[1]), int(cells[2])
+                norm, tau, w = float(cells[3]), float(cells[4]), float(cells[5])
+            except ValueError:
+                raise ValueError(
+                    f"load_trace_csv: {path} line {line_no}: expected integer iteration, row_id and raw_C "
+                    f"and float normalized_C, tau and weight, got {line.strip()!r}"
+                ) from None
             if m != len(blocks):
                 if m != len(blocks) + 1:
                     raise ValueError(
@@ -313,11 +318,11 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
                     )
                 blocks.append({"row_id": [], "raw": [], "norm": [], "tau": [], "w": []})
             bucket = blocks[-1]
-            bucket["row_id"].append(int(rid_s))
-            bucket["raw"].append(int(raw_s))
-            bucket["norm"].append(float(norm_s))
-            bucket["tau"].append(float(tau_s))
-            bucket["w"].append(float(w_s))
+            bucket["row_id"].append(row_id)
+            bucket["raw"].append(raw)
+            bucket["norm"].append(norm)
+            bucket["tau"].append(tau)
+            bucket["w"].append(w)
     if not blocks:
         raise ValueError(f"load_trace_csv: {path} has no data rows")
     row_ids = blocks[0]["row_id"]
@@ -378,7 +383,7 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
         distinct = 0
         moved = bool(np.any(g))
         if track_history and moved:
-            symbols = encode_gradients(g, config.encoding, g_prev=prev_g, first_round=(m == 1))
+            symbols = encode_gradients(g, config.encoding, g_prev=prev_g)
             histories = [h + s for h, s in zip(histories, symbols)]
             parsed = {h: lz76_complexity(h) for h in set(histories)}
             raw = np.fromiter((parsed[h] for h in histories), dtype=np.int64, count=n)
@@ -393,7 +398,7 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
         t2 = time.perf_counter()
         trees.append(tree)
 
-        trace.gradients.append(np.array(g, dtype=np.float64))
+        trace.gradients.append(g)
         trace.trust.append(
             TrustState(iteration=m, raw_complexity=raw, normalized=normalized, tau=tau, weights=weights)
         )

@@ -48,27 +48,21 @@ class CliParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# One --dashed-name flag per BoostConfig field; seed is a global flag.
-BOOST_FLAGS = tuple(f for f in fields(BoostConfig) if f.name != "seed")
-
-
-def _add_global_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help=f"master seed (default {BoostConfig.seed})")
-    p.add_argument("--config", default=None, help="key=value config file; flags override it")
-    p.add_argument("--out", required=True, help="primary output path")
-    p.add_argument("--threads", type=int, default=1, help="accepted; cross-validation folds always run serially")
-
-
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """Input data, a config file, and one --dashed-name flag per BoostConfig field."""
     p.add_argument("--data", required=True, help="input CSV with a header row")
     p.add_argument("--label", default="label", help="label column name or zero-based index")
     p.add_argument("--positive", default="1", help="raw token mapped to the positive class")
-
-
-def _add_boost_flags(p: argparse.ArgumentParser) -> None:
-    for f in BOOST_FLAGS:
+    p.add_argument("--config", default=None, help="key=value config file; flags override it")
+    for f in fields(BoostConfig):
         flag = "--" + f.name.replace("_", "-")
-        p.add_argument(flag, type=type(f.default), choices=f.metadata.get("choices"), default=None)
+        p.add_argument(flag, type=type(f.default), choices=f.metadata.get("choices"), default=None,
+                       help=f"default {f.default}")
+
+
+def _add_cv_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, default=5, help="cross-validation folds")
+    p.add_argument("--threads", type=int, default=1, help="accepted; cross-validation folds always run serially")
 
 
 def _resolve_label(label: str):
@@ -76,15 +70,11 @@ def _resolve_label(label: str):
 
 
 def _build_config(args) -> BoostConfig:
-    mapping = {}
-    if args.config:
-        mapping.update(parse_config_file(args.config))
-    for f in BOOST_FLAGS:
-        value = getattr(args, f.name, None)
+    mapping = parse_config_file(args.config) if args.config else {}
+    for f in fields(BoostConfig):
+        value = getattr(args, f.name)
         if value is not None:
             mapping[f.name] = value
-    if args.seed is not None:
-        mapping["seed"] = args.seed
     try:
         return BoostConfig.from_mapping(mapping)
     except ValueError as exc:
@@ -96,13 +86,12 @@ def _load(args):
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else BoostConfig.seed
     dataset = make_gaussian_dataset(
         n_rows=args.n,
         n_informative=args.d,
         n_distractors=args.distractors,
         separation=args.sep,
-        seed=seed,
+        seed=args.seed,
     )
     save_csv(dataset, args.out)
     print(f"wrote {dataset.n_rows} rows x {dataset.n_features} features to {args.out}")
@@ -287,65 +276,53 @@ def build_parser() -> CliParser:
     parser = CliParser(prog="itboost", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a seeded synthetic two-Gaussian dataset")
-    _add_global_flags(p)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", required=True, help="primary output path")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("synth", cmd_synth, "generate a seeded synthetic two-Gaussian dataset")
+    p.add_argument("--seed", type=int, default=BoostConfig.seed, help="dataset seed (default %(default)s)")
     p.add_argument("--n", type=int, default=400, help="number of rows")
     p.add_argument("--d", type=int, default=10, help="informative feature count")
     p.add_argument("--distractors", type=int, default=0, help="pure-noise feature count")
     p.add_argument("--sep", type=float, default=2.0, help="distance between class means")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="fit a model on a CSV, write model and trace")
-    _add_global_flags(p)
-    _add_data_flags(p)
-    _add_boost_flags(p)
+    p = command("train", cmd_train, "fit a model on a CSV, write model and trace")
+    _add_run_flags(p)
     p.add_argument("--trace", default=None, help="optional trace CSV output path")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="stratified k-fold cross-validation report")
-    _add_global_flags(p)
-    _add_data_flags(p)
-    _add_boost_flags(p)
-    p.add_argument("--k", type=int, default=5)
+    p = command("evaluate", cmd_evaluate, "stratified k-fold cross-validation report")
+    _add_run_flags(p)
+    _add_cv_flags(p)
     p.add_argument("--undersample", choices=("off", "before", "after"), default="off",
                    help="rebalance classes before the CV split or per training fold")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("noise-sweep", help="cross-validate across noise rates and trust modes")
-    _add_global_flags(p)
-    _add_data_flags(p)
-    _add_boost_flags(p)
+    p = command("noise-sweep", cmd_noise_sweep, "cross-validate across noise rates and trust modes")
+    _add_run_flags(p)
+    _add_cv_flags(p)
     p.add_argument("--kind", choices=NOISE_KINDS, required=True)
     p.add_argument("--rates", required=True, help="comma-separated noise rates")
     p.add_argument("--modes", default="enabled", help="comma-separated trust modes")
-    p.add_argument("--k", type=int, default=5)
-    p.set_defaults(func=cmd_noise_sweep)
 
-    p = sub.add_parser("ablate", help="binary vs quantized encoding, metrics and timing")
-    _add_global_flags(p)
-    _add_data_flags(p)
-    _add_boost_flags(p)
-    p.add_argument("--k", type=int, default=5)
-    p.set_defaults(func=cmd_ablate)
+    p = command("ablate", cmd_ablate, "binary vs quantized encoding, metrics and timing")
+    _add_run_flags(p)
+    _add_cv_flags(p)
 
-    p = sub.add_parser("trajectory", help="per-category mean weight curves from a noisy run")
-    _add_global_flags(p)
-    _add_data_flags(p)
-    _add_boost_flags(p)
+    p = command("trajectory", cmd_trajectory, "per-category mean weight curves from a noisy run")
+    _add_run_flags(p)
     p.add_argument("--noise-kind", choices=NOISE_KINDS, default="symmetric", dest="noise_kind")
     p.add_argument("--noise-rate", type=float, default=0.2, dest="noise_rate")
     p.add_argument("--mask-out", default=None, dest="mask_out")
     p.add_argument("--trace-out", default=None, dest="trace_out")
-    p.set_defaults(func=cmd_trajectory)
 
-    p = sub.add_parser("verify-bounds", help="trust-weight bound and separability reports from a trace")
-    _add_global_flags(p)
+    p = command("verify-bounds", cmd_verify_bounds, "trust-weight bound and separability reports from a trace")
     p.add_argument("--trace", required=True, help="trace CSV written by train/trajectory")
     p.add_argument("--mask", required=True, help="noise mask CSV")
     p.add_argument("--iteration", type=int, default=None)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.05)
-    p.set_defaults(func=cmd_verify_bounds)
 
     return parser
 

@@ -16,28 +16,22 @@ import numpy as np
 BINARY_ALPHABET = "01"
 QUATERNARY_ALPHABET = "0123"
 
-def encode_gradients(
-    g: np.ndarray,
-    encoding: str,
-    g_prev: np.ndarray | None = None,
-    first_round: bool = False,
-) -> list[str]:
+def encode_gradients(g: np.ndarray, encoding: str, g_prev: np.ndarray | None = None) -> list[str]:
     """Vectorised symbol encoding for one boosting round.
 
     ``encoding`` is one of ``binary-sign``, ``binary-delta`` or ``quantized``.
-    ``g_prev`` is required for binary-delta except on the first round.
+    Binary-delta encodes whether g rose since ``g_prev``; with no ``g_prev``
+    (the first round) it encodes the sign, as binary-sign does.
     The quantized magnitude threshold is the median |g|, or the median of the
     nonzero |g| when more than half of the residuals are exactly 0.
     """
     g = np.asarray(g, dtype=np.float64)
     if not np.all(np.isfinite(g)):
         raise ValueError("encode_gradients: non-finite gradients")
-    if encoding == "binary-sign" or (encoding == "binary-delta" and first_round):
+    if encoding == "binary-sign" or (encoding == "binary-delta" and g_prev is None):
         codes = (g > 0).astype(np.int64)
         alphabet = BINARY_ALPHABET
     elif encoding == "binary-delta":
-        if g_prev is None:
-            raise ValueError("encode_gradients: binary-delta needs previous gradients")
         g_prev = np.asarray(g_prev, dtype=np.float64)
         if not np.all(np.isfinite(g_prev)):
             raise ValueError("encode_gradients: non-finite previous gradients")

@@ -68,9 +68,9 @@ class Dataset:
         """Rows at the given positional indices, row ids preserved."""
         idx = np.asarray(indices)
         return Dataset(
-            features=self.features[idx].copy(),
-            labels=self.labels[idx].copy(),
-            row_ids=self.row_ids[idx].copy(),
+            features=self.features[idx],
+            labels=self.labels[idx],
+            row_ids=self.row_ids[idx],
             feature_names=self.feature_names,
         )
 

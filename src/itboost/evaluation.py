@@ -292,13 +292,6 @@ class FriedmanResult:
     p_value: float
 
 
-def chi_square_sf(x: float, dof: int) -> float:
-    """Upper-tail chi-square probability P(X >= x) for ``dof`` degrees of freedom."""
-    if dof < 1:
-        raise ValueError("chi_square_sf: dof must be >= 1")
-    return float(chi2.sf(x, dof))
-
-
 def friedman_from_mean_ranks(mean_ranks, n_datasets: int) -> FriedmanResult:
     """Chi-square rank statistic from per-algorithm mean ranks over D datasets."""
     r = np.asarray(mean_ranks, dtype=np.float64)
@@ -307,7 +300,7 @@ def friedman_from_mean_ranks(mean_ranks, n_datasets: int) -> FriedmanResult:
         raise ValueError("friedman_from_mean_ranks: need >= 2 algorithms and >= 2 datasets")
     stat = 12.0 * n_datasets / (a * (a + 1.0)) * float(np.sum(r * r)) - 3.0 * n_datasets * (a + 1.0)
     stat = max(stat, 0.0)
-    return FriedmanResult(mean_ranks=r, statistic=stat, p_value=chi_square_sf(stat, a - 1))
+    return FriedmanResult(mean_ranks=r, statistic=stat, p_value=float(chi2.sf(stat, a - 1)))
 
 
 def friedman_test(matrix: RankMatrix) -> FriedmanResult:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -416,7 +417,7 @@ def replayed_histories(trace, encoding):
     for m, g in enumerate(trace.gradients):
         if np.any(g):
             g_prev = trace.gradients[m - 1] if m else None
-            symbols = encode_gradients(g, encoding, g_prev=g_prev, first_round=(m == 0))
+            symbols = encode_gradients(g, encoding, g_prev=g_prev)
             histories = [h + s for h, s in zip(histories, symbols)]
         rounds.append(histories)
     return rounds
@@ -543,6 +544,28 @@ class TestTraceCsv:
         path, header, rows = self._written(tmp_path)
         self._rejects(path, header, rows[:6] + rows[6:9] + rows[6:9] + rows[12:], "iteration 2 does not list")
 
+    def test_short_record_rejected(self, tmp_path):
+        path, header, rows = self._written(tmp_path)
+        rows[2] = rows[2].rsplit(",", 1)[0]  # 5 cells
+        self._rejects(path, header, rows, f"{re.escape(str(path))} line 4: expected 6 cells, got 5")
+
+    @pytest.mark.parametrize("column", [0, 1, 2])  # iteration, row_id, raw_C
+    def test_non_integer_cell_rejected(self, tmp_path, column):
+        path, header, rows = self._written(tmp_path)
+        cells = rows[8].split(",")
+        cells[column] = "1.5"
+        rows[8] = ",".join(cells)
+        self._rejects(path, header, rows, f"{re.escape(str(path))} line 10: expected integer iteration")
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path, header, rows = self._written(tmp_path)
+        clean_ids, clean_states = load_trace_csv(path)
+        path.write_text("\n".join([header, ""] + rows[:6] + ["   "] + rows[6:]) + "\n\n")
+        row_ids, states = load_trace_csv(path)
+        np.testing.assert_array_equal(row_ids, clean_ids)
+        assert sorted(states) == sorted(clean_states)
+        for m, state in states.items():
+            np.testing.assert_array_equal(state.weights, clean_states[m].weights)
 
     def test_round_trip_values(self, tmp_path):
         ds = random_dataset(25, 2, seed=12)

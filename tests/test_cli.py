@@ -214,11 +214,42 @@ class TestBoostFlags:
                 action = actions["--" + f.name.replace("_", "-")]
                 assert action.dest == f.name
                 assert action.type is type(f.default), (command, f.name)
-                if f.name == "seed":
-                    assert action.help == "master seed (default 42)"  # the global flag
-                else:
-                    assert action.default is None
-                    assert action.choices == choices.get(f.name), (command, f.name)
+                assert action.default is None
+                assert action.choices == choices.get(f.name), (command, f.name)
+
+    def test_seed_flag_and_config_file_reach_the_model(self, small_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\n")
+        for source in (["--seed", "7"], ["--config", str(cfg)]):
+            model_path = tmp_path / "m.txt"
+            assert run("train", "--data", str(small_csv), "--iterations", "2", "--loss", "squared",
+                       *source, "--out", str(model_path)) == 0
+            assert load_model(model_path).config.seed == 7
+
+
+class TestUnreadFlagsRejected:
+    """Each subcommand declares only the flags it reads."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("verify-bounds", "--seed", "3"),
+        ("verify-bounds", "--config", "run.cfg"),
+        ("verify-bounds", "--threads", "2"),
+        ("synth", "--config", "run.cfg"),
+        ("synth", "--threads", "2"),
+        ("train", "--threads", "2"),
+        ("trajectory", "--threads", "2"),
+    ])
+    def test_removed_flag_is_a_usage_error(self, small_csv, tmp_path, capsys, command, flag, value):
+        inputs = {
+            "synth": [],
+            "train": ["--data", str(small_csv), "--iterations", "2"],
+            "trajectory": ["--data", str(small_csv), "--iterations", "2"],
+            "verify-bounds": ["--trace", str(tmp_path / "t.csv"), "--mask", str(tmp_path / "m.csv")],
+        }[command]
+        out = tmp_path / "out.csv"
+        assert run(command, *inputs, flag, value, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: unrecognized arguments: {flag} {value}")
+        assert not out.exists()
 
 
 class TestUndersampleFlag:

@@ -26,7 +26,7 @@ class TestBinarize:
 
     def test_zero_ties_to_zero(self):
         assert encode_gradients([0.0, -0.0], "binary-sign") == ["0", "0"]
-        assert encode_gradients([0.0, 0.5], "binary-delta", first_round=True) == ["0", "1"]
+        assert encode_gradients([0.0, 0.5], "binary-delta") == ["0", "1"]
         assert encode_gradients([0.0, 0.5], "quantized") == ["0", "3"]
 
     def test_negative_is_zero(self):
@@ -39,7 +39,7 @@ class TestBinarize:
         assert encode_gradients([0.9, -0.1], "binary-delta", g_prev=[0.5, -0.6]) == ["1", "1"]
 
     def test_delta_sign_first_round_falls_back_to_sign(self):
-        assert encode_gradients([0.3, -0.3], "binary-delta", g_prev=None, first_round=True) == ["1", "0"]
+        assert encode_gradients([0.3, -0.3], "binary-delta", g_prev=None) == ["1", "0"]
 
     def test_non_finite_rejected(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -89,10 +89,6 @@ class TestEncodeGradients:
         g = np.array([0.9, -0.1, 0.1, -0.9])
         # median |g| = 0.5; codes: 3, 0, 2, 1
         assert encode_gradients(g, "quantized") == ["3", "0", "2", "1"]
-
-    def test_delta_needs_history(self):
-        with pytest.raises(ValueError):
-            encode_gradients(np.array([0.1]), "binary-delta", g_prev=None, first_round=False)
 
     def test_quantized_zero_median_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from itboost import evaluation
 from itboost.boosting import BoostConfig, train
@@ -13,7 +12,6 @@ from itboost.evaluation import (
     RankMatrix,
     accuracy,
     auc,
-    chi_square_sf,
     compute_metrics,
     cross_validate,
     f1,
@@ -289,13 +287,3 @@ class TestFriedman:
         with pytest.raises(ValueError):
             RankMatrix(np.array([[0.1, np.nan], [0.2, 0.3]]))
 
-    def test_chi_square_sf_rejects_zero_dof(self):
-        with pytest.raises(ValueError, match="dof"):
-            chi_square_sf(1.0, 0)
-
-    def test_chi_square_sf_matches_scipy(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            dof = int(rng.integers(1, 30))
-            x = float(rng.uniform(0, 90))
-            assert chi_square_sf(x, dof) == pytest.approx(chi2.sf(x, dof), abs=1e-12)

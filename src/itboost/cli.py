@@ -13,6 +13,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .boosting import (
+    TRUST_MODES,
     BoostConfig,
     load_trace_csv,
     parse_config_file,
@@ -24,6 +25,7 @@ from .evaluation import (
     METRIC_NAMES,
     cross_validate,
     initial_margins,
+    noise_specs,
     noise_sweep,
     trajectory_summary,
     write_sweep_csv,
@@ -157,9 +159,13 @@ def cmd_noise_sweep(args) -> int:
     config = _build_config(args)
     try:
         rates = sorted(float(r) for r in args.rates.split(","))
-        modes = [m.strip() for m in args.modes.split(",")]
+        noise_specs(args.kind, rates, config.seed)
     except ValueError as exc:
         raise UsageError(f"bad --rates value: {exc}") from None
+    modes = [m.strip() for m in args.modes.split(",")]
+    for mode in modes:
+        if mode not in TRUST_MODES:
+            raise UsageError(f"bad --modes value {mode!r}: choose from {', '.join(TRUST_MODES)}")
     folds = stratified_kfold(dataset, args.k, config.seed)
     rows = []
     for mode in modes:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -84,9 +87,11 @@ def load_csv(path, label_column, positive_label: str) -> Dataset:
     """Load a comma-separated, headered file into a Dataset.
 
     ``label_column`` selects the label column by header name (str) or
-    zero-based index (int).  Labels map to +1 iff the raw token equals
-    ``positive_label``, else -1.  Every non-label cell must parse as a finite
-    real number; rows with missing cells are rejected.
+    zero-based index (int); header names must be distinct.  Labels map to +1
+    iff the stripped token equals ``positive_label``, else -1.  Every
+    non-label cell must parse with ``float()`` as a finite real number; blank
+    lines are skipped, rows with missing cells (the label's included) are
+    rejected, and the first bad record in file order is the one reported.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -98,6 +103,9 @@ def load_csv(path, label_column, positive_label: str) -> Dataset:
         if header is None:
             raise DataError(f"load_csv: {path} is empty")
         header = [h.strip() for h in header]
+        for name, count in Counter(header).items():
+            if count > 1:
+                raise DataError(f"load_csv: header names column {name!r} {count} times")
         if isinstance(label_column, int):
             if not 0 <= label_column < len(header):
                 raise DataError(f"load_csv: label column index {label_column} out of range for {len(header)} columns")
@@ -111,59 +119,88 @@ def load_csv(path, label_column, positive_label: str) -> Dataset:
         if not feature_names:
             raise DataError("load_csv: no feature columns besides the label")
 
-        rows: list[list[float]] = []
+        width = len(header)
         raw_labels: list[str] = []
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise DataError(f"load_csv: row {line_no} has {len(record)} cells, expected {len(header)}")
-            values = []
-            for col, cell in enumerate(record):
-                if col == label_idx:
-                    raw_labels.append(cell.strip())
-                    continue
-                token = cell.strip()
-                name = header[col]
-                if token == "":
-                    raise DataError(f"load_csv: missing value at row {line_no}, column {name!r}")
-                try:
-                    x = float(token)
-                except ValueError:
-                    raise DataError(f"load_csv: unparsable cell {token!r} at row {line_no}, column {name!r}") from None
-                if not np.isfinite(x):
-                    raise DataError(f"load_csv: non-finite value {token!r} at row {line_no}, column {name!r}")
-                values.append(x)
-            rows.append(values)
+        keep_label = raw_labels.append
 
-    if not rows:
-        raise DataError(f"load_csv: {path} has no data rows")
+        def feature_cells():
+            # Streamed: holding every record costs more memory than the matrix itself.
+            for record in reader:
+                if record:
+                    if len(record) != width:
+                        raise ValueError
+                    keep_label(record.pop(label_idx).strip())
+                    yield record
+
+        # Any bad record stops the bulk parse; the walk below then names it.
+        try:
+            flat = np.fromiter(map(float, chain.from_iterable(feature_cells())), dtype=np.float64)
+        except (ValueError, csv.Error):
+            flat = None
     distinct = set(raw_labels)
+    if flat is None or "" in distinct or not np.isfinite(flat).all():
+        _raise_first_bad_record(path, header, label_idx)
+
+    if not raw_labels:
+        raise DataError(f"load_csv: {path} has no data rows")
     if len(distinct) < 2:
         raise DataError(f"load_csv: fewer than 2 distinct labels (found {sorted(distinct)})")
     if positive_label not in distinct:
         raise DataError(f"load_csv: positive label {positive_label!r} never occurs (labels: {sorted(distinct)})")
     labels = np.array([1 if tok == positive_label else -1 for tok in raw_labels], dtype=np.int64)
     return Dataset(
-        features=np.array(rows, dtype=np.float64),
+        features=flat.reshape(len(raw_labels), len(feature_names)),
         labels=labels,
-        row_ids=np.arange(len(rows), dtype=np.int64),
+        row_ids=np.arange(len(raw_labels), dtype=np.int64),
         feature_names=feature_names,
     )
 
 
+def _raise_first_bad_record(path, header: list[str], label_idx: int) -> NoReturn:
+    """Walk the file cell by cell and raise the error of its first bad record.
+
+    Error handling only: :func:`load_csv` calls this when its bulk parse or
+    checks fail, so the message names the row and column as a per-cell reader
+    would.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line_no, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != len(header):
+                raise DataError(f"load_csv: row {line_no} has {len(record)} cells, expected {len(header)}")
+            for col, cell in enumerate(record):
+                token = cell.strip()
+                name = header[col]
+                if token == "":
+                    raise DataError(f"load_csv: missing value at row {line_no}, column {name!r}")
+                if col == label_idx:
+                    continue
+                try:
+                    x = float(token)
+                except ValueError:
+                    raise DataError(f"load_csv: unparsable cell {token!r} at row {line_no}, column {name!r}") from None
+                if not np.isfinite(x):
+                    raise DataError(f"load_csv: non-finite value {token!r} at row {line_no}, column {name!r}")
+    raise DataError(f"load_csv: {path} changed while it was read")
+
+
 def save_csv(dataset: Dataset, path, label_name: str = "label") -> None:
-    """Write a Dataset to CSV with exact float round-trip (repr formatting)."""
+    """Write a Dataset to CSV with exact float round-trip (repr formatting).
+
+    Rows are formatted and written one at a time; no line list is built.
+    """
     names = dataset.column_names()
     if label_name in names:
         raise DataError(f"save_csv: label column name {label_name!r} clashes with a feature name")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(names) + [label_name])
-        for i in range(dataset.n_rows):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerow(list(names) + [label_name])
+        fh.writelines(
+            ",".join(map(repr, row.tolist())) + f",{label}\n"
+            for row, label in zip(dataset.features, dataset.labels.tolist())
+        )
 
 
 @dataclass(frozen=True)

@@ -179,16 +179,22 @@ def noise_sweep(
 ) -> list[tuple[float, MetricReport]]:
     """One cross-validation per noise rate; rates must be sorted and in range.
 
-    ``threads`` is accepted and passed on; :func:`cross_validate` runs its
-    folds serially.
+    Every rate is checked (:func:`noise_specs`) before the first
+    cross-validation.  ``threads`` is accepted and passed on;
+    :func:`cross_validate` runs its folds serially.
     """
+    specs = noise_specs(kind, rates, seed)
+    return [
+        (float(rate), cross_validate(dataset, config, folds, noise=spec, threads=threads))
+        for rate, spec in zip(rates, specs)
+    ]
+
+
+def noise_specs(kind: str, rates: list, seed: int) -> list:
+    """The NoiseSpec of each sweep rate (None for rate 0); ValueError if any is invalid."""
     if list(rates) != sorted(rates):
         raise ValueError("noise_sweep: rates must be sorted ascending")
-    out = []
-    for rate in rates:
-        spec = NoiseSpec(kind=kind, rate=float(rate), seed=seed) if rate > 0 else None
-        out.append((float(rate), cross_validate(dataset, config, folds, noise=spec, threads=threads)))
-    return out
+    return [NoiseSpec(kind=kind, rate=float(rate), seed=seed) if rate > 0 else None for rate in rates]
 
 
 def write_sweep_csv(rows: list, path, first_column: str = "mode") -> None:

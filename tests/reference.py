@@ -7,11 +7,13 @@ meaningful.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
+from itboost.data import DataError
 from itboost.trees import RegressionTree, TreeNode, split_tolerance
 
 
@@ -312,3 +314,43 @@ class ReferenceGBDT:
             )
 
         return [RegressionTree(root=convert(t), n_features=-1) for t in self.trees]
+
+
+def per_cell_load_csv(path, label_column, positive_label: str):
+    """``load_csv`` as a per-cell loop: (features, labels, feature_names).
+
+    Strips every cell, parses it with ``float`` and checks it alone, raising
+    ``DataError`` at the first bad cell in file order.  It predates two
+    header and label rules of ``load_csv`` (distinct header names, nonempty
+    label cells), so compare it on files that keep both.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        label_idx = label_column if isinstance(label_column, int) else header.index(label_column)
+        rows, raw_labels = [], []
+        for line_no, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != len(header):
+                raise DataError(f"load_csv: row {line_no} has {len(record)} cells, expected {len(header)}")
+            values = []
+            for col, cell in enumerate(record):
+                token = cell.strip()
+                if col == label_idx:
+                    raw_labels.append(token)
+                    continue
+                name = header[col]
+                if token == "":
+                    raise DataError(f"load_csv: missing value at row {line_no}, column {name!r}")
+                try:
+                    x = float(token)
+                except ValueError:
+                    raise DataError(f"load_csv: unparsable cell {token!r} at row {line_no}, column {name!r}") from None
+                if not np.isfinite(x):
+                    raise DataError(f"load_csv: non-finite value {token!r} at row {line_no}, column {name!r}")
+                values.append(x)
+            rows.append(values)
+    labels = np.array([1 if tok == positive_label else -1 for tok in raw_labels], dtype=np.int64)
+    names = tuple(name for i, name in enumerate(header) if i != label_idx)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(names)), labels, names

@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from itboost import evaluation
 from itboost.cli import build_parser, main
 from itboost.boosting import ENCODINGS, LOSSES, TRUST_MODES, BoostConfig, load_model
 from itboost.data import load_csv, save_csv
@@ -106,6 +107,23 @@ class TestNoiseSweep:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 6  # header + 3 rates x 2 modes
         assert lines[0].startswith("mode,kind,rate")
+
+    @pytest.mark.parametrize("rates, modes, message", [
+        ("0.1,0.3,0.5", "enabled", "usage error: bad --rates value: NoiseSpec: label noise rate must be in [0, 0.5)"),
+        ("0.1,0.3", "enabled,bogus", "usage error: bad --modes value 'bogus': choose from enabled, disabled,"),
+    ])
+    def test_bad_value_rejected_before_training(self, small_csv, tmp_path, capsys, monkeypatch, rates, modes,
+                                                message):
+        calls = []
+        real = evaluation.cross_validate
+        monkeypatch.setattr(evaluation, "cross_validate", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        out = tmp_path / "sweep.csv"
+        code = run("noise-sweep", "--data", str(small_csv), "--kind", "symmetric", "--rates", rates,
+                   "--modes", modes, "--k", "3", "--iterations", "2", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert calls == []
+        assert not out.exists()
 
 
 class TestAblate:

@@ -1,5 +1,11 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import per_cell_load_csv
 
 from itboost.data import (
     DataError,
@@ -99,6 +105,128 @@ class TestLoadCsv:
         assert ds.n_rows == 4 and ds.n_features == 2
         assert list(ds.labels) == [1, -1, -1, 1]
 
+    def test_empty_label_cell_rejected(self, tmp_path):
+        path = write(tmp_path, "a,cls\n1,yes\n2,\n3,no\n")
+        with pytest.raises(DataError, match=r"^load_csv: missing value at row 3, column 'cls'$"):
+            load_csv(path, "cls", positive_label="yes")
+
+    def test_space_only_label_cell_rejected(self, tmp_path):
+        path = write(tmp_path, "cls,a\nyes,1\n  ,2\nno,3\n")
+        with pytest.raises(DataError, match=r"missing value at row 3, column 'cls'"):
+            load_csv(path, 0, positive_label="yes")
+
+    @pytest.mark.parametrize("label", ["label", 0])
+    def test_duplicated_header_name_rejected(self, tmp_path, label):
+        path = write(tmp_path, "label,x,label\n1,2,3\n0,4,5\n")
+        with pytest.raises(DataError, match=r"header names column 'label' 2 times"):
+            load_csv(path, label, positive_label="1")
+
+    def test_header_names_compared_after_stripping(self, tmp_path):
+        path = write(tmp_path, "a, a,cls\n1,2,yes\n3,4,no\n")
+        with pytest.raises(DataError, match=r"column 'a' 2 times"):
+            load_csv(path, "cls", positive_label="yes")
+
+
+class TestCsvParity:
+    """Cases the reader must read as the per-cell loop in ``reference.py`` does."""
+
+    @pytest.mark.parametrize(
+        "text, features, labels",
+        [
+            ("a,b,cls\n\n1,2,yes\n\n\n3,4,no\n\n", [[1, 2], [3, 4]], [1, -1]),
+            ("a,b,cls\n1,2,yes\n3,4,no", [[1, 2], [3, 4]], [1, -1]),
+            ('a,b,cls\n"1.5",2,yes\n3," -4e1 ",no\n', [[1.5, 2], [3, -40]], [1, -1]),
+            ("a,b,cls\n  1 ,\t2\t, yes \n3,4,no\n", [[1, 2], [3, 4]], [1, -1]),
+            ("a,b,cls\n1_0,2_000.5,yes\n3,4,no\n", [[10, 2000.5], [3, 4]], [1, -1]),
+            ("a,b,cls\n\u00a05\u00a0,+.5e-1,yes\n-0,1E2,no\n", [[5, 0.05], [-0.0, 100]], [1, -1]),
+        ],
+        ids=["blank-lines", "no-final-newline", "quoted", "space-padded", "underscores", "unicode-space"],
+    )
+    def test_reads_as_per_cell_loop(self, tmp_path, text, features, labels):
+        path = write(tmp_path, text)
+        ds = load_csv(path, "cls", positive_label="yes")
+        ref_features, ref_labels, ref_names = per_cell_load_csv(path, "cls", "yes")
+        assert ds.features.tobytes() == np.array(features, dtype=np.float64).tobytes() == ref_features.tobytes()
+        assert list(ds.labels) == labels == list(ref_labels)
+        assert ds.feature_names == ref_names == ("a", "b")
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", " NaN "])
+    def test_non_finite_parsed_then_rejected(self, tmp_path, cell):
+        path = write(tmp_path, f"a,b,cls\n1,2,yes\n3,{cell},no\n")
+        with pytest.raises(DataError, match=rf"^load_csv: non-finite value '{cell.strip()}' at row 3, column 'b'$"):
+            load_csv(path, "cls", positive_label="yes")
+
+    @pytest.mark.parametrize("cell", ["1__0", "_1", "0x10", "1e", "1,5"])
+    def test_float_grammar_rejections(self, tmp_path, cell):
+        path = write(tmp_path, f'a,b,cls\n1,2,yes\n3,"{cell}",no\n')
+        with pytest.raises(DataError, match=r"unparsable cell .* at row 3, column 'b'"):
+            load_csv(path, "cls", positive_label="yes")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_files_match_per_cell_loop(self, tmp_path_factory, data):
+        good = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            st.integers(-(10**20), 10**20).map(str),
+            st.sampled_from(["1_0", "-0", "+.5", "1E3", "5e-324", "1.7e308"]),
+        )
+        bad = st.sampled_from(["", " ", "foo", "inf", "-inf", "nan", "1__0", "1e", "0x1"])
+        cell = st.tuples(st.sampled_from(["", " ", "\t", "\u00a0"]), st.one_of(good, good, good, bad))
+        d = data.draw(st.integers(1, 3), label="d")
+        label_idx = data.draw(st.integers(0, d), label="label_idx")
+        header = [f"x{j}" for j in range(d)]
+        header.insert(label_idx, "cls")
+        lines = [",".join(header)]
+        for i in range(data.draw(st.integers(2, 6), label="rows")):
+            cells = []
+            for pad, token in data.draw(st.lists(cell, min_size=d, max_size=d)):
+                text = pad + token + pad
+                cells.append(f'"{text}"' if data.draw(st.booleans()) else text)
+            cells.insert(label_idx, ("yes", "no")[i % 2])
+            if data.draw(st.integers(0, 9)) == 0:
+                cells = cells[:-1] if data.draw(st.booleans()) else cells + ["1"]
+            lines.append(",".join(cells))
+            if data.draw(st.integers(0, 4)) == 0:
+                lines.append("")
+        path = tmp_path_factory.mktemp("parity") / "random.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            expected = per_cell_load_csv(path, "cls", "yes")
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                load_csv(path, "cls", positive_label="yes")
+            assert str(got.value) == str(exc)
+        else:
+            ds = load_csv(path, "cls", positive_label="yes")
+            assert ds.features.tobytes() == expected[0].tobytes()
+            assert np.array_equal(ds.labels, expected[1])
+            assert ds.feature_names == expected[2]
+
+
+BAD_RECORDS = {
+    "width": ("1,2", "row {r} has 2 cells, expected 3"),
+    "missing": ("1,,no", "missing value at row {r}, column 'b'"),
+    "unparsable": ("foo,2,no", "unparsable cell 'foo' at row {r}, column 'a'"),
+    "non-finite": ("1,inf,no", "non-finite value 'inf' at row {r}, column 'b'"),
+    "missing-label": ("1,2,", "missing value at row {r}, column 'cls'"),
+}
+
+
+class TestFirstErrorWins:
+    @pytest.mark.parametrize("first, second", list(itertools.product(BAD_RECORDS, repeat=2)))
+    def test_earlier_bad_record_is_named(self, tmp_path, first, second):
+        text = "a,b,cls\n1,2,yes\n{}\n3,4,no\n{}\n5,6,yes\n".format(BAD_RECORDS[first][0], BAD_RECORDS[second][0])
+        path = write(tmp_path, text)
+        message = "load_csv: " + BAD_RECORDS[first][1].format(r=3)
+        with pytest.raises(DataError) as exc:
+            load_csv(path, "cls", positive_label="yes")
+        assert str(exc.value) == message
+
+    def test_earlier_column_of_one_record_is_named(self, tmp_path):
+        path = write(tmp_path, "a,b,cls\n1,2,yes\ninf,foo,no\n")
+        with pytest.raises(DataError, match=r"^load_csv: non-finite value 'inf' at row 3, column 'a'$"):
+            load_csv(path, "cls", positive_label="yes")
+
 
 class TestRoundTrip:
     def test_bit_exact_features_and_labels(self, tmp_path):
@@ -112,6 +240,47 @@ class TestRoundTrip:
         back = load_csv(path, "label", positive_label="1")
         assert np.array_equal(back.features, ds.features)  # bit-exact
         assert np.array_equal(back.labels, ds.labels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bit_exact_over_extreme_values(self, tmp_path_factory, data):
+        value = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.225e-308, 1.7e308, -1.7e308, 1.7976931348623157e308]),
+            st.integers(-(2**53), 2**53).map(float),
+        )
+        n = data.draw(st.integers(2, 8), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        X = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n)))
+        y = np.array([1, -1] + data.draw(st.lists(st.sampled_from([1, -1]), min_size=n - 2, max_size=n - 2)))
+        ds = Dataset(X, y, np.arange(n))
+        path = tmp_path_factory.mktemp("round") / "round.csv"
+        save_csv(ds, path)
+        back = load_csv(path, "label", positive_label="1")
+        assert back.features.tobytes() == ds.features.tobytes()  # -0.0 and subnormals included
+        assert np.array_equal(back.labels, ds.labels)
+        assert back.feature_names == ds.column_names()
+
+    def test_golden_bytes(self, tmp_path):
+        ds = Dataset(
+            features=np.array([
+                [-0.0, 5e-324, 1.7e308, 3.0],
+                [0.1, -2.2250738585072014e-308, -1.7e308, -7.0],
+                [1 / 3, 1e-05, 123456789.125, 1e16],
+            ]),
+            labels=np.array([1, -1, 1]),
+            row_ids=np.arange(3),
+            feature_names=("a", "b c", "comma,name", 'say "q"'),
+        )
+        path = tmp_path / "golden.csv"
+        save_csv(ds, path, label_name="y")
+        raw = path.read_bytes()
+        assert raw.startswith(b'a,b c,"comma,name","say ""q""",y\n-0.0,5e-324,1.7e+308,3.0,1\n')
+        # sha256 of the file written by the former per-row csv.writer loop
+        assert hashlib.sha256(raw).hexdigest() == "60e563ab7c5a5973645feee07eb010ebbe5fa779945ab426ed830ef367ae73ad"
+        back = load_csv(path, "y", positive_label="1")
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.feature_names == ds.feature_names
 
 
 class TestStratifiedKFold:

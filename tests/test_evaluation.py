@@ -185,6 +185,16 @@ class TestNoiseSweep:
         with pytest.raises(ValueError):
             noise_sweep(ds, cfg, "symmetric", [0.3, 0.1], 7, folds)
 
+    def test_every_rate_checked_before_the_first_cv(self, monkeypatch):
+        ds = make_gaussian_dataset(60, 2, separation=4.0, seed=7)
+        folds = stratified_kfold(ds, 3, 7)
+        cfg = BoostConfig(iterations=3, loss="squared", seed=7)
+        calls = []
+        monkeypatch.setattr(evaluation, "cross_validate", lambda *a, **kw: calls.append(1))
+        with pytest.raises(ValueError, match="label noise rate"):
+            noise_sweep(ds, cfg, "symmetric", [0.1, 0.3, 0.5], 7, folds)
+        assert calls == []
+
     def test_heavy_noise_degrades_baseline(self):
         ds = make_gaussian_dataset(200, 4, separation=5.0, seed=8)
         folds = stratified_kfold(ds, 5, 8)

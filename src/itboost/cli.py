@@ -62,9 +62,17 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                        help=f"default {f.default}")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_cv_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=5, help="cross-validation folds")
-    p.add_argument("--threads", type=int, default=1, help="accepted; cross-validation folds always run serially")
+    p.add_argument("--threads", type=positive_int, default=1,
+                   help="above 1, folds run in min(threads, k) forked worker processes (POSIX only)")
 
 
 def _resolve_label(label: str):
@@ -146,10 +154,13 @@ def cmd_evaluate(args) -> int:
 
 
 def _peak_memory_mb():
+    """Peak RSS of this process or of its largest finished child (a CV worker), whichever is larger."""
     try:
         import resource
 
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        children_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        return max(self_kb, children_kb) / 1024.0
     except (ImportError, OSError):
         return None
 

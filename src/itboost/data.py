@@ -47,7 +47,8 @@ class Dataset:
             raise DataError("Dataset: labels must be -1 or +1")
         if row_ids.shape != (feats.shape[0],):
             raise DataError("Dataset: row_ids length does not match feature rows")
-        if np.unique(row_ids).size != row_ids.size:
+        sorted_ids = np.sort(row_ids, kind="stable")  # timsort: one linear pass over ids already in order
+        if np.any(sorted_ids[1:] == sorted_ids[:-1]):
             raise DataError("Dataset: row_ids must be unique")
         names = self.feature_names
         if names is not None:

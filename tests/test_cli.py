@@ -1,11 +1,12 @@
 import re
+import resource
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from itboost import evaluation
-from itboost.cli import build_parser, main
+from itboost.cli import _peak_memory_mb, build_parser, main
 from itboost.boosting import ENCODINGS, LOSSES, TRUST_MODES, BoostConfig, load_model
 from itboost.data import load_csv, save_csv
 from itboost.synth import make_gaussian_dataset
@@ -95,6 +96,29 @@ class TestEvaluate:
         code = run("evaluate", "--data", str(small_csv), "--k", "3", "--iterations", "3",
                    "--loss", "squared", "--threads", "3", "--out", str(out))
         assert code == 0
+
+    def test_peak_memory_counts_worker_processes(self, monkeypatch):
+        peaks = {resource.RUSAGE_SELF: 1024 * 100, resource.RUSAGE_CHILDREN: 1024 * 150}
+        monkeypatch.setattr(resource, "getrusage", lambda who: type("Usage", (), {"ru_maxrss": peaks[who]}))
+        assert _peak_memory_mb() == 150.0
+        peaks[resource.RUSAGE_CHILDREN] = 0
+        assert _peak_memory_mb() == 100.0
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("command, extra", [
+        ("evaluate", []),
+        ("noise-sweep", ["--kind", "symmetric", "--rates", "0.1"]),
+        ("ablate", []),
+    ])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_below_one_is_a_usage_error_before_loading(self, tmp_path, capsys, command, extra, threads):
+        out = tmp_path / "out.csv"
+        missing = tmp_path / "absent.csv"  # a data error (exit 2) if the file were read first
+        assert run(command, "--data", str(missing), *extra, "--threads", threads, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(
+            f"usage error: argument --threads: must be at least 1, got {threads}")
+        assert not out.exists()
 
 
 class TestNoiseSweep:

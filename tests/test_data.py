@@ -37,6 +37,14 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(np.ones((2, 1)), np.array([1, -1]), np.array([3, 3]))
 
+    def test_rejects_duplicate_row_ids_apart(self):
+        with pytest.raises(DataError, match="row_ids must be unique"):
+            Dataset(np.ones((5, 1)), np.array([1, -1, 1, -1, 1]), np.array([7, -2, 4, 0, -2]))
+
+    def test_unsorted_distinct_row_ids_accepted(self):
+        ds = Dataset(np.ones((4, 1)), np.array([1, -1, 1, -1]), np.array([9, -1, 4, 0]))
+        assert ds.row_ids.tolist() == [9, -1, 4, 0]
+
     def test_immutable_after_construction(self):
         ds = Dataset(np.ones((2, 2)), np.array([1, -1]), np.array([0, 1]))
         with pytest.raises(ValueError):

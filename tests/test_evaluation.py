@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import threading
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from itboost import evaluation
 from itboost.boosting import BoostConfig, train
-from itboost.data import stratified_kfold
+from itboost.data import FoldPlan, stratified_kfold
 from itboost.evaluation import (
     MetricReport,
     RankMatrix,
@@ -113,10 +114,15 @@ class TestCrossValidate:
     def test_threads_do_not_change_results(self):
         ds, folds = self._task()
         cfg = BoostConfig(iterations=8, loss="squared", trust="enabled", seed=0)
-        serial = cross_validate(ds, cfg, folds, threads=1)
-        parallel = cross_validate(ds, cfg, folds, threads=4)
-        for name in ("acc", "f1", "auc", "log_loss"):
-            np.testing.assert_array_equal(serial.per_fold[name], parallel.per_fold[name])
+        spec = NoiseSpec(kind="symmetric", rate=0.2, seed=3)
+        serial = cross_validate(ds, cfg, folds, noise=spec, threads=1)
+        for threads in (2, 4):
+            pooled = cross_validate(ds, cfg, folds, noise=spec, threads=threads)
+            for name in ("acc", "f1", "auc", "log_loss"):
+                np.testing.assert_array_equal(pooled.per_fold[name], serial.per_fold[name])
+            assert pooled.fold_train_seconds.shape == (5,)
+            assert np.all(pooled.fold_train_seconds > 0)
+            assert pooled.trust_seconds > 0
 
     def test_folds_train_in_order_on_the_calling_thread(self, monkeypatch):
         ds, folds = self._task()
@@ -129,9 +135,59 @@ class TestCrossValidate:
             return real_train(dataset, config)
 
         monkeypatch.setattr(evaluation, "train", recording_train)
-        cross_validate(ds, cfg, folds, threads=2)
+        cross_validate(ds, cfg, folds, threads=1)  # threads > 1 trains in worker processes
         expected = [(threading.get_ident(), ds.row_ids[folds.train_indices(f)].tolist()) for f in range(folds.k)]
         assert calls == expected
+
+    def test_worker_error_reaches_the_caller(self):
+        ds, _ = self._task()
+        # fold 0 tests every positive row, so its training split holds one class
+        folds = FoldPlan(k=3, assignments=np.where(ds.labels == 1, 0, np.arange(ds.n_rows) % 2 + 1), seed=0)
+        cfg = BoostConfig(iterations=3, loss="logistic", trust="disabled", seed=0)
+        errors = []
+        for threads in (1, 2):
+            with pytest.raises(ValueError) as info:
+                cross_validate(ds, cfg, folds, threads=threads)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1] == (ValueError, "init_score: logistic loss needs both classes present")
+
+    def test_no_worker_outlives_the_call(self):
+        ds, folds = self._task()
+        cfg = BoostConfig(iterations=3, loss="squared", trust="disabled", seed=0)
+        cross_validate(ds, cfg, folds, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_capped_at_fold_count(self, monkeypatch):
+        ds, folds = self._task()
+        cfg = BoostConfig(iterations=3, loss="squared", trust="disabled", seed=0)
+        requested = []
+
+        class RecordingPool:
+            """Starts no process: records the worker count and maps in this one."""
+
+            def __init__(self, max_workers, mp_context):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        report = cross_validate(ds, cfg, folds, threads=10**6)
+        assert requested == [folds.k]
+        assert report.n_folds == folds.k
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        ds, folds = self._task()
+        cfg = BoostConfig(iterations=3, loss="squared", trust="disabled", seed=0)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            cross_validate(ds, cfg, folds, threads=threads)
 
     def test_separable_task_solved_by_baseline(self):
         ds = make_gaussian_dataset(200, 4, separation=5.0, seed=3)

@@ -23,7 +23,7 @@ from .complexity import (
     trust_weights,
 )
 from .data import Dataset
-from .trees import RegressionTree, fit_tree_weighted
+from .trees import RegressionTree, fit_tree_weighted, presort
 
 LOSSES = ("logistic", "squared")
 ENCODINGS = ("binary-sign", "binary-delta", "quantized")
@@ -362,6 +362,7 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
     alone, so rows that share a history share one parse per round.
     """
     X = dataset.features
+    sorted_X = presort(X)  # X never changes, so every round's fit shares one sort
     y = dataset.labels.astype(np.float64)
     n = dataset.n_rows
     f0 = init_score(dataset.labels, config.loss)
@@ -393,7 +394,7 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
         if config.trust == "disabled" or not moved:
             weights = np.ones(n, dtype=np.float64)
         t1 = time.perf_counter()
-        tree = fit_tree_weighted(X, g, weights, config.max_depth, config.min_samples_leaf)
+        tree = fit_tree_weighted(X, g, weights, config.max_depth, config.min_samples_leaf, presorted=sorted_X)
         scores = scores + config.learning_rate * tree.predict(X)
         t2 = time.perf_counter()
         trees.append(tree)

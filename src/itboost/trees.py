@@ -49,62 +49,51 @@ class RegressionTree:
         return out
 
     def depth(self) -> int:
-        def walk(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        return max(level for node, level in _preorder(self.root) if node.is_leaf)
 
     def n_leaves(self) -> int:
-        def walk(node):
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self.root)
+        return sum(node.is_leaf for node, _ in _preorder(self.root))
 
     def to_tokens(self) -> list[str]:
         """Preorder serialisation: 'I <feature> <threshold>' / 'L <value>' tokens."""
         tokens: list[str] = []
-
-        def walk(node):
+        for node, _ in _preorder(self.root):
             if node.is_leaf:
-                tokens.extend(["L", repr(float(node.value))])
+                tokens += ("L", repr(float(node.value)))
             else:
-                tokens.extend(["I", str(int(node.feature)), repr(float(node.threshold))])
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
+                tokens += ("I", str(int(node.feature)), repr(float(node.threshold)))
         return tokens
 
     @classmethod
     def from_tokens(cls, tokens: list[str], n_features: int) -> "RegressionTree":
+        """Inverse of :meth:`to_tokens`; raises ValueError on a malformed list."""
+        root = None
+        open_nodes: list[TreeNode] = []  # internal nodes still missing their right child
         pos = 0
-
-        def parse() -> TreeNode:
-            nonlocal pos
-            kind = tokens[pos]
-            if kind == "L":
-                node = TreeNode(value=float(tokens[pos + 1]))
-                pos += 2
-                return node
-            if kind == "I":
-                feature = int(tokens[pos + 1])
-                if not 0 <= feature < n_features:
-                    raise ValueError(
-                        f"RegressionTree.from_tokens: feature {feature} outside [0, {n_features})"
-                    )
-                threshold = float(tokens[pos + 2])
-                pos += 3
-                left = parse()
-                right = parse()
-                return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
-            raise ValueError(f"RegressionTree.from_tokens: bad node kind {kind!r}")
-
         try:
-            root = parse()
+            while root is None or open_nodes:
+                kind = tokens[pos]
+                if kind == "L":
+                    node = TreeNode(value=float(tokens[pos + 1]))
+                    pos += 2
+                elif kind == "I":
+                    feature = int(tokens[pos + 1])
+                    if not 0 <= feature < n_features:
+                        raise ValueError(
+                            f"RegressionTree.from_tokens: feature {feature} outside [0, {n_features})"
+                        )
+                    node = TreeNode(feature=feature, threshold=float(tokens[pos + 2]))
+                    pos += 3
+                else:
+                    raise ValueError(f"RegressionTree.from_tokens: bad node kind {kind!r}")
+                if root is None:
+                    root = node
+                elif open_nodes[-1].left is None:
+                    open_nodes[-1].left = node
+                else:
+                    open_nodes.pop().right = node
+                if kind == "I":
+                    open_nodes.append(node)
         except IndexError:
             raise ValueError("RegressionTree.from_tokens: token list ends inside a node") from None
         if pos != len(tokens):
@@ -112,23 +101,36 @@ class RegressionTree:
         return cls(root=root, n_features=n_features)
 
 
-def _route(node: TreeNode, XT: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+def _preorder(root: TreeNode):
+    """``(node, depth)`` for every node under ``root``: parents first, left
+    subtrees before right.  An explicit stack, so no depth is too deep."""
+    stack = [(root, 0)]
+    while stack:
+        node, level = stack.pop()
+        yield node, level
+        if not node.is_leaf:
+            stack += ((node.right, level + 1), (node.left, level + 1))
+
+
+def _route(root: TreeNode, XT: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
     """Write the leaf value of each row in ``idx`` into ``out``.
 
     ``XT`` is the (d, n) transposed batch, so a split reads one contiguous
     feature row with ``take``; ``compress`` splits the index without a
     boolean-mask gather.
     """
-    if node.left is None:
-        out[idx] = node.value
-        return
-    go_left = XT[node.feature].take(idx) <= node.threshold
-    _route(node.left, XT, idx.compress(go_left), out)
-    _route(node.right, XT, idx.compress(~go_left), out)
+    stack = [(root, idx)]
+    while stack:
+        node, idx = stack.pop()
+        if node.left is None:
+            out[idx] = node.value
+            continue
+        go_left = XT[node.feature].take(idx) <= node.threshold
+        stack += ((node.right, idx.compress(~go_left)), (node.left, idx.compress(go_left)))
 
 
 def _weighted_mean(g: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sum(w * g) / np.sum(w))
+    return float((w * g).sum() / w.sum())
 
 
 def split_tolerance(g, w) -> float:
@@ -138,25 +140,24 @@ def split_tolerance(g, w) -> float:
     sample) must resolve by the deterministic tie rule, not by accumulated
     rounding, so SSE comparisons treat differences below this as equal.
     """
-    scale = float(np.sum(w * g * g))
+    scale = float((w * g * g).sum())
     return 1e-12 * max(scale, 1e-300)
 
 
-def _best_split(XT, g, w, order, tol, min_samples_leaf):
+def _best_split(xs, g, w, order, tol, min_samples_leaf):
     """Smallest total weighted SSE over all (feature, midpoint-threshold) candidates.
 
-    ``XT`` is the (d, N) transposed feature matrix.  ``order`` is a (d, n)
-    array whose row f lists the node's samples (indices into ``g``, ``w`` and
-    the columns of ``XT``) sorted stably by feature f.  All features are
-    searched at once: one gather per array, cumulative sums along each row
-    and the SSE of every cut.  Candidate thresholds are midpoints between
-    consecutive distinct sorted values.  Ties (up to ``tol``, the node's
-    :func:`split_tolerance`) break toward the lowest feature index, then the
-    lowest threshold.  Returns (sse, feature, threshold) or None if no
-    candidate leaves at least ``min_samples_leaf`` samples on each side.
+    ``order`` is a (d, n) array whose row f lists the node's samples (indices
+    into ``g`` and ``w``) sorted stably by feature f, and ``xs`` holds the
+    matching feature values.  All features are searched at once: one gather
+    per array, cumulative sums along each row and the SSE of every cut.
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values.  Ties (up to ``tol``, the node's :func:`split_tolerance`) break
+    toward the lowest feature index, then the lowest threshold.  Returns
+    (sse, feature, threshold) or None if no candidate leaves at least
+    ``min_samples_leaf`` samples on each side.
     """
     d, n = order.shape
-    xs = np.take(XT, order + np.arange(0, XT.size, XT.shape[1])[:, None])
     # split after sorted position i is valid only between distinct values
     valid = xs[:, :-1] < xs[:, 1:]
     valid[:, : min_samples_leaf - 1] = False
@@ -164,13 +165,13 @@ def _best_split(XT, g, w, order, tol, min_samples_leaf):
     # Running sums of w, w*g and w*g*g along each feature's order, computed in
     # place: the same float operations as one feature at a time, in the same
     # order, with fewer (d, n) temporaries alive.
-    gs = g[order]
-    cw = w[order]
+    gs = g.take(order)
+    cw = w.take(order)
     cwg = cw * gs
     cwgg = gs
     cwgg *= cwg
     for running in (cw, cwg, cwgg):
-        np.cumsum(running, axis=1, out=running)
+        np.add.accumulate(running, axis=1, out=running)
     lw, lwg, lwgg = cw[:, :-1], cwg[:, :-1], cwgg[:, :-1]
     rw = cw[:, -1:] - lw
     # rw can cancel to exactly 0 when the right side's weights are absorbed
@@ -189,11 +190,12 @@ def _best_split(XT, g, w, order, tol, min_samples_leaf):
     sse += right
     sse[~valid] = np.inf
     # per feature: the first valid cut within tol of that feature's minimum
-    near = valid & (sse <= sse.min(axis=1, keepdims=True) + tol)
-    cut = np.argmax(near, axis=1)
+    near = sse <= sse.min(axis=1, keepdims=True) + tol
+    near &= valid
+    cut = near.argmax(axis=1)
     cut_sse = sse[np.arange(d), cut].tolist()
     best = None
-    for f in np.flatnonzero(valid.any(axis=1)).tolist():
+    for f in valid.any(axis=1).nonzero()[0].tolist():
         if best is None or cut_sse[f] < best[0] - tol:
             best = (cut_sse[f], f, int(cut[f]))
     if best is None:
@@ -202,36 +204,51 @@ def _best_split(XT, g, w, order, tol, min_samples_leaf):
     return sse_f, f, float((xs[f, j] + xs[f, j + 1]) / 2.0)
 
 
-def _grow(XT, g, w, order, rows, depth, max_depth, min_samples_leaf) -> TreeNode:
-    """Subtree for the samples ``rows`` (ascending), whose per-feature sorted
-    order is ``order`` (see :func:`_best_split`).
+def _grow(XT, g, w, order, xs, rows, max_depth, min_samples_leaf) -> TreeNode:
+    """Tree for the samples ``rows`` (ascending), whose per-feature sorted
+    order and values are ``order`` and ``xs`` (see :func:`_best_split`).
 
-    A module-level function rather than a closure: a recursive closure is a
-    reference cycle, which would keep each fit's arrays alive until the
-    garbage collector next runs.
+    Nodes are grown from an explicit stack, so a tree as deep as its sample
+    count needs no recursion.  A split makes one stable filter of the node's
+    ``order`` and ``xs`` per child: that keeps each feature sorted, ties in
+    row order, which is the order a stable argsort of the child's samples
+    would give.
     """
-    gn, wn = g[rows], w[rows]
-    if depth >= max_depth or rows.shape[0] < 2 * min_samples_leaf or np.all(gn == gn[0]):
-        return TreeNode(value=_weighted_mean(gn, wn))
-    found = _best_split(XT, g, w, order, split_tolerance(gn, wn), min_samples_leaf)
-    if found is None:
-        return TreeNode(value=_weighted_mean(gn, wn))
-    _, feature, threshold = found
-    row_left = XT[feature, rows] <= threshold
+    root = TreeNode()
     go_left = np.zeros(g.shape[0], dtype=bool)
-    go_left[rows] = row_left
-    # a stable filter of each feature's order keeps it sorted, ties in row order
-    left = go_left[order].ravel()
     d = order.shape[0]
-    left_child = _grow(
-        XT, g, w, np.compress(left, order).reshape(d, -1), rows[row_left],
-        depth + 1, max_depth, min_samples_leaf,
-    )
-    right_child = _grow(
-        XT, g, w, np.compress(~left, order).reshape(d, -1), rows[~row_left],
-        depth + 1, max_depth, min_samples_leaf,
-    )
-    return TreeNode(feature=feature, threshold=threshold, left=left_child, right=right_child)
+    stack = [(root, order, xs, rows, 0)]
+    while stack:
+        node, order, xs, rows, depth = stack.pop()
+        gn, wn = g.take(rows), w.take(rows)
+        found = None
+        if depth < max_depth and rows.shape[0] >= 2 * min_samples_leaf and not (gn == gn[0]).all():
+            found = _best_split(xs, g, w, order, split_tolerance(gn, wn), min_samples_leaf)
+        if found is None:
+            node.value = _weighted_mean(gn, wn)
+            continue
+        _, node.feature, node.threshold = found
+        row_left = XT[node.feature].take(rows) <= node.threshold
+        go_left[rows] = row_left  # entries outside rows are stale, and order reads none of them
+        left = go_left.take(order).ravel()
+        node.left, node.right = TreeNode(), TreeNode()
+        for child, keep, keep_rows in ((node.left, left, row_left), (node.right, ~left, ~row_left)):
+            stack.append((child, order.compress(keep).reshape(d, -1), xs.compress(keep).reshape(d, -1),
+                          rows.compress(keep_rows), depth + 1))
+    return root
+
+
+def presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(XT, order, values)`` for the (n, d) ``features``: the contiguous (d, n)
+    transpose, each feature's stable argsort, and its values in that order.
+
+    ``features`` do not change across boosting rounds, so a caller that fits
+    many trees on them sorts once and passes the result to every
+    :func:`fit_tree_weighted` call as ``presorted=``.
+    """
+    XT = np.ascontiguousarray(np.asarray(features, dtype=np.float64).T)
+    order = XT.argsort(axis=1, kind="stable")
+    return XT, order, np.take_along_axis(XT, order, axis=1)
 
 
 def fit_tree_weighted(
@@ -240,18 +257,22 @@ def fit_tree_weighted(
     weights: np.ndarray,
     max_depth: int,
     min_samples_leaf: int = 1,
+    *,
+    presorted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> RegressionTree:
     """Greedy CART minimising weighted squared error of the targets.
 
     Leaf values are weighted means of the targets reaching the leaf.  Samples
     with zero weight are excluded entirely (they influence neither splits nor
     leaf values, though the finished tree still routes them at prediction
-    time).  Recursion stops at max_depth, at min_samples_leaf, or when the
+    time).  Growth stops at max_depth, at min_samples_leaf, or when the
     node's targets are constant.
 
-    The samples are argsorted per feature once, at the root; each child
-    inherits its parent's per-feature order through a stable filter, which
-    is the order a stable argsort of the child's samples would give.
+    ``presorted`` is :func:`presort` of ``features``; without it the fit
+    sorts them itself, and the tree is the same either way.  When some
+    weights are zero, a stable filter of each feature's order drops those
+    samples, which is the order a stable argsort of the weighted samples
+    would give; each child then inherits its parent's order the same way.
     """
     X = np.asarray(features, dtype=np.float64)
     g = np.asarray(targets, dtype=np.float64)
@@ -260,15 +281,25 @@ def fit_tree_weighted(
         raise ValueError("fit_tree_weighted: features must be 2-D")
     if not (X.shape[0] == g.shape[0] == w.shape[0]):
         raise ValueError("fit_tree_weighted: features, targets, weights lengths disagree")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError("fit_tree_weighted: negative weights")
     if max_depth < 1 or min_samples_leaf < 1:
         raise ValueError("fit_tree_weighted: max_depth and min_samples_leaf must be >= 1")
     active = w > 0
-    if not np.any(active):
+    if not active.any():
         raise ValueError("fit_tree_weighted: all weights are zero")
-    XT = np.ascontiguousarray(X[active].T)
-    order = np.argsort(XT, axis=1, kind="stable")
-    rows = np.arange(XT.shape[1])
-    root = _grow(XT, g[active], w[active], order, rows, 0, max_depth, min_samples_leaf)
+    if presorted is None:
+        presorted = presort(X)
+    XT, order, xs = presorted
+    if not XT.shape == order.shape == xs.shape == X.shape[::-1]:
+        raise ValueError(
+            f"fit_tree_weighted: presorted arrays of shapes {XT.shape}, {order.shape}, {xs.shape} "
+            f"do not match features of shape {X.shape}"
+        )
+    rows = active.nonzero()[0]
+    if rows.shape[0] < X.shape[0]:
+        keep = active.take(order).ravel()
+        order = order.compress(keep).reshape(X.shape[1], -1)
+        xs = xs.compress(keep).reshape(X.shape[1], -1)
+    root = _grow(XT, g, w, order, xs, rows, max_depth, min_samples_leaf)
     return RegressionTree(root=root, n_features=X.shape[1])

@@ -303,7 +303,7 @@ class TestTrain:
         # names on the boosting module; train must keep calling them there
         calls = {}
         for name in ("encode_gradients", "lz76_complexity", "normalize_complexities",
-                     "trust_weights", "fit_tree_weighted"):
+                     "trust_weights", "fit_tree_weighted", "presort"):
             def counted(*args, _inner=getattr(boosting, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _inner(*args, **kwargs)
@@ -312,8 +312,25 @@ class TestTrain:
         _, trace = train(ds, BoostConfig(iterations=4, loss="squared", trust="enabled"))
         distinct = sum(len(set(h)) for h in replayed_histories(trace, "binary-sign"))
         assert calls == {"encode_gradients": 4, "lz76_complexity": distinct, "normalize_complexities": 4,
-                         "trust_weights": 4, "fit_tree_weighted": 4}
+                         "trust_weights": 4, "fit_tree_weighted": 4, "presort": 1}
         assert sum(trace.distinct_histories) == distinct
+
+    def test_chain_tree_deeper_than_the_recursion_limit(self, tmp_path):
+        # one sorted feature with alternating labels: every split peels off a
+        # single end row, so the tree is a chain of depth n - 1
+        n = 1200
+        ds = Dataset(features=np.arange(float(n))[:, None], labels=np.tile([1, -1], n // 2),
+                     row_ids=np.arange(n))
+        cfg = BoostConfig(iterations=1, max_depth=100000, loss="squared", trust="disabled")
+        model, _ = train(ds, cfg)
+        assert model.trees[0].depth() == n - 1
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        back = load_model(path)
+        assert [t.to_tokens() for t in back.trees] == [t.to_tokens() for t in model.trees]
+        batch = back.predict_score(ds.features)
+        np.testing.assert_array_equal(batch, model.predict_score(ds.features))
+        assert [back.predict_score(x) for x in ds.features] == batch.tolist()
 
     # sha256 of (save_model, RunTrace.to_csv) bytes for the duplicated-row runs
     # below, as saved when every row's history was parsed on its own

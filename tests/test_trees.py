@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itboost.trees import RegressionTree, fit_tree_weighted
+from itboost.trees import RegressionTree, fit_tree_weighted, presort
 from reference import ReferenceGBDT, brute_force_tree, per_feature_tree, tree_weighted_sse
 
 
@@ -68,6 +68,11 @@ class TestFitBasics:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fit_tree_weighted(np.ones((3, 1)), np.ones(2), np.ones(3), max_depth=1)
+
+    @pytest.mark.parametrize("other", [np.ones((4, 2)), np.ones((3, 1)), np.ones((2, 3))])
+    def test_presort_of_other_shape_rejected(self, other):
+        with pytest.raises(ValueError, match="presorted"):
+            fit_tree_weighted(np.ones((3, 2)), np.ones(3), np.ones(3), max_depth=1, presorted=presort(other))
 
 
 class TestZeroWeightInvariance:
@@ -183,6 +188,10 @@ class TestPerFeatureOracle:
             mine = fit_tree_weighted(X, g, w, max_depth=depth, min_samples_leaf=min_samples_leaf)
             oracle = per_feature_tree(X, g, w, max_depth=depth, min_samples_leaf=min_samples_leaf)
             assert mine.to_tokens() == oracle.to_tokens(), (trial, X.shape)
+            # a presort of the full X, filtered by w > 0 inside the fit on the odd trials
+            shared = fit_tree_weighted(X, g, w, max_depth=depth, min_samples_leaf=min_samples_leaf,
+                                       presorted=presort(X))
+            assert shared.to_tokens() == oracle.to_tokens(), (trial, X.shape)
 
     def test_duplicated_column_resolves_to_the_lowest_feature(self):
         rng = np.random.default_rng(7)

@@ -3,7 +3,7 @@
 Per-sample residual-direction histories are scored by Lempel-Ziv complexity,
 and samples whose histories look erratic are exponentially down-weighted when
 fitting each weak learner.  The package also ships a classic GBDT baseline,
-seeded noise injectors, an evaluation/sweep harness, and numerical checks of
+a seeded noise injector, an evaluation/sweep harness, and numerical checks of
 the trust-weight bounds.
 """
 
@@ -46,18 +46,10 @@ from .evaluation import (
     noise_sweep,
     trajectory_summary,
 )
-from .noise import (
-    NoiseMask,
-    NoiseSpec,
-    inject,
-    inject_asymmetric,
-    inject_feature_noise,
-    inject_symmetric,
-)
+from .noise import NoiseMask, NoiseSpec, inject
 from .synth import make_gaussian_dataset
 from .theory import (
     BoundReport,
-    ComplexitySample,
     ratio_bound_check,
     separability_report,
     trust_bound_check,
@@ -69,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoostConfig",
     "BoundReport",
-    "ComplexitySample",
     "DataError",
     "Dataset",
     "FoldPlan",
@@ -90,9 +81,6 @@ __all__ = [
     "friedman_test",
     "init_score",
     "inject",
-    "inject_asymmetric",
-    "inject_feature_noise",
-    "inject_symmetric",
     "load_csv",
     "load_model",
     "log_loss",

@@ -245,6 +245,9 @@ def load_model(path) -> Model:
     return Model(base_score=base_score, n_features=n_features, trees=trees, config=config)
 
 
+TRACE_HEADER = "iteration,row_id,raw_C,normalized_C,tau,weight"
+
+
 @dataclass
 class RunTrace:
     """Per-iteration training record: residuals, trust state, loss, the
@@ -272,7 +275,7 @@ class RunTrace:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("iteration,row_id,raw_C,normalized_C,tau,weight\n")
+            fh.write(TRACE_HEADER + "\n")
             for state in self.trust:
                 for i, row_id in enumerate(self.row_ids):
                     fh.write(
@@ -294,7 +297,7 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     blocks: list[dict[str, list]] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "iteration,row_id,raw_C,normalized_C,tau,weight":
+        if header != TRACE_HEADER:
             raise ValueError(f"load_trace_csv: unexpected header in {path}")
         for line_no, line in enumerate(fh, start=2):
             cells = line.split(",")

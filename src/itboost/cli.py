@@ -33,12 +33,7 @@ from .evaluation import (
 )
 from .noise import NOISE_KINDS, NoiseMask, NoiseSpec, inject
 from .synth import make_gaussian_dataset
-from .theory import (
-    ComplexitySample,
-    ratio_bound_check,
-    separability_from_groups,
-    trust_bound_check,
-)
+from .theory import ratio_bound_check, separability_from_groups, trust_bound_check
 
 
 class UsageError(Exception):
@@ -231,28 +226,20 @@ def cmd_trajectory(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     row_ids, states = load_trace_csv(args.trace)
-    noisy_rows, _ = NoiseMask.read_rows(args.mask)
+    mask = NoiseMask.read_csv(args.mask)
     iterations = sorted(states)
     iteration = args.iteration if args.iteration is not None else iterations[-1]
     if iteration not in states:
         raise DataError(f"verify-bounds: iteration {iteration} not present in trace {args.trace}")
     state = states[iteration]
-    noisy_sel = np.isin(row_ids, sorted(noisy_rows))
+    noisy_sel = mask.selects(row_ids)
     if not np.any(noisy_sel) or np.all(noisy_sel):
         raise DataError("verify-bounds: mask must mark some but not all trace rows")
 
-    overall = trust_bound_check(ComplexitySample(state.normalized, group="clean"))
-    ratio = ratio_bound_check(
-        ComplexitySample(state.normalized[~noisy_sel], group="clean"),
-        ComplexitySample(state.normalized[noisy_sel], group="noisy"),
-    )
-    sep = separability_from_groups(
-        state.normalized[~noisy_sel],
-        state.normalized[noisy_sel],
-        args.eps,
-        args.delta,
-        iteration=iteration,
-    )
+    clean, noisy = state.normalized[~noisy_sel], state.normalized[noisy_sel]
+    overall = trust_bound_check(state.normalized)
+    ratio = ratio_bound_check(clean, noisy)
+    sep = separability_from_groups(clean, noisy, args.eps, args.delta, iteration=iteration)
 
     pairs = [
         ("iteration", iteration),

@@ -18,22 +18,14 @@ from .noise import NoiseMask
 COMPARISON_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ComplexitySample:
-    """A vector of complexity values tagged as coming from clean or noisy rows."""
-
-    values: np.ndarray
-    group: str = "clean"
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("ComplexitySample: values must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("ComplexitySample: values must be finite")
-        if self.group not in ("clean", "noisy"):
-            raise ValueError(f"ComplexitySample: group must be 'clean' or 'noisy', got {self.group!r}")
-        object.__setattr__(self, "values", v)
+def _complexities(values, name: str) -> np.ndarray:
+    """``values`` as a float vector; ValueError unless it is nonempty, 1-D and finite."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name}: values must be a nonempty 1-D vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name}: values must be finite")
+    return v
 
 
 @dataclass(frozen=True)
@@ -48,8 +40,8 @@ class BoundReport:
     hoeffding_satisfied: bool
 
 
-def trust_bound_check(sample: ComplexitySample) -> BoundReport:
-    """Check exp(-mean) <= mean(exp(-C)) <= exp(-mean + range^2 / 8).
+def trust_bound_check(values) -> BoundReport:
+    """Check exp(-mean) <= mean(exp(-C)) <= exp(-mean + range^2 / 8) over complexities C.
 
     The lower bound is convexity of exp(-x); the upper bound is the
     bounded-range moment bound applied to the centred values.  Both hold for
@@ -58,7 +50,7 @@ def trust_bound_check(sample: ComplexitySample) -> BoundReport:
     reported informationally (it uses the plug-in variance and is not a
     guaranteed bound for the empirical distribution).
     """
-    v = sample.values
+    v = _complexities(values, "trust_bound_check")
     tau_hat = float(np.mean(np.exp(-v)))
     mu_hat = float(np.mean(v))
     value_range = float(v.max() - v.min())
@@ -89,8 +81,8 @@ class RatioReport:
     gap_exceeds_correction: bool
 
 
-def ratio_bound_check(clean: ComplexitySample, noisy: ComplexitySample) -> RatioReport:
-    """Check tau_noisy / tau_clean <= exp(-(gap) + noisy_range^2 / 8).
+def ratio_bound_check(clean, noisy) -> RatioReport:
+    """Check tau_noisy / tau_clean <= exp(-(gap) + noisy_range^2 / 8) for two complexity vectors.
 
     The upper bound uses the bounded-range bound on the noisy group (the
     numerator) and convexity on the clean group (the denominator), so the
@@ -99,10 +91,12 @@ def ratio_bound_check(clean: ComplexitySample, noisy: ComplexitySample) -> Ratio
     condition under which noisy samples are guaranteed a down-weighting ratio
     below 1.
     """
-    tau_clean = float(np.mean(np.exp(-clean.values)))
-    tau_noisy = float(np.mean(np.exp(-noisy.values)))
-    gap = float(np.mean(noisy.values) - np.mean(clean.values))
-    correction = float((noisy.values.max() - noisy.values.min()) ** 2 / 8.0)
+    clean = _complexities(clean, "ratio_bound_check")
+    noisy = _complexities(noisy, "ratio_bound_check")
+    tau_clean = float(np.mean(np.exp(-clean)))
+    tau_noisy = float(np.mean(np.exp(-noisy)))
+    gap = float(np.mean(noisy) - np.mean(clean))
+    correction = float((noisy.max() - noisy.min()) ** 2 / 8.0)
     bound = math.exp(-gap + correction)
     ratio = tau_noisy / tau_clean
     return RatioReport(
@@ -155,10 +149,8 @@ def separability_from_groups(
     Verdict: separable iff the observed gap exceeds 2*epsilon and both groups
     are at least the required size.
     """
-    clean = np.asarray(clean_values, dtype=np.float64)
-    noisy = np.asarray(noisy_values, dtype=np.float64)
-    if clean.size == 0 or noisy.size == 0:
-        raise ValueError("separability_from_groups: both groups must be nonempty")
+    clean = _complexities(clean_values, "separability_from_groups")
+    noisy = _complexities(noisy_values, "separability_from_groups")
     n_req = required_group_size(epsilon, delta)
     mean_clean = float(clean.mean())
     mean_noisy = float(noisy.mean())
@@ -187,7 +179,7 @@ def separability_report(
         iteration = trace.n_iterations
     if not 1 <= iteration <= trace.n_iterations:
         raise ValueError(f"separability_report: iteration {iteration} outside trace range")
-    noisy_sel = np.isin(trace.row_ids, sorted(mask.flipped_rows))
+    noisy_sel = mask.selects(trace.row_ids)
     if not np.any(noisy_sel) or np.all(noisy_sel):
         raise ValueError("separability_report: mask must mark some but not all rows")
     normalized = trace.trust[iteration - 1].normalized

@@ -29,7 +29,6 @@ from itboost.boosting import logistic_gradient, loss_value
 from itboost.noise import NoiseSpec, inject
 from itboost.synth import make_gaussian_dataset
 from itboost.theory import (
-    ComplexitySample,
     ratio_bound_check,
     separability_report,
     trust_bound_check,
@@ -243,7 +242,7 @@ def test_criterion_07_weight_trajectory_ordering(robustness_study):
     m_total = trace.n_iterations
     m_early = max(1, m_total // 10)
     margins = initial_margins(trace, study["train_labels"], "squared", m_early)
-    noisy_sel = np.isin(trace.row_ids, sorted(mask.flipped_rows))
+    noisy_sel = mask.selects(trace.row_ids)
     easy_sel = ~noisy_sel & (margins >= np.percentile(margins[~noisy_sel], 75.0))
     tau = np.array([state.tau for state in trace.trust])
     noisy = tau[:, noisy_sel].mean(axis=1)
@@ -279,31 +278,26 @@ def test_criterion_09_bound_checks(robustness_study):
     failures = 0
     for _ in range(1000):
         values = rng.random(int(rng.integers(2, 200)))
-        report = trust_bound_check(ComplexitySample(values))
+        report = trust_bound_check(values)
         if not (report.jensen_satisfied and report.hoeffding_satisfied):
             failures += 1
         clean = rng.random(int(rng.integers(1, 100)))
         noisy = rng.random(int(rng.integers(1, 100)))
-        if not ratio_bound_check(
-            ComplexitySample(clean, "clean"), ComplexitySample(noisy, "noisy")
-        ).bound_satisfied:
+        if not ratio_bound_check(clean, noisy).bound_satisfied:
             failures += 1
 
     # real traces from the robustness study
     trace, mask = robustness_study["trace"], robustness_study["mask"]
-    noisy_sel = np.isin(trace.row_ids, sorted(mask.flipped_rows))
+    noisy_sel = mask.selects(trace.row_ids)
     for m in (1, trace.n_iterations // 2, trace.n_iterations):
         state = trace.trust[m - 1]
-        report = trust_bound_check(ComplexitySample(state.normalized))
+        report = trust_bound_check(state.normalized)
         if not (report.jensen_satisfied and report.hoeffding_satisfied):
             failures += 1
-        if not ratio_bound_check(
-            ComplexitySample(state.normalized[~noisy_sel], "clean"),
-            ComplexitySample(state.normalized[noisy_sel], "noisy"),
-        ).bound_satisfied:
+        if not ratio_bound_check(state.normalized[~noisy_sel], state.normalized[noisy_sel]).bound_satisfied:
             failures += 1
 
-    two_point = trust_bound_check(ComplexitySample(np.array([0.0, 1.0])))
+    two_point = trust_bound_check(np.array([0.0, 1.0]))
     closed_form_ok = (
         abs(two_point.empirical_tau - (1 + math.exp(-1)) / 2) <= 1e-9
         and abs(two_point.jensen_lower - math.exp(-0.5)) <= 1e-9

@@ -211,7 +211,7 @@ class TestTrajectoryAndBounds:
                    "--out", str(tmp_path / "bounds.csv")) == code
         err = capsys.readouterr().err
         if code == 2:
-            assert err.startswith("data error: NoiseMask.read_rows: ")
+            assert err.startswith("data error: NoiseMask.read_csv: ")
         else:
             assert err == ""
 

@@ -20,11 +20,12 @@ from itboost.evaluation import (
     friedman_test,
     initial_margins,
     log_loss,
+    noise_specs,
     noise_sweep,
     split_fold,
     trajectory_summary,
 )
-from itboost.noise import NoiseSpec, inject_symmetric
+from itboost.noise import NoiseSpec, inject
 from itboost.synth import make_gaussian_dataset
 from reference import pairwise_auc
 
@@ -200,7 +201,7 @@ class TestCrossValidate:
         ds, folds = self._task(seed=4)
         clean_test_labels = [ds.labels[folds.test_indices(f)].copy() for f in range(5)]
         train_ds, test_ds = split_fold(ds, folds, 0)
-        noisy_train, mask = inject_symmetric(train_ds, 0.4, seed=4)
+        noisy_train, mask = inject(train_ds, NoiseSpec("symmetric", 0.4, 4))
         assert len(mask.flipped_rows) > 0
         for f in range(5):
             np.testing.assert_array_equal(ds.labels[folds.test_indices(f)], clean_test_labels[f])
@@ -251,6 +252,13 @@ class TestNoiseSweep:
             noise_sweep(ds, cfg, "symmetric", [0.1, 0.3, 0.5], 7, folds)
         assert calls == []
 
+    def test_unknown_kind_rejected_at_every_rate(self):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            noise_specs("bogus", [0.0], 1)
+        with pytest.raises(ValueError, match="kind must be one of"):
+            noise_specs("bogus", [0.0, 0.2], 1)
+        assert noise_specs("feature", [0.0, 0.5], 1) == [None, NoiseSpec("feature", 0.5, 1)]
+
     def test_heavy_noise_degrades_baseline(self):
         ds = make_gaussian_dataset(200, 4, separation=5.0, seed=8)
         folds = stratified_kfold(ds, 5, 8)
@@ -264,7 +272,7 @@ class TestNoiseSweep:
 class TestTrajectory:
     def _trace(self, rate, seed=9, iterations=20):
         ds = make_gaussian_dataset(120, 3, separation=4.0, seed=seed)
-        noisy, mask = inject_symmetric(ds, rate, seed=seed)
+        noisy, mask = inject(ds, NoiseSpec("symmetric", rate, seed))
         cfg = BoostConfig(iterations=iterations, loss="squared", trust="enabled", seed=seed)
         _, trace = train(noisy, cfg)
         margins = initial_margins(trace, noisy.labels, "squared", max(1, iterations // 10))
@@ -278,7 +286,7 @@ class TestTrajectory:
 
     def test_disabled_trace_curves_are_flat(self):
         ds = make_gaussian_dataset(80, 3, separation=4.0, seed=10)
-        noisy, mask = inject_symmetric(ds, 0.2, seed=10)
+        noisy, mask = inject(ds, NoiseSpec("symmetric", 0.2, 10))
         cfg = BoostConfig(iterations=10, loss="squared", trust="disabled", seed=10)
         _, trace = train(noisy, cfg)
         margins = initial_margins(trace, noisy.labels, "squared", 1)
@@ -308,6 +316,21 @@ class TestTrajectory:
         margins = initial_margins(trace, ds.labels, "logistic", 1)
         expected = ds.labels.astype(float) * model.base_score
         np.testing.assert_allclose(margins, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("iteration", [0, -1, 6])
+    def test_margin_iteration_outside_trace_rejected(self, iteration):
+        ds = make_gaussian_dataset(60, 2, separation=4.0, seed=11)
+        _, trace = train(ds, BoostConfig(iterations=5, loss="squared", trust="disabled", seed=11))
+        with pytest.raises(ValueError, match=r"iteration .* outside 1\.\.5"):
+            initial_margins(trace, ds.labels, "squared", iteration)
+
+    @pytest.mark.parametrize("n_labels", [1, 59, 61])
+    def test_margin_labels_length_mismatch_rejected(self, n_labels):
+        ds = make_gaussian_dataset(60, 2, separation=4.0, seed=11)
+        _, trace = train(ds, BoostConfig(iterations=5, loss="squared", trust="disabled", seed=11))
+        labels = np.resize(ds.labels, n_labels)
+        with pytest.raises(ValueError, match="labels for a trace of 60 rows"):
+            initial_margins(trace, labels, "squared", 1)
 
 
 class TestFriedman:

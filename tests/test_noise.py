@@ -1,18 +1,11 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
 from itboost.data import DataError, Dataset
-from itboost.noise import (
-    NoiseMask,
-    NoiseSpec,
-    apply_label_mask,
-    inject,
-    inject_asymmetric,
-    inject_feature_noise,
-    inject_symmetric,
-)
+from itboost.noise import NoiseMask, NoiseSpec, apply_label_mask, inject
 
 
 def make_dataset(n=100, d=3, pos_frac=0.5, seed=0):
@@ -44,30 +37,30 @@ class TestSpec:
 class TestSymmetric:
     def test_zero_rate_identity(self):
         ds = make_dataset()
-        noisy, mask = inject_symmetric(ds, 0.0, seed=1)
+        noisy, mask = inject(ds, NoiseSpec("symmetric", 0.0, 1))
         assert np.array_equal(noisy.labels, ds.labels)
         assert mask.flipped_rows == frozenset()
 
     def test_deterministic(self):
         ds = make_dataset()
-        _, m1 = inject_symmetric(ds, 0.2, seed=5)
-        _, m2 = inject_symmetric(ds, 0.2, seed=5)
+        _, m1 = inject(ds, NoiseSpec("symmetric", 0.2, 5))
+        _, m2 = inject(ds, NoiseSpec("symmetric", 0.2, 5))
         assert m1.flipped_rows == m2.flipped_rows
 
     def test_flip_count_within_3_sigma(self):
         ds = make_dataset(n=1000)
-        _, mask = inject_symmetric(ds, 0.2, seed=7)
+        _, mask = inject(ds, NoiseSpec("symmetric", 0.2, 7))
         sigma = np.sqrt(1000 * 0.2 * 0.8)
         assert abs(len(mask.flipped_rows) - 200) <= 3 * sigma
 
     def test_features_untouched(self):
         ds = make_dataset()
-        noisy, _ = inject_symmetric(ds, 0.3, seed=2)
+        noisy, _ = inject(ds, NoiseSpec("symmetric", 0.3, 2))
         assert np.array_equal(noisy.features, ds.features)
 
     def test_mask_replays_exactly(self):
         ds = make_dataset()
-        noisy, mask = inject_symmetric(ds, 0.25, seed=3)
+        noisy, mask = inject(ds, NoiseSpec("symmetric", 0.25, 3))
         replayed = apply_label_mask(ds, mask)
         assert np.array_equal(replayed.labels, noisy.labels)
 
@@ -75,22 +68,22 @@ class TestSymmetric:
 class TestAsymmetric:
     def test_only_positives_flipped(self):
         ds = make_dataset(n=200, pos_frac=0.5)
-        noisy, mask = inject_asymmetric(ds, 0.3, seed=4)
+        noisy, mask = inject(ds, NoiseSpec("asymmetric", 0.3, 4))
         for row_id in mask.flipped_rows:
             i = int(np.nonzero(ds.row_ids == row_id)[0][0])
             assert ds.labels[i] == 1
             assert noisy.labels[i] == -1
-        untouched = ~np.isin(ds.row_ids, sorted(mask.flipped_rows))
+        untouched = ~mask.selects(ds.row_ids)
         assert np.array_equal(noisy.labels[untouched], ds.labels[untouched])
 
     def test_no_positives_rejected(self):
         ds = Dataset(np.ones((4, 1)), np.array([-1, -1, -1, -1]), np.arange(4))
         with pytest.raises(DataError):
-            inject_asymmetric(ds, 0.3, seed=0)
+            inject(ds, NoiseSpec("asymmetric", 0.3, 0))
 
     def test_flip_count_within_3_sigma(self):
         ds = make_dataset(n=1000, pos_frac=0.5)
-        _, mask = inject_asymmetric(ds, 0.3, seed=6)
+        _, mask = inject(ds, NoiseSpec("asymmetric", 0.3, 6))
         sigma = np.sqrt(500 * 0.3 * 0.7)
         assert abs(len(mask.flipped_rows) - 150) <= 3 * sigma
 
@@ -98,13 +91,13 @@ class TestAsymmetric:
 class TestFeatureNoise:
     def test_zero_rate_identity(self):
         ds = make_dataset()
-        noisy, mask = inject_feature_noise(ds, 0.0, seed=1)
+        noisy, mask = inject(ds, NoiseSpec("feature", 0.0, 1))
         assert np.array_equal(noisy.features, ds.features)
         assert mask.flipped_rows == frozenset()
 
     def test_exact_fraction_of_rows(self):
         ds = make_dataset(n=200)
-        noisy, mask = inject_feature_noise(ds, 0.5, seed=2)
+        noisy, mask = inject(ds, NoiseSpec("feature", 0.5, 2))
         assert len(mask.flipped_rows) == 100
         changed = np.any(noisy.features != ds.features, axis=1)
         assert set(ds.row_ids[changed]) == mask.flipped_rows
@@ -114,20 +107,20 @@ class TestFeatureNoise:
         X = rng.normal(size=(50, 2))
         X[:, 1] = 4.25
         ds = Dataset(X, np.array([1, -1] * 25), np.arange(50))
-        noisy, _ = inject_feature_noise(ds, 1.0, seed=3)
+        noisy, _ = inject(ds, NoiseSpec("feature", 1.0, 3))
         assert np.array_equal(noisy.features[:, 1], ds.features[:, 1])
         assert not np.array_equal(noisy.features[:, 0], ds.features[:, 0])
 
     def test_labels_untouched(self):
         ds = make_dataset()
-        noisy, _ = inject_feature_noise(ds, 0.7, seed=4)
+        noisy, _ = inject(ds, NoiseSpec("feature", 0.7, 4))
         assert np.array_equal(noisy.labels, ds.labels)
 
     def test_perturbation_scale_tracks_feature_std(self):
         rng = np.random.default_rng(5)
         X = np.hstack([rng.normal(0, 1, (4000, 1)), rng.normal(0, 10, (4000, 1))])
         ds = Dataset(X, np.array([1, -1] * 2000), np.arange(4000))
-        noisy, _ = inject_feature_noise(ds, 1.0, seed=5)
+        noisy, _ = inject(ds, NoiseSpec("feature", 1.0, 5))
         deltas = noisy.features - ds.features
         assert np.std(deltas[:, 0]) == pytest.approx(1.0, rel=0.1)
         assert np.std(deltas[:, 1]) == pytest.approx(10.0, rel=0.1)
@@ -136,22 +129,21 @@ class TestFeatureNoise:
 class TestMaskCsv:
     def test_round_trip(self, tmp_path):
         ds = make_dataset()
-        _, mask = inject_symmetric(ds, 0.2, seed=9)
+        _, mask = inject(ds, NoiseSpec("symmetric", 0.2, 9))
         path = tmp_path / "mask.csv"
         mask.to_csv(path)
-        rows, kind = NoiseMask.read_rows(path)
-        assert rows == mask.flipped_rows
-        assert kind == "symmetric"
+        assert NoiseMask.read_csv(path) == mask
+        assert mask.kind == "symmetric"
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "mask.csv"
         path.write_text("row_id,kind\n3,symmetric\n\n7,symmetric\n\n")
-        assert NoiseMask.read_rows(path) == (frozenset({3, 7}), "symmetric")
+        assert NoiseMask.read_csv(path) == NoiseMask(frozenset({3, 7}), "symmetric")
 
     def test_header_only_gives_no_rows(self, tmp_path):
         path = tmp_path / "mask.csv"
         path.write_text("row_id,kind\n")
-        assert NoiseMask.read_rows(path) == (frozenset(), "")
+        assert NoiseMask.read_csv(path) == NoiseMask(frozenset(), "")
 
     @pytest.mark.parametrize(
         "body, line, message",
@@ -169,10 +161,41 @@ class TestMaskCsv:
         path = tmp_path / "mask.csv"
         path.write_text("row_id,kind\n" + body)
         with pytest.raises(DataError, match=rf"{re.escape(str(path))} line {line}: .*{message}"):
-            NoiseMask.read_rows(path)
+            NoiseMask.read_csv(path)
 
     def test_inject_dispatch(self):
         ds = make_dataset()
         for kind in ("symmetric", "asymmetric", "feature"):
             noisy, mask = inject(ds, NoiseSpec(kind, 0.2, 1))
-            assert mask.spec.kind == kind
+            assert mask.kind == kind
+
+
+class TestPinnedDraws:
+    """``inject`` reproduces, byte for byte, the draws of the three per-kind injectors it replaced."""
+
+    DIGESTS = {
+        ("symmetric", 0): "ddfd85e3be922d2dda6f3b5f50b4f8d6bce063ce02f64a34c18c033ba1f1a4ee",
+        ("symmetric", 7): "7122bb7d85ca439094e5051b8a061e6993dbb8040c8d42f41713ace3ef6e49a8",
+        ("asymmetric", 0): "c1426d1214ede3804e87a85a7f44df3e7ba0397f5bd9e036b9031a7c24a920b4",
+        ("asymmetric", 7): "d791f08977f93999f45db4004bd61f0b8e6644c27b8963be404833a4a69b75ce",
+        ("feature", 0): "172eee67ffa0eb1fec53796e83976ca5f1456c16c6c46bc040b48143d1c4ea6b",
+        ("feature", 7): "4cdf8015b390e44b0772410bfd830a789afac39bf6d08a5c5af29b1f781ef7a2",
+    }
+    RATES = {"symmetric": 0.3, "asymmetric": 0.3, "feature": 0.4}
+
+    @staticmethod
+    def dataset():
+        rng = np.random.default_rng(20261018)
+        X = rng.normal(size=(60, 4))
+        X[:, 3] = 2.5
+        labels = np.where(rng.random(60) < 0.5, 1, -1)
+        return Dataset(X, labels, np.arange(100, 160))
+
+    @pytest.mark.parametrize("kind, seed", sorted(DIGESTS))
+    def test_digest(self, kind, seed):
+        noisy, mask = inject(self.dataset(), NoiseSpec(kind, self.RATES[kind], seed))
+        h = hashlib.sha256()
+        h.update(np.asarray(sorted(mask.flipped_rows), dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(noisy.labels, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(noisy.features, dtype=np.float64).tobytes())
+        assert h.hexdigest() == self.DIGESTS[(kind, seed)]

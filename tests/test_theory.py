@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from itboost.boosting import BoostConfig, train
-from itboost.noise import inject_symmetric
+from itboost.noise import NoiseSpec, inject
 from itboost.synth import make_gaussian_dataset
 from itboost.theory import (
-    ComplexitySample,
     hoeffding_radius,
     ratio_bound_check,
     required_group_size,
@@ -18,28 +17,44 @@ from itboost.theory import (
 
 
 class TestComplexitySample:
+    """The bound and separability checks reject a complexity sample that is empty, not 1-D or not finite."""
+
+    GOOD = np.array([0.1, 0.5])
+
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ComplexitySample(np.array([]))
+        with pytest.raises(ValueError, match="trust_bound_check: .*nonempty"):
+            trust_bound_check(np.array([]))
+        with pytest.raises(ValueError, match="ratio_bound_check: .*nonempty"):
+            ratio_bound_check(np.array([]), self.GOOD)
+        with pytest.raises(ValueError, match="ratio_bound_check: .*nonempty"):
+            ratio_bound_check(self.GOOD, np.array([]))
+        with pytest.raises(ValueError, match="1-D"):
+            trust_bound_check(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="separability_from_groups: .*nonempty"):
+            separability_from_groups(self.GOOD, np.array([]), 0.1, 0.05)
+        with pytest.raises(ValueError, match="separability_from_groups: .*1-D"):
+            separability_from_groups(np.ones((2, 2)), self.GOOD, 0.1, 0.05)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ComplexitySample(np.array([0.1, np.inf]))
-
-    def test_rejects_unknown_group(self):
-        with pytest.raises(ValueError):
-            ComplexitySample(np.array([0.1]), group="dirty")
+        with pytest.raises(ValueError, match="trust_bound_check: .*finite"):
+            trust_bound_check(np.array([0.1, np.inf]))
+        with pytest.raises(ValueError, match="ratio_bound_check: .*finite"):
+            ratio_bound_check(np.array([0.1, np.nan]), self.GOOD)
+        with pytest.raises(ValueError, match="ratio_bound_check: .*finite"):
+            ratio_bound_check(self.GOOD, np.array([0.1, np.nan]))
+        with pytest.raises(ValueError, match="separability_from_groups: .*finite"):
+            separability_from_groups(np.array([0.1, np.nan]), self.GOOD, 0.1, 0.05)
 
 
 class TestTrustBounds:
     def test_constant_sample_jensen_is_tight(self):
-        report = trust_bound_check(ComplexitySample(np.full(10, 0.4)))
+        report = trust_bound_check(np.full(10, 0.4))
         assert report.empirical_tau == pytest.approx(math.exp(-0.4), abs=1e-15)
         assert report.jensen_lower == pytest.approx(report.empirical_tau, abs=1e-15)
         assert report.jensen_satisfied and report.hoeffding_satisfied
 
     def test_two_point_closed_form(self):
-        report = trust_bound_check(ComplexitySample(np.array([0.0, 1.0])))
+        report = trust_bound_check(np.array([0.0, 1.0]))
         assert report.empirical_tau == pytest.approx((1 + math.exp(-1)) / 2, abs=1e-9)
         assert report.empirical_tau == pytest.approx(0.683940, abs=1e-6)
         assert report.jensen_lower == pytest.approx(math.exp(-0.5), abs=1e-9)
@@ -52,23 +67,20 @@ class TestTrustBounds:
         rng = np.random.default_rng(0)
         for _ in range(50):
             values = rng.random(int(rng.integers(2, 500)))
-            report = trust_bound_check(ComplexitySample(values))
+            report = trust_bound_check(values)
             assert report.jensen_satisfied
             assert report.hoeffding_satisfied
             assert report.jensen_lower <= report.hoeffding_upper
 
     def test_subgaussian_reported(self):
-        report = trust_bound_check(ComplexitySample(np.array([0.1, 0.5, 0.9])))
+        report = trust_bound_check(np.array([0.1, 0.5, 0.9]))
         assert report.subgaussian_upper is not None
         assert report.subgaussian_upper >= report.jensen_lower
 
 
 class TestRatioBound:
     def test_constant_groups_equality(self):
-        report = ratio_bound_check(
-            ComplexitySample(np.full(5, 0.2), group="clean"),
-            ComplexitySample(np.full(5, 0.8), group="noisy"),
-        )
+        report = ratio_bound_check(np.full(5, 0.2), np.full(5, 0.8))
         assert report.ratio == pytest.approx(math.exp(-0.6), abs=1e-9)
         assert report.ratio == pytest.approx(0.548812, abs=1e-6)
         assert report.correction == 0.0
@@ -81,17 +93,13 @@ class TestRatioBound:
         for _ in range(30):
             clean = rng.uniform(0.0, 0.3, size=80)
             noisy = rng.uniform(0.7, 1.0, size=60)
-            report = ratio_bound_check(
-                ComplexitySample(clean, "clean"), ComplexitySample(noisy, "noisy")
-            )
+            report = ratio_bound_check(clean, noisy)
             assert report.ratio < 1.0
             assert report.bound_satisfied
 
     def test_identical_distributions_report_no_gap(self):
         values = np.linspace(0, 1, 50)
-        report = ratio_bound_check(
-            ComplexitySample(values, "clean"), ComplexitySample(values.copy(), "noisy")
-        )
+        report = ratio_bound_check(values, values.copy())
         assert report.complexity_gap == pytest.approx(0.0, abs=1e-12)
         assert not report.gap_exceeds_correction
 
@@ -100,9 +108,7 @@ class TestRatioBound:
         for _ in range(100):
             clean = rng.random(int(rng.integers(1, 60)))
             noisy = rng.random(int(rng.integers(1, 60)))
-            report = ratio_bound_check(
-                ComplexitySample(clean, "clean"), ComplexitySample(noisy, "noisy")
-            )
+            report = ratio_bound_check(clean, noisy)
             assert report.bound_satisfied
 
 
@@ -141,7 +147,7 @@ class TestSeparability:
 
     def test_report_from_trace(self):
         ds = make_gaussian_dataset(120, 4, separation=3.0, seed=0)
-        noisy, mask = inject_symmetric(ds, 0.2, seed=0)
+        noisy, mask = inject(ds, NoiseSpec("symmetric", 0.2, 0))
         cfg = BoostConfig(iterations=12, loss="squared", trust="enabled", seed=0)
         _, trace = train(noisy, cfg)
         report = separability_report(trace, mask, 0.1, 0.05)
@@ -151,7 +157,7 @@ class TestSeparability:
 
     def test_degenerate_mask_rejected(self):
         ds = make_gaussian_dataset(40, 2, separation=3.0, seed=1)
-        noisy, mask = inject_symmetric(ds, 0.0, seed=1)
+        noisy, mask = inject(ds, NoiseSpec("symmetric", 0.0, 1))
         cfg = BoostConfig(iterations=3, loss="squared", trust="enabled", seed=1)
         _, trace = train(noisy, cfg)
         with pytest.raises(ValueError):

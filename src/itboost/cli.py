@@ -10,8 +10,6 @@ import sys
 import time
 from dataclasses import fields, replace
 
-import numpy as np
-
 from .boosting import (
     TRUST_MODES,
     BoostConfig,
@@ -33,7 +31,7 @@ from .evaluation import (
 )
 from .noise import NOISE_KINDS, NoiseMask, NoiseSpec, inject
 from .synth import make_gaussian_dataset
-from .theory import ratio_bound_check, separability_from_groups, trust_bound_check
+from .theory import ratio_bound_check, separability_from_groups, split_by_mask, trust_bound_check
 
 
 class UsageError(Exception):
@@ -232,11 +230,9 @@ def cmd_verify_bounds(args) -> int:
     if iteration not in states:
         raise DataError(f"verify-bounds: iteration {iteration} not present in trace {args.trace}")
     state = states[iteration]
-    noisy_sel = mask.selects(row_ids)
-    if not np.any(noisy_sel) or np.all(noisy_sel):
-        raise DataError("verify-bounds: mask must mark some but not all trace rows")
-
-    clean, noisy = state.normalized[~noisy_sel], state.normalized[noisy_sel]
+    clean, noisy = split_by_mask(
+        row_ids, mask, state.normalized, DataError("verify-bounds: mask must mark some but not all trace rows")
+    )
     overall = trust_bound_check(state.normalized)
     ratio = ratio_bound_check(clean, noisy)
     sep = separability_from_groups(clean, noisy, args.eps, args.delta, iteration=iteration)

@@ -9,6 +9,7 @@ samples receive an exponentially reduced trust weight.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,27 +112,38 @@ def lz76_complexity(sequence) -> int:
     that never stopped matching counts as one phrase.  The empty sequence has
     complexity 0.
 
-    Accepts a string or an iterable of small ints.
+    The count is the literal parse's, from scratch, computed by tracking the
+    open phrase's first occurrence q in s[0..p-1].  While s[q+(j-p)] equals
+    s[j] the phrase extends by one compare; on a mismatch the next occurrence
+    of the longer phrase is searched after q (any occurrence of it starts at
+    an occurrence of the shorter phrase, and q was the first of those).  A
+    start q <= p-1 is exactly what containment in s[0..j-1] admits, so the
+    phrases are the ones the definition gives.
+
+    Accepts a string, or an iterable of ints 0..9 (one digit symbol each);
+    other ints raise ValueError and non-integers TypeError.
     """
     if isinstance(sequence, str):
         s = sequence
     else:
-        s = "".join(str(int(c)) for c in sequence)
+        digits = [operator.index(c) for c in sequence]
+        if not all(0 <= c <= 9 for c in digits):
+            raise ValueError("lz76_complexity: int symbols must lie in 0..9")
+        s = "".join(map(str, digits))
     n = len(s)
-    if n == 0:
-        return 0
     count = 0
     p = 0  # start of the current (open) phrase
-    j = 0
-    while j < n:
-        if s[p : j + 1] in s[:j]:
+    while p < n:
+        q = s.find(s[p], 0, p)  # first occurrence of the phrase so far, or -1
+        j = p
+        while q >= 0:
             j += 1
-        else:
-            count += 1
-            p = j + 1
-            j = p
-    if p < n:
-        count += 1  # reproducible suffix
+            if j == n:
+                return count + 1  # reproducible suffix
+            if s[j + q - p] != s[j]:
+                q = s.find(s[p : j + 1], q + 1, j)
+        count += 1
+        p = j + 1
     return count
 
 

@@ -171,6 +171,17 @@ def separability_from_groups(
     )
 
 
+def split_by_mask(row_ids, mask: NoiseMask, values: np.ndarray, error: Exception) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` (aligned with ``row_ids``) split into its (clean, noisy) rows by ``mask``.
+
+    Raises ``error`` unless the mask marks some but not all of the rows.
+    """
+    noisy = mask.selects(row_ids)
+    if not np.any(noisy) or np.all(noisy):
+        raise error
+    return values[~noisy], values[noisy]
+
+
 def separability_report(
     trace: RunTrace, mask: NoiseMask, epsilon: float, delta: float, iteration: int | None = None
 ) -> SeparabilityReport:
@@ -179,10 +190,10 @@ def separability_report(
         iteration = trace.n_iterations
     if not 1 <= iteration <= trace.n_iterations:
         raise ValueError(f"separability_report: iteration {iteration} outside trace range")
-    noisy_sel = mask.selects(trace.row_ids)
-    if not np.any(noisy_sel) or np.all(noisy_sel):
-        raise ValueError("separability_report: mask must mark some but not all rows")
-    normalized = trace.trust[iteration - 1].normalized
-    return separability_from_groups(
-        normalized[~noisy_sel], normalized[noisy_sel], epsilon, delta, iteration=iteration
+    clean, noisy = split_by_mask(
+        trace.row_ids,
+        mask,
+        trace.trust[iteration - 1].normalized,
+        ValueError("separability_report: mask must mark some but not all rows"),
     )
+    return separability_from_groups(clean, noisy, epsilon, delta, iteration=iteration)

@@ -215,6 +215,19 @@ class TestTrajectoryAndBounds:
         else:
             assert err == ""
 
+    @pytest.mark.parametrize("rows", [[], list(range(60))], ids=["no-row-marked", "every-row-marked"])
+    def test_verify_bounds_degenerate_mask(self, small_csv, tmp_path, capsys, rows):
+        mask = tmp_path / "mask.csv"
+        trace = tmp_path / "trace.csv"
+        assert run("trajectory", "--data", str(small_csv), "--noise-rate", "0.25", "--iterations", "5",
+                   "--loss", "squared", "--out", str(tmp_path / "curves.csv"),
+                   "--mask-out", str(mask), "--trace-out", str(trace)) == 0
+        mask.write_text("row_id,kind\n" + "".join(f"{r},symmetric\n" for r in rows))
+        capsys.readouterr()
+        assert run("verify-bounds", "--trace", str(trace), "--mask", str(mask),
+                   "--out", str(tmp_path / "bounds.csv")) == 2
+        assert capsys.readouterr().err == "data error: verify-bounds: mask must mark some but not all trace rows\n"
+
 
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, small_csv, tmp_path):

@@ -113,6 +113,18 @@ class TestLZ76:
 
     def test_accepts_int_iterables(self):
         assert lz76_complexity([0, 1, 0, 1]) == lz76_complexity("0101")
+        assert lz76_complexity(np.array([3, 0, 3, 9, 9])) == lz76_complexity("30399")
+
+    @pytest.mark.parametrize("sequence", [[10, 1], [-1, 1], [0, 1, 12]])
+    def test_int_outside_digits_rejected(self, sequence):
+        # each element is one symbol: 10 is not the two symbols "1", "0"
+        with pytest.raises(ValueError, match="0..9"):
+            lz76_complexity(sequence)
+
+    def test_non_integer_symbols_rejected(self):
+        # 0.9 and 1.5 used to truncate to the digits 0 and 1
+        with pytest.raises(TypeError):
+            lz76_complexity([0.9, 1.5, 0.2])
 
     def test_random_beats_constant(self):
         rng = np.random.default_rng(8)
@@ -142,6 +154,49 @@ class TestLZ76:
             c = lz76_complexity(s[:i])
             assert c in (prev, prev + 1)
             prev = c
+
+
+def _periodic(block: str, n: int, edit: tuple[int, str] | None) -> str:
+    """``block`` repeated and truncated to n symbols, with at most one symbol replaced."""
+    s = (block * (n // len(block) + 1))[:n]
+    if edit is not None and s:
+        i = edit[0] % len(s)
+        s = s[:i] + edit[1] + s[i + 1 :]
+    return s
+
+
+def _periodic_text(alphabet: str):
+    return st.builds(
+        _periodic,
+        st.text(alphabet=alphabet, min_size=1, max_size=8),
+        st.integers(0, 256),
+        st.none() | st.tuples(st.integers(0, 255), st.sampled_from(alphabet)),
+    )
+
+
+class TestLZ76AgainstOracles:
+    """The parse agrees with the windowed scan and the online parser on every string.
+
+    Random text gives short phrases and frequent re-searches; periodic text
+    gives long extensions, re-searches after a late mismatch and a long
+    reproducible suffix.
+    """
+
+    @staticmethod
+    def _check(alphabet: str, s: str):
+        assert lz76_complexity(s) == naive_lz76(s) == SymbolSequence(alphabet, s).complexity
+
+    @pytest.mark.parametrize("alphabet", [BINARY_ALPHABET, QUATERNARY_ALPHABET])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_text(self, alphabet, data):
+        self._check(alphabet, data.draw(st.text(alphabet=alphabet, max_size=256)))
+
+    @pytest.mark.parametrize("alphabet", [BINARY_ALPHABET, QUATERNARY_ALPHABET])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_periodic_text(self, alphabet, data):
+        self._check(alphabet, data.draw(_periodic_text(alphabet)))
 
 
 class TestSymbolSequence:

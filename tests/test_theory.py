@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from itboost.boosting import BoostConfig, train
-from itboost.noise import NoiseSpec, inject
+from itboost.noise import NoiseMask, NoiseSpec, inject
 from itboost.synth import make_gaussian_dataset
 from itboost.theory import (
     hoeffding_radius,
@@ -12,6 +12,7 @@ from itboost.theory import (
     required_group_size,
     separability_from_groups,
     separability_report,
+    split_by_mask,
     trust_bound_check,
 )
 
@@ -160,5 +161,23 @@ class TestSeparability:
         noisy, mask = inject(ds, NoiseSpec("symmetric", 0.0, 1))
         cfg = BoostConfig(iterations=3, loss="squared", trust="enabled", seed=1)
         _, trace = train(noisy, cfg)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="separability_report: mask must mark some but not all rows"):
             separability_report(trace, mask, 0.1, 0.05)
+
+
+class TestSplitByMask:
+    ROW_IDS = np.array([7, 3, 9, 1])
+    VALUES = np.array([0.7, 0.3, 0.9, 0.1])
+
+    def test_splits_values_by_row_id(self):
+        clean, noisy = split_by_mask(self.ROW_IDS, NoiseMask(frozenset({9, 3, 42}), "symmetric"), self.VALUES,
+                                     ValueError("unused"))
+        np.testing.assert_array_equal(clean, [0.7, 0.1])
+        np.testing.assert_array_equal(noisy, [0.3, 0.9])
+
+    @pytest.mark.parametrize("rows", [frozenset(), frozenset({42}), frozenset({1, 3, 7, 9})],
+                             ids=["empty", "no-row-marked", "every-row-marked"])
+    def test_degenerate_mask_raises_the_callers_error(self, rows):
+        error = KeyError("caller's message")
+        with pytest.raises(KeyError, match="caller's message"):
+            split_by_mask(self.ROW_IDS, NoiseMask(rows, "symmetric"), self.VALUES, error)

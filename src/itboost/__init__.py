@@ -51,7 +51,6 @@ from .synth import make_gaussian_dataset
 from .theory import (
     BoundReport,
     ratio_bound_check,
-    separability_report,
     trust_bound_check,
 )
 from .trees import RegressionTree, fit_tree_weighted
@@ -93,7 +92,6 @@ __all__ = [
     "ratio_bound_check",
     "save_csv",
     "save_model",
-    "separability_report",
     "squared_gradient",
     "stratified_kfold",
     "train",

@@ -9,6 +9,7 @@ trust term to 1 (ablation arm).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -22,7 +23,7 @@ from .complexity import (
     normalize_complexities,
     trust_weights,
 )
-from .data import Dataset
+from .data import DataError, Dataset
 from .trees import RegressionTree, fit_tree_weighted, presort
 
 LOSSES = ("logistic", "squared")
@@ -284,6 +285,19 @@ class RunTrace:
                     )
 
 
+def _non_finite_record_error(path) -> DataError:
+    """The rejection of the first trace record whose float cells are not all finite."""
+    with open(path, "r", encoding="utf-8") as fh:
+        next(fh)
+        for line_no, line in enumerate(fh, start=2):
+            cells = line.split(",")
+            if len(cells) == 6 and not all(math.isfinite(float(c)) for c in cells[3:]):
+                break
+    return DataError(
+        f"load_trace_csv: {path} line {line_no}: normalized_C, tau and weight must be finite, got {line.strip()!r}"
+    )
+
+
 def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     """Read a trace CSV back into per-iteration trust states keyed by iteration.
 
@@ -292,30 +306,31 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     :meth:`RunTrace.to_csv` writes them).  A reordered, truncated or
     concatenated trace is rejected rather than read with its rows misaligned.
     Blank lines are skipped; a record that is not six cells, or whose cells
-    are not three integers and three floats, is rejected naming the line.
+    are not three integers and three finite floats, is rejected naming the
+    line.  Every rejection is a :class:`DataError`.
     """
     blocks: list[dict[str, list]] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
-            raise ValueError(f"load_trace_csv: unexpected header in {path}")
+            raise DataError(f"load_trace_csv: unexpected header in {path}")
         for line_no, line in enumerate(fh, start=2):
             cells = line.split(",")
             if len(cells) != 6:
                 if not line.strip():
                     continue
-                raise ValueError(f"load_trace_csv: {path} line {line_no}: expected 6 cells, got {len(cells)}")
+                raise DataError(f"load_trace_csv: {path} line {line_no}: expected 6 cells, got {len(cells)}")
             try:
                 m, row_id, raw = int(cells[0]), int(cells[1]), int(cells[2])
                 norm, tau, w = float(cells[3]), float(cells[4]), float(cells[5])
             except ValueError:
-                raise ValueError(
+                raise DataError(
                     f"load_trace_csv: {path} line {line_no}: expected integer iteration, row_id and raw_C "
                     f"and float normalized_C, tau and weight, got {line.strip()!r}"
                 ) from None
             if m != len(blocks):
                 if m != len(blocks) + 1:
-                    raise ValueError(
+                    raise DataError(
                         f"load_trace_csv: {path} line {line_no}: iteration {m} after iteration "
                         f"{len(blocks)}; iterations must run 1..M in order, one block each"
                     )
@@ -327,21 +342,24 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
             bucket["tau"].append(tau)
             bucket["w"].append(w)
     if not blocks:
-        raise ValueError(f"load_trace_csv: {path} has no data rows")
+        raise DataError(f"load_trace_csv: {path} has no data rows")
     row_ids = blocks[0]["row_id"]
     if len(set(row_ids)) != len(row_ids):
-        raise ValueError(f"load_trace_csv: {path} lists a row id twice in iteration 1")
+        raise DataError(f"load_trace_csv: {path} lists a row id twice in iteration 1")
     states: dict[int, TrustState] = {}
     for m, bucket in enumerate(blocks, start=1):
         if bucket["row_id"] != row_ids:
-            raise ValueError(f"load_trace_csv: {path} iteration {m} does not list iteration 1's row ids in order")
-        states[m] = TrustState(
+            raise DataError(f"load_trace_csv: {path} iteration {m} does not list iteration 1's row ids in order")
+        state = TrustState(
             iteration=m,
             raw_complexity=np.asarray(bucket["raw"], dtype=np.int64),
             normalized=np.asarray(bucket["norm"], dtype=np.float64),
             tau=np.asarray(bucket["tau"], dtype=np.float64),
             weights=np.asarray(bucket["w"], dtype=np.float64),
         )
+        if not np.isfinite(np.concatenate((state.normalized, state.tau, state.weights))).all():
+            raise _non_finite_record_error(path)
+        states[m] = state
     return np.asarray(row_ids, dtype=np.int64), states
 
 

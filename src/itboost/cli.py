@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 from .boosting import (
     TRUST_MODES,
@@ -31,7 +31,7 @@ from .evaluation import (
 )
 from .noise import NOISE_KINDS, NoiseMask, NoiseSpec, inject
 from .synth import make_gaussian_dataset
-from .theory import ratio_bound_check, separability_from_groups, split_by_mask, trust_bound_check
+from .theory import ratio_bound_check, separability_from_groups, trust_bound_check
 
 
 class UsageError(Exception):
@@ -222,46 +222,29 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
+# RatioReport fields that verify-bounds prints under another name
+PRINTED_KEYS = {"ratio": "tau_ratio", "bound_satisfied": "ratio_bound_satisfied"}
+
+
 def cmd_verify_bounds(args) -> int:
     row_ids, states = load_trace_csv(args.trace)
     mask = NoiseMask.read_csv(args.mask)
-    iterations = sorted(states)
-    iteration = args.iteration if args.iteration is not None else iterations[-1]
+    iteration = args.iteration if args.iteration is not None else max(states)
     if iteration not in states:
         raise DataError(f"verify-bounds: iteration {iteration} not present in trace {args.trace}")
     state = states[iteration]
-    clean, noisy = split_by_mask(
-        row_ids, mask, state.normalized, DataError("verify-bounds: mask must mark some but not all trace rows")
+    noisy = mask.selects(row_ids)
+    if not noisy.any() or noisy.all():
+        raise DataError("verify-bounds: mask must mark some but not all trace rows")
+    clean_values, noisy_values = state.normalized[~noisy], state.normalized[noisy]
+    reports = (
+        trust_bound_check(state.normalized),
+        ratio_bound_check(clean_values, noisy_values),
+        separability_from_groups(clean_values, noisy_values, args.eps, args.delta),
     )
-    overall = trust_bound_check(state.normalized)
-    ratio = ratio_bound_check(clean, noisy)
-    sep = separability_from_groups(clean, noisy, args.eps, args.delta, iteration=iteration)
-
-    pairs = [
-        ("iteration", iteration),
-        ("empirical_tau", overall.empirical_tau),
-        ("mean_complexity", overall.mean_complexity),
-        ("jensen_lower", overall.jensen_lower),
-        ("hoeffding_upper", overall.hoeffding_upper),
-        ("jensen_satisfied", overall.jensen_satisfied),
-        ("hoeffding_satisfied", overall.hoeffding_satisfied),
-        ("tau_clean", ratio.tau_clean),
-        ("tau_noisy", ratio.tau_noisy),
-        ("tau_ratio", ratio.ratio),
-        ("complexity_gap", ratio.complexity_gap),
-        ("correction", ratio.correction),
-        ("ratio_bound", ratio.ratio_bound),
-        ("ratio_bound_satisfied", ratio.bound_satisfied),
-        ("gap_exceeds_correction", ratio.gap_exceeds_correction),
-        ("n_clean", sep.n_clean),
-        ("n_noisy", sep.n_noisy),
-        ("mean_clean", sep.mean_clean),
-        ("mean_noisy", sep.mean_noisy),
-        ("epsilon", sep.epsilon),
-        ("delta", sep.delta),
-        ("required_group_size", sep.required_group_size),
-        ("separable", sep.separable),
-    ]
+    pairs = [("iteration", iteration)]
+    for report in reports:
+        pairs += [(PRINTED_KEYS.get(key, key), value) for key, value in asdict(report).items()]
     for key, value in pairs:
         print(f"{key}={value}")
     with open(args.out, "w", encoding="utf-8") as fh:

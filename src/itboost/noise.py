@@ -114,13 +114,3 @@ def inject(dataset: Dataset, spec: NoiseSpec) -> tuple[Dataset, NoiseMask]:
         labels[chosen] = -labels[chosen]
         noisy = replace(dataset, labels=labels)
     return noisy, NoiseMask(frozenset(int(r) for r in dataset.row_ids[chosen]), spec.kind)
-
-
-def apply_label_mask(dataset: Dataset, mask: NoiseMask) -> Dataset:
-    """Replay recorded label flips onto a clean dataset (label-noise kinds only)."""
-    if mask.kind == "feature":
-        raise ValueError("apply_label_mask: feature noise cannot be replayed from the mask alone")
-    flip = mask.selects(dataset.row_ids)
-    labels = dataset.labels.copy()
-    labels[flip] = -labels[flip]
-    return replace(dataset, labels=labels)

@@ -2,7 +2,9 @@
 
 The statements are evaluated against empirical distributions (sample means),
 where the convexity and bounded-range inequalities hold exactly, so the
-checks are deterministic rather than asymptotic.
+checks are deterministic rather than asymptotic.  Every check takes plain
+arrays of complexities and returns a frozen report; the report fields, in
+order, are the keys that ``itboost verify-bounds`` prints.
 """
 
 from __future__ import annotations
@@ -11,9 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .boosting import RunTrace
-from .noise import NoiseMask
 
 COMPARISON_TOL = 1e-12
 
@@ -32,10 +31,8 @@ def _complexities(values, name: str) -> np.ndarray:
 class BoundReport:
     empirical_tau: float
     mean_complexity: float
-    value_range: float
     jensen_lower: float
     hoeffding_upper: float
-    subgaussian_upper: float | None
     jensen_satisfied: bool
     hoeffding_satisfied: bool
 
@@ -46,9 +43,7 @@ def trust_bound_check(values) -> BoundReport:
     The lower bound is convexity of exp(-x); the upper bound is the
     bounded-range moment bound applied to the centred values.  Both hold for
     every finite sample, so the satisfied flags failing indicates a bug, not
-    an unlucky draw.  The variance-based upper bound exp(-mean + var/2) is
-    reported informationally (it uses the plug-in variance and is not a
-    guaranteed bound for the empirical distribution).
+    an unlucky draw.
     """
     v = _complexities(values, "trust_bound_check")
     tau_hat = float(np.mean(np.exp(-v)))
@@ -56,14 +51,11 @@ def trust_bound_check(values) -> BoundReport:
     value_range = float(v.max() - v.min())
     jensen = math.exp(-mu_hat)
     hoeffding = math.exp(-mu_hat + value_range**2 / 8.0)
-    subgaussian = math.exp(-mu_hat + float(np.var(v)) / 2.0)
     return BoundReport(
         empirical_tau=tau_hat,
         mean_complexity=mu_hat,
-        value_range=value_range,
         jensen_lower=jensen,
         hoeffding_upper=hoeffding,
-        subgaussian_upper=subgaussian,
         jensen_satisfied=tau_hat >= jensen - COMPARISON_TOL,
         hoeffding_satisfied=tau_hat <= hoeffding + COMPARISON_TOL,
     )
@@ -113,16 +105,12 @@ def ratio_bound_check(clean, noisy) -> RatioReport:
 
 @dataclass(frozen=True)
 class SeparabilityReport:
-    iteration: int
     n_clean: int
     n_noisy: int
     mean_clean: float
     mean_noisy: float
-    complexity_gap: float
     epsilon: float
     delta: float
-    radius_clean: float
-    radius_noisy: float
     required_group_size: int
     separable: bool
 
@@ -136,14 +124,7 @@ def required_group_size(epsilon: float, delta: float) -> int:
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2))
 
 
-def hoeffding_radius(n: int, delta: float) -> float:
-    """Two-sided concentration radius for a mean of n values in [0, 1]."""
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
-
-
-def separability_from_groups(
-    clean_values, noisy_values, epsilon: float, delta: float, iteration: int = 0
-) -> SeparabilityReport:
+def separability_from_groups(clean_values, noisy_values, epsilon: float, delta: float) -> SeparabilityReport:
     """Empirical separability of mean complexities at tolerance (epsilon, delta).
 
     Verdict: separable iff the observed gap exceeds 2*epsilon and both groups
@@ -156,44 +137,12 @@ def separability_from_groups(
     mean_noisy = float(noisy.mean())
     gap = mean_noisy - mean_clean
     return SeparabilityReport(
-        iteration=iteration,
         n_clean=clean.size,
         n_noisy=noisy.size,
         mean_clean=mean_clean,
         mean_noisy=mean_noisy,
-        complexity_gap=gap,
         epsilon=epsilon,
         delta=delta,
-        radius_clean=hoeffding_radius(clean.size, delta),
-        radius_noisy=hoeffding_radius(noisy.size, delta),
         required_group_size=n_req,
         separable=(gap > 2.0 * epsilon) and clean.size >= n_req and noisy.size >= n_req,
     )
-
-
-def split_by_mask(row_ids, mask: NoiseMask, values: np.ndarray, error: Exception) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` (aligned with ``row_ids``) split into its (clean, noisy) rows by ``mask``.
-
-    Raises ``error`` unless the mask marks some but not all of the rows.
-    """
-    noisy = mask.selects(row_ids)
-    if not np.any(noisy) or np.all(noisy):
-        raise error
-    return values[~noisy], values[noisy]
-
-
-def separability_report(
-    trace: RunTrace, mask: NoiseMask, epsilon: float, delta: float, iteration: int | None = None
-) -> SeparabilityReport:
-    """Split a trace's normalized complexities by the noise mask and test separability."""
-    if iteration is None:
-        iteration = trace.n_iterations
-    if not 1 <= iteration <= trace.n_iterations:
-        raise ValueError(f"separability_report: iteration {iteration} outside trace range")
-    clean, noisy = split_by_mask(
-        trace.row_ids,
-        mask,
-        trace.trust[iteration - 1].normalized,
-        ValueError("separability_report: mask must mark some but not all rows"),
-    )
-    return separability_from_groups(clean, noisy, epsilon, delta, iteration=iteration)

@@ -30,7 +30,7 @@ from itboost.noise import NoiseSpec, inject
 from itboost.synth import make_gaussian_dataset
 from itboost.theory import (
     ratio_bound_check,
-    separability_report,
+    separability_from_groups,
     trust_bound_check,
 )
 from itboost.trees import fit_tree_weighted
@@ -259,16 +259,23 @@ def test_criterion_07_weight_trajectory_ordering(robustness_study):
 
 def test_criterion_08_separability_check(robustness_study):
     study = robustness_study
-    report = separability_report(study["trace"], study["mask"], epsilon=0.1, delta=0.05)
+
+    def final_separability(trace):
+        flipped = study["mask"].selects(trace.row_ids)
+        final = trace.trust[-1].normalized
+        return separability_from_groups(final[~flipped], final[flipped], epsilon=0.1, delta=0.05)
+
+    report = final_separability(study["trace"])
+    gap = report.mean_noisy - report.mean_clean
     n_req_ok = report.required_group_size == 185
-    gap_ok = report.complexity_gap > 0.0
+    gap_ok = gap > 0.0
     ok = bool(n_req_ok and gap_ok)
     # the binary-sign gap on the same fold is printed for comparison only
-    sign_report = separability_report(study["sign_trace"], study["mask"], epsilon=0.1, delta=0.05)
+    sign_report = final_separability(study["sign_trace"])
     verdict(8, "complexity gap positive and sample-size formula exact", ok,
-            f"gap={report.complexity_gap:+.4f}, n_req={report.required_group_size}, "
+            f"gap={gap:+.4f}, n_req={report.required_group_size}, "
             f"mean_clean={report.mean_clean:.4f}, mean_noisy={report.mean_noisy:.4f}, "
-            f"binary-sign gap={sign_report.complexity_gap:+.4f}")
+            f"binary-sign gap={sign_report.mean_noisy - sign_report.mean_clean:+.4f}")
     assert n_req_ok, "required group size at (0.1, 0.05) must be exactly 185"
     assert gap_ok, "noisy-minus-clean complexity gap must be positive at the final iteration"
 

@@ -26,7 +26,7 @@ from itboost.boosting import (
     train,
 )
 from itboost.complexity import encode_gradients, lz76_complexity
-from itboost.data import Dataset
+from itboost.data import DataError, Dataset
 from itboost.synth import make_gaussian_dataset
 from itboost.trees import RegressionTree, TreeNode
 from conftest import random_dataset
@@ -573,6 +573,16 @@ class TestTraceCsv:
         cells[column] = "1.5"
         rows[8] = ",".join(cells)
         self._rejects(path, header, rows, f"{re.escape(str(path))} line 10: expected integer iteration")
+
+    @pytest.mark.parametrize("column, text", [(3, "nan"), (4, "inf"), (5, "-inf")])  # normalized_C, tau, weight
+    def test_non_finite_cell_rejected(self, tmp_path, column, text):
+        path, header, rows = self._written(tmp_path)
+        cells = rows[8].split(",")
+        cells[column] = text
+        rows[8] = ",".join(cells)
+        path.write_text("\n".join([header, ""] + rows) + "\n")  # the blank line shifts the record to line 11
+        with pytest.raises(DataError, match=f"{re.escape(str(path))} line 11: normalized_C, tau and weight must be finite"):
+            load_trace_csv(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path, header, rows = self._written(tmp_path)

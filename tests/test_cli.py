@@ -229,6 +229,99 @@ class TestTrajectoryAndBounds:
         assert capsys.readouterr().err == "data error: verify-bounds: mask must mark some but not all trace rows\n"
 
 
+class TestVerifyBoundsReport:
+    """verify-bounds on a fixed synth -> trajectory trace and mask: every key, in order, with its value."""
+
+    FINAL_ITERATION = [
+        ("iteration", "12"),
+        ("empirical_tau", "0.653945045454941"),
+        ("mean_complexity", "0.525"),
+        ("jensen_lower", "0.5915553643668151"),
+        ("hoeffding_upper", "0.6703200460356393"),
+        ("jensen_satisfied", "True"),
+        ("hoeffding_satisfied", "True"),
+        ("tau_clean", "0.6806420742340713"),
+        ("tau_noisy", "0.573853959117551"),
+        ("tau_ratio", "0.8431067970097362"),
+        ("complexity_gap", "0.14444444444444443"),
+        ("correction", "0.125"),
+        ("ratio_bound", "0.9807433794185024"),
+        ("ratio_bound_satisfied", "True"),
+        ("gap_exceeds_correction", "True"),
+        ("n_clean", "45"),
+        ("n_noisy", "15"),
+        ("mean_clean", "0.4888888888888889"),
+        ("mean_noisy", "0.6333333333333333"),
+        ("epsilon", "0.1"),
+        ("delta", "0.05"),
+        ("required_group_size", "185"),
+        ("separable", "False"),
+    ]
+    ITERATION_7_EPS_02 = [
+        ("iteration", "7"),
+        ("empirical_tau", "0.7155457485271488"),
+        ("mean_complexity", "0.45"),
+        ("jensen_lower", "0.6376281516217733"),
+        ("hoeffding_upper", "0.7225273536420722"),
+        ("jensen_satisfied", "True"),
+        ("hoeffding_satisfied", "True"),
+        ("tau_clean", "0.7190575294095299"),
+        ("tau_noisy", "0.7050104058800065"),
+        ("tau_ratio", "0.980464534540013"),
+        ("complexity_gap", "0.022222222222222254"),
+        ("correction", "0.125"),
+        ("ratio_bound", "1.108245105019899"),
+        ("ratio_bound_satisfied", "True"),
+        ("gap_exceeds_correction", "False"),
+        ("n_clean", "45"),
+        ("n_noisy", "15"),
+        ("mean_clean", "0.4444444444444444"),
+        ("mean_noisy", "0.4666666666666667"),
+        ("epsilon", "0.2"),
+        ("delta", "0.05"),
+        ("required_group_size", "47"),
+        ("separable", "False"),
+    ]
+
+    @pytest.fixture
+    def trace_and_mask(self, tmp_path, capsys):
+        data, trace, mask = tmp_path / "d.csv", tmp_path / "t.csv", tmp_path / "m.csv"
+        assert run("synth", "--n", "60", "--d", "3", "--sep", "2.0", "--seed", "5", "--out", str(data)) == 0
+        assert run("trajectory", "--data", str(data), "--noise-rate", "0.25", "--iterations", "12",
+                   "--loss", "squared", "--trust", "enabled", "--encoding", "binary-delta",
+                   "--out", str(tmp_path / "c.csv"), "--mask-out", str(mask), "--trace-out", str(trace)) == 0
+        capsys.readouterr()
+        return trace, mask
+
+    @pytest.mark.parametrize("extra, pairs", [
+        ([], FINAL_ITERATION),
+        (["--iteration", "7", "--eps", "0.2"], ITERATION_7_EPS_02),
+    ], ids=["final-iteration", "iteration-7"])
+    def test_stdout_and_report_csv(self, trace_and_mask, tmp_path, capsys, extra, pairs):
+        trace, mask = trace_and_mask
+        report = tmp_path / "bounds.csv"
+        assert run("verify-bounds", "--trace", str(trace), "--mask", str(mask), *extra, "--out", str(report)) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == "".join(f"{k}={v}\n" for k, v in pairs) + f"report written to {report}\n"
+        assert report.read_text() == "key,value\n" + "".join(f"{k},{v}\n" for k, v in pairs)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cells: cells[:5], "line 4: expected 6 cells, got 5"),
+        (lambda cells: cells[:3] + ["nan"] + cells[4:], "line 4: normalized_C, tau and weight must be finite"),
+        (lambda cells: cells[:5] + ["inf"], "line 4: normalized_C, tau and weight must be finite"),
+    ], ids=["short-record", "nan-cell", "inf-cell"])
+    def test_malformed_trace_is_a_data_error(self, trace_and_mask, tmp_path, capsys, edit, message):
+        trace, mask = trace_and_mask
+        lines = trace.read_text().splitlines()
+        lines[3] = ",".join(edit(lines[3].split(",")))
+        trace.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "bounds.csv"
+        assert run("verify-bounds", "--trace", str(trace), "--mask", str(mask), "--out", str(report)) == 2
+        assert capsys.readouterr().err.startswith(f"data error: load_trace_csv: {trace} {message}")
+        assert not report.exists()
+
+
 class TestExitCodes:
     def test_usage_error_unknown_flag(self, small_csv, tmp_path):
         assert run("evaluate", "--data", str(small_csv), "--bogus", "1",

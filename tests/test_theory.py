@@ -1,18 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from itboost.boosting import BoostConfig, train
-from itboost.noise import NoiseMask, NoiseSpec, inject
-from itboost.synth import make_gaussian_dataset
+from itboost import theory
 from itboost.theory import (
-    hoeffding_radius,
     ratio_bound_check,
     required_group_size,
     separability_from_groups,
-    separability_report,
-    split_by_mask,
     trust_bound_check,
 )
 
@@ -73,11 +70,6 @@ class TestTrustBounds:
             assert report.hoeffding_satisfied
             assert report.jensen_lower <= report.hoeffding_upper
 
-    def test_subgaussian_reported(self):
-        report = trust_bound_check(np.array([0.1, 0.5, 0.9]))
-        assert report.subgaussian_upper is not None
-        assert report.subgaussian_upper >= report.jensen_lower
-
 
 class TestRatioBound:
     def test_constant_groups_equality(self):
@@ -125,15 +117,10 @@ class TestSeparability:
         sizes = [required_group_size(0.1, d) for d in delta_values]
         assert sizes == sorted(sizes, reverse=True)
 
-    def test_radius_matches_formula(self):
-        assert hoeffding_radius(200, 0.05) == pytest.approx(
-            math.sqrt(math.log(40.0) / 400.0), abs=1e-12
-        )
-
     def test_identical_groups_not_separable(self):
         values = np.linspace(0, 1, 300)
         report = separability_from_groups(values, values.copy(), 0.1, 0.05)
-        assert report.complexity_gap == pytest.approx(0.0, abs=1e-12)
+        assert report.mean_noisy - report.mean_clean == pytest.approx(0.0, abs=1e-12)
         assert not report.separable
 
     def test_wide_gap_with_big_groups_is_separable(self):
@@ -146,38 +133,10 @@ class TestSeparability:
         report = separability_from_groups(np.full(10, 0.1), np.full(10, 0.9), 0.1, 0.05)
         assert not report.separable
 
-    def test_report_from_trace(self):
-        ds = make_gaussian_dataset(120, 4, separation=3.0, seed=0)
-        noisy, mask = inject(ds, NoiseSpec("symmetric", 0.2, 0))
-        cfg = BoostConfig(iterations=12, loss="squared", trust="enabled", seed=0)
-        _, trace = train(noisy, cfg)
-        report = separability_report(trace, mask, 0.1, 0.05)
-        assert report.iteration == 12
-        assert report.n_clean + report.n_noisy == 120
-        assert report.required_group_size == 185
 
-    def test_degenerate_mask_rejected(self):
-        ds = make_gaussian_dataset(40, 2, separation=3.0, seed=1)
-        noisy, mask = inject(ds, NoiseSpec("symmetric", 0.0, 1))
-        cfg = BoostConfig(iterations=3, loss="squared", trust="enabled", seed=1)
-        _, trace = train(noisy, cfg)
-        with pytest.raises(ValueError, match="separability_report: mask must mark some but not all rows"):
-            separability_report(trace, mask, 0.1, 0.05)
-
-
-class TestSplitByMask:
-    ROW_IDS = np.array([7, 3, 9, 1])
-    VALUES = np.array([0.7, 0.3, 0.9, 0.1])
-
-    def test_splits_values_by_row_id(self):
-        clean, noisy = split_by_mask(self.ROW_IDS, NoiseMask(frozenset({9, 3, 42}), "symmetric"), self.VALUES,
-                                     ValueError("unused"))
-        np.testing.assert_array_equal(clean, [0.7, 0.1])
-        np.testing.assert_array_equal(noisy, [0.3, 0.9])
-
-    @pytest.mark.parametrize("rows", [frozenset(), frozenset({42}), frozenset({1, 3, 7, 9})],
-                             ids=["empty", "no-row-marked", "every-row-marked"])
-    def test_degenerate_mask_raises_the_callers_error(self, rows):
-        error = KeyError("caller's message")
-        with pytest.raises(KeyError, match="caller's message"):
-            split_by_mask(self.ROW_IDS, NoiseMask(rows, "symmetric"), self.VALUES, error)
+def test_imports_nothing_from_the_package():
+    """The checks take plain arrays: theory.py imports only the standard library and numpy."""
+    tree = ast.parse(Path(theory.__file__).read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.startswith(".") or m.split(".")[0] == "itboost"] == []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
+from itertools import zip_longest
 
 import numpy as np
 from scipy.special import expit
@@ -73,9 +74,6 @@ class BoostConfig:
                 raise ValueError(f"BoostConfig: unknown field {key!r}")
             kwargs[key] = casts[key](value)
         return cls(**kwargs)
-
-    def to_mapping(self) -> dict:
-        return asdict(self)
 
 
 def parse_config_file(path) -> dict:
@@ -190,24 +188,16 @@ class Model:
         out = expit(score)
         return float(out) if np.ndim(out) == 0 else out
 
-    def predict_label(self, X):
-        proba = self.predict_proba(X)
-        if np.ndim(proba) == 0:
-            return 1 if proba >= 0.5 else -1
-        return np.where(proba >= 0.5, 1, -1).astype(np.int64)
-
 
 MODEL_FORMAT_VERSION = "itboost-model v1"
+MODEL_HEADER_KEYS = tuple(f.name for f in fields(BoostConfig)) + ("base_score", "n_features", "n_trees")
 
 
 def save_model(model: Model, path) -> None:
     """Versioned plain-text format: config header, then one preorder line per tree."""
-    lines = [MODEL_FORMAT_VERSION]
-    header = model.config.to_mapping()
-    header["base_score"] = repr(model.base_score)
-    header["n_features"] = model.n_features
-    header["n_trees"] = len(model.trees)
-    lines.append(" ".join(f"{k}={v}" for k, v in header.items()))
+    header = asdict(model.config) | {"base_score": repr(model.base_score), "n_features": model.n_features,
+                                     "n_trees": len(model.trees)}
+    lines = [MODEL_FORMAT_VERSION, " ".join(f"{key}={header[key]}" for key in MODEL_HEADER_KEYS)]
     for i, tree in enumerate(model.trees):
         lines.append(f"tree {i}: " + " ".join(tree.to_tokens()))
     with open(path, "w", encoding="utf-8") as fh:
@@ -215,34 +205,36 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """The model a :func:`save_model` file holds.  Line 2 must list :data:`MODEL_HEADER_KEYS` in
+    order, and base_score, thresholds and leaves must be finite; every rejection is a
+    :class:`DataError` naming the path and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != MODEL_FORMAT_VERSION:
-        raise ValueError(f"load_model: {path} is not a {MODEL_FORMAT_VERSION} file")
-    header = {}
-    for token in lines[1].split() if len(lines) > 1 else ():
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise ValueError(f"load_model: {path} header token {token!r} is not key=value")
-        if key in header:
-            raise ValueError(f"load_model: {path} header gives {key!r} twice")
-        header[key] = value
-    missing = [key for key in ("base_score", "n_features", "n_trees") if key not in header]
-    if missing:
-        raise ValueError(f"load_model: {path} header lacks {', '.join(missing)}")
-    base_score = float(header.pop("base_score"))
-    n_features = int(header.pop("n_features"))
-    n_trees = int(header.pop("n_trees"))
-    config = BoostConfig.from_mapping(header)
-    tree_lines = lines[2:]
-    if len(tree_lines) != n_trees:
-        raise ValueError(f"load_model: expected {n_trees} trees, found {len(tree_lines)}")
-    trees = []
-    for i, line in enumerate(tree_lines):
-        label, _, payload = line.partition(": ")
-        if label != f"tree {i}":
-            raise ValueError(f"load_model: {path} line {i + 3} should start 'tree {i}: ', got {line[:20]!r}")
-        trees.append(RegressionTree.from_tokens(payload.split(), n_features))
+        raise DataError(f"load_model: {path} is not a {MODEL_FORMAT_VERSION} file")
+    line_no = 2  # the line being read, for the rejection message
+    try:
+        pairs = [token.partition("=")[::2] for token in (lines[1].split() if len(lines) > 1 else ())]
+        for i, (key, want) in enumerate(zip_longest((key for key, _ in pairs), MODEL_HEADER_KEYS)):
+            if key != want:
+                raise ValueError(f"header key {i + 1} is {key!r}, expected {want!r} ({' '.join(MODEL_HEADER_KEYS)})")
+        header = dict(pairs)
+        base_score = float(header.pop("base_score"))
+        if not math.isfinite(base_score):
+            raise ValueError(f"base_score must be finite, got {base_score}")
+        n_features = int(header.pop("n_features"))
+        n_trees = int(header.pop("n_trees"))
+        config = BoostConfig.from_mapping(header)
+        if len(lines) - 2 != n_trees:
+            raise ValueError(f"expected {n_trees} trees, found {len(lines) - 2}")
+        trees = []
+        for line_no, line in enumerate(lines[2:], start=3):
+            label, _, payload = line.partition(": ")
+            if label != f"tree {line_no - 3}":
+                raise ValueError(f"should start 'tree {line_no - 3}: ', got {line[:20]!r}")
+            trees.append(RegressionTree.from_tokens(payload.split(), n_features))
+    except ValueError as exc:
+        raise DataError(f"load_model: {path} line {line_no}: {exc}") from None
     return Model(base_score=base_score, n_features=n_features, trees=trees, config=config)
 
 

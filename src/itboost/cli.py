@@ -31,7 +31,7 @@ from .evaluation import (
 )
 from .noise import NOISE_KINDS, NoiseMask, NoiseSpec, inject
 from .synth import make_gaussian_dataset
-from .theory import ratio_bound_check, separability_from_groups, trust_bound_check
+from .theory import ratio_bound_check, required_group_size, separability_from_groups, trust_bound_check
 
 
 class UsageError(Exception):
@@ -227,8 +227,15 @@ PRINTED_KEYS = {"ratio": "tau_ratio", "bound_satisfied": "ratio_bound_satisfied"
 
 
 def cmd_verify_bounds(args) -> int:
+    try:
+        required_group_size(args.eps, args.delta)  # check --eps and --delta before reading any file
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     row_ids, states = load_trace_csv(args.trace)
     mask = NoiseMask.read_csv(args.mask)
+    foreign = mask.flipped_rows.difference(row_ids.tolist())
+    if foreign:
+        raise DataError(f"verify-bounds: mask {args.mask} names row {min(foreign)}, absent from trace {args.trace}")
     iteration = args.iteration if args.iteration is not None else max(states)
     if iteration not in states:
         raise DataError(f"verify-bounds: iteration {iteration} not present in trace {args.trace}")

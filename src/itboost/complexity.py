@@ -9,7 +9,6 @@ samples receive an exponentially reduced trust weight.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +102,7 @@ class SymbolSequence:
         return self.complexity
 
 
-def lz76_complexity(sequence) -> int:
+def lz76_complexity(s: str) -> int:
     """Phrase count of the exhaustive left-to-right Lempel-Ziv parsing.
 
     A phrase starting at position p is extended through position j while the
@@ -120,16 +119,10 @@ def lz76_complexity(sequence) -> int:
     start q <= p-1 is exactly what containment in s[0..j-1] admits, so the
     phrases are the ones the definition gives.
 
-    Accepts a string, or an iterable of ints 0..9 (one digit symbol each);
-    other ints raise ValueError and non-integers TypeError.
+    ``s`` is a string, one symbol per character; anything else raises TypeError.
     """
-    if isinstance(sequence, str):
-        s = sequence
-    else:
-        digits = [operator.index(c) for c in sequence]
-        if not all(0 <= c <= 9 for c in digits):
-            raise ValueError("lz76_complexity: int symbols must lie in 0..9")
-        s = "".join(map(str, digits))
+    if not isinstance(s, str):
+        raise TypeError(f"lz76_complexity: expected a str history, got {type(s).__name__}")
     n = len(s)
     count = 0
     p = 0  # start of the current (open) phrase

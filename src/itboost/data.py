@@ -210,7 +210,6 @@ class FoldPlan:
 
     k: int
     assignments: np.ndarray
-    seed: int
 
     def __post_init__(self):
         a = np.asarray(self.assignments, dtype=np.int64)
@@ -245,7 +244,7 @@ def stratified_kfold(dataset: Dataset, k: int, seed: int) -> FoldPlan:
             raise DataError(f"stratified_kfold: class {cls} has {idx.size} members, fewer than k={k}")
         perm = rng.permutation(idx)
         assignments[perm] = np.arange(perm.size) % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 def random_undersample(dataset: Dataset, seed: int) -> Dataset:

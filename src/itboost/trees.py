@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,8 @@ class RegressionTree:
 
     @classmethod
     def from_tokens(cls, tokens: list[str], n_features: int) -> "RegressionTree":
-        """Inverse of :meth:`to_tokens`; raises ValueError on a malformed list."""
+        """Inverse of :meth:`to_tokens`; raises ValueError on a malformed list,
+        a feature outside ``[0, n_features)`` or a non-finite threshold or leaf."""
         root = None
         open_nodes: list[TreeNode] = []  # internal nodes still missing their right child
         pos = 0
@@ -86,6 +88,8 @@ class RegressionTree:
                     pos += 3
                 else:
                     raise ValueError(f"RegressionTree.from_tokens: bad node kind {kind!r}")
+                if not math.isfinite(node.value + node.threshold):  # the unparsed one is 0.0
+                    raise ValueError(f"RegressionTree.from_tokens: {tokens[pos - 1]!r} is not a finite number")
                 if root is None:
                     root = node
                 elif open_nodes[-1].left is None:
@@ -152,8 +156,9 @@ def _best_split(xs, g, w, order, tol, min_samples_leaf):
     matching feature values.  All features are searched at once: one gather
     per array, cumulative sums along each row and the SSE of every cut.
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values.  Ties (up to ``tol``, the node's :func:`split_tolerance`) break
-    toward the lowest feature index, then the lowest threshold.  Returns
+    values, or the lower value where the midpoint rounds up to the upper one
+    or overflows.  Ties (up to ``tol``, the node's :func:`split_tolerance`)
+    break toward the lowest feature index, then the lowest threshold.  Returns
     (sse, feature, threshold) or None if no candidate leaves at least
     ``min_samples_leaf`` samples on each side.
     """
@@ -201,7 +206,9 @@ def _best_split(xs, g, w, order, tol, min_samples_leaf):
     if best is None:
         return None
     sse_f, f, j = best
-    return sse_f, f, float((xs[f, j] + xs[f, j + 1]) / 2.0)
+    lo, hi = float(xs[f, j]), float(xs[f, j + 1])
+    mid = (lo + hi) / 2.0
+    return sse_f, f, mid if lo <= mid < hi else lo
 
 
 def _grow(XT, g, w, order, xs, rows, max_depth, min_samples_leaf) -> TreeNode:

@@ -17,6 +17,13 @@ from itboost.data import DataError
 from itboost.trees import RegressionTree, TreeNode, split_tolerance
 
 
+def split_threshold(lo: float, hi: float) -> float:
+    """The cut between sorted neighbours lo < hi: their midpoint, or lo where
+    the midpoint rounds up to hi or overflows, so lo goes left and hi right."""
+    mid = (float(lo) + float(hi)) / 2.0
+    return mid if lo <= mid < hi else float(lo)
+
+
 def naive_lz76(s: str) -> int:
     """Phrase count by explicit window scanning (no library substring search)."""
     n = len(s)
@@ -85,7 +92,7 @@ def brute_force_tree(X, g, w, max_depth, min_samples_leaf=1):
         for f in range(Xn.shape[1]):
             values = np.unique(Xn[:, f])
             for lo, hi in zip(values[:-1], values[1:]):
-                thr = (lo + hi) / 2.0
+                thr = split_threshold(lo, hi)
                 left = Xn[:, f] <= thr
                 n_left = int(np.sum(left))
                 if n_left < min_samples_leaf or n - n_left < min_samples_leaf:
@@ -144,7 +151,7 @@ def _per_feature_best_split(X, g, w, min_samples_leaf):
         sse = (lwgg - lwg * lwg / lw) + np.where(rw > 0, rwgg - rwg * rwg / rw_safe, 0.0)
         j = int(np.nonzero(sse <= sse.min() + tol)[0][0])
         if best is None or sse[j] < best[0] - tol:
-            best = (float(sse[j]), f, float((xs[cut[j]] + xs[cut[j] + 1]) / 2.0))
+            best = (float(sse[j]), f, split_threshold(xs[cut[j]], xs[cut[j] + 1]))
     return best
 
 
@@ -253,7 +260,7 @@ class ReferenceGBDT:
                         continue
                     if i + 1 < msl or n - i - 1 < msl:
                         continue
-                    thr = (xs[i] + xs[i + 1]) / 2.0
+                    thr = split_threshold(xs[i], xs[i + 1])
                     left = Xn[:, f] <= thr
                     gl, gr = gn[left], gn[~left]
                     sse = float(np.sum((gl - np.mean(gl)) ** 2)) + float(

@@ -306,6 +306,16 @@ class TestVerifyBoundsReport:
         assert out == "".join(f"{k}={v}\n" for k, v in pairs) + f"report written to {report}\n"
         assert report.read_text() == "key,value\n" + "".join(f"{k},{v}\n" for k, v in pairs)
 
+    def test_mask_naming_a_row_the_trace_lacks_is_a_data_error(self, trace_and_mask, tmp_path, capsys):
+        trace, mask = trace_and_mask
+        mask.write_text(mask.read_text() + "9999,symmetric\n")
+        report = tmp_path / "bounds.csv"
+        assert run("verify-bounds", "--trace", str(trace), "--mask", str(mask), "--out", str(report)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: verify-bounds: mask {mask} names row 9999, absent from trace {trace}\n"
+        )
+        assert not report.exists()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda cells: cells[:5], "line 4: expected 6 cells, got 5"),
         (lambda cells: cells[:3] + ["nan"] + cells[4:], "line 4: normalized_C, tau and weight must be finite"),
@@ -342,6 +352,19 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,label\nfoo,1\n2.0,0\n")
         assert run("evaluate", "--data", str(bad), "--out", str(tmp_path / "r.csv")) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps", "0"], "epsilon must be positive"),
+        (["--delta", "1.5"], "delta must be in (0, 1)"),
+        (["--delta", "0"], "delta must be in (0, 1)"),
+    ])
+    def test_bad_eps_or_delta_is_a_usage_error_before_loading(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "bounds.csv"
+        missing = tmp_path / "absent.csv"  # a data error (exit 2) if the file were read first
+        assert run("verify-bounds", "--trace", str(missing), "--mask", str(missing), *flags, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert not out.exists()
 
     def test_seed_defaults_to_42(self, small_csv, tmp_path):
         model_path = tmp_path / "m.txt"

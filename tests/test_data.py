@@ -389,4 +389,4 @@ class TestUndersample:
 class TestFoldPlan:
     def test_requires_nonempty_folds(self):
         with pytest.raises(DataError):
-            FoldPlan(k=3, assignments=np.array([0, 0, 1, 1]), seed=0)
+            FoldPlan(k=3, assignments=np.array([0, 0, 1, 1]))

@@ -143,7 +143,7 @@ class TestCrossValidate:
     def test_worker_error_reaches_the_caller(self):
         ds, _ = self._task()
         # fold 0 tests every positive row, so its training split holds one class
-        folds = FoldPlan(k=3, assignments=np.where(ds.labels == 1, 0, np.arange(ds.n_rows) % 2 + 1), seed=0)
+        folds = FoldPlan(k=3, assignments=np.where(ds.labels == 1, 0, np.arange(ds.n_rows) % 2 + 1))
         cfg = BoostConfig(iterations=3, loss="logistic", trust="disabled", seed=0)
         errors = []
         for threads in (1, 2):

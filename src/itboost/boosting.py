@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
-from itertools import zip_longest
+from itertools import chain, repeat, zip_longest
 
 import numpy as np
 from scipy.special import expit
@@ -24,7 +24,7 @@ from .complexity import (
     normalize_complexities,
     trust_weights,
 )
-from .data import DataError, Dataset
+from .data import DataError, Dataset, write_rows
 from .trees import RegressionTree, fit_tree_weighted, presort
 
 LOSSES = ("logistic", "squared")
@@ -190,14 +190,17 @@ class Model:
 
 
 MODEL_FORMAT_VERSION = "itboost-model v1"
-MODEL_HEADER_KEYS = tuple(f.name for f in fields(BoostConfig)) + ("base_score", "n_features", "n_trees")
+_HEADER_TYPES = {f.name: type(f.default) for f in fields(BoostConfig)}  # each header key, in order, and its type
+_HEADER_TYPES |= {"base_score": float, "n_features": int, "n_trees": int}
+MODEL_HEADER_KEYS = tuple(_HEADER_TYPES)
 
 
 def save_model(model: Model, path) -> None:
     """Versioned plain-text format: config header, then one preorder line per tree."""
-    header = asdict(model.config) | {"base_score": repr(model.base_score), "n_features": model.n_features,
+    header = asdict(model.config) | {"base_score": model.base_score, "n_features": model.n_features,
                                      "n_trees": len(model.trees)}
-    lines = [MODEL_FORMAT_VERSION, " ".join(f"{key}={header[key]}" for key in MODEL_HEADER_KEYS)]
+    # each value as its header type, so learning_rate=1 is written 1.0 and reads back as written
+    lines = [MODEL_FORMAT_VERSION, " ".join(f"{key}={cast(header[key])}" for key, cast in _HEADER_TYPES.items())]
     for i, tree in enumerate(model.trees):
         lines.append(f"tree {i}: " + " ".join(tree.to_tokens()))
     with open(path, "w", encoding="utf-8") as fh:
@@ -206,7 +209,8 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     """The model a :func:`save_model` file holds.  Line 2 must list :data:`MODEL_HEADER_KEYS` in
-    order, and base_score, thresholds and leaves must be finite; every rejection is a
+    order, each number written as :func:`save_model` writes it (``str`` of an int, ``repr`` of a
+    float), and base_score, thresholds and leaves must be finite; every rejection is a
     :class:`DataError` naming the path and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
@@ -218,13 +222,17 @@ def load_model(path) -> Model:
         for i, (key, want) in enumerate(zip_longest((key for key, _ in pairs), MODEL_HEADER_KEYS)):
             if key != want:
                 raise ValueError(f"header key {i + 1} is {key!r}, expected {want!r} ({' '.join(MODEL_HEADER_KEYS)})")
-        header = dict(pairs)
-        base_score = float(header.pop("base_score"))
+        header = {}
+        for key, text in pairs:
+            value = header[key] = _HEADER_TYPES[key](text)
+            if not isinstance(value, str) and repr(value) != text:
+                raise ValueError(f"{key}={text} is not in save_model's form {key}={value!r}")
+        base_score = header.pop("base_score")
         if not math.isfinite(base_score):
             raise ValueError(f"base_score must be finite, got {base_score}")
-        n_features = int(header.pop("n_features"))
-        n_trees = int(header.pop("n_trees"))
-        config = BoostConfig.from_mapping(header)
+        n_features = header.pop("n_features")
+        n_trees = header.pop("n_trees")
+        config = BoostConfig(**header)
         if len(lines) - 2 != n_trees:
             raise ValueError(f"expected {n_trees} trees, found {len(lines) - 2}")
         trees = []
@@ -267,27 +275,14 @@ class RunTrace:
         return float(sum(self.fit_seconds))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            for state in self.trust:
-                for i, row_id in enumerate(self.row_ids):
-                    fh.write(
-                        f"{state.iteration},{row_id},{int(state.raw_complexity[i])},"
-                        f"{float(state.normalized[i])!r},{float(state.tau[i])!r},{float(state.weights[i])!r}\n"
-                    )
-
-
-def _non_finite_record_error(path) -> DataError:
-    """The rejection of the first trace record whose float cells are not all finite."""
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        for line_no, line in enumerate(fh, start=2):
-            cells = line.split(",")
-            if len(cells) == 6 and not all(math.isfinite(float(c)) for c in cells[3:]):
-                break
-    return DataError(
-        f"load_trace_csv: {path} line {line_no}: normalized_C, tau and weight must be finite, got {line.strip()!r}"
-    )
+        """One :data:`TRACE_HEADER` record per row per iteration, iteration by iteration."""
+        row_ids = self.row_ids.tolist()
+        blocks = (
+            zip(repeat(state.iteration), row_ids, state.raw_complexity.tolist(), state.normalized.tolist(),
+                state.tau.tolist(), state.weights.tolist())
+            for state in self.trust
+        )
+        write_rows(path, TRACE_HEADER.split(","), chain.from_iterable(blocks))
 
 
 def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
@@ -299,7 +294,7 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     concatenated trace is rejected rather than read with its rows misaligned.
     Blank lines are skipped; a record that is not six cells, or whose cells
     are not three integers and three finite floats, is rejected naming the
-    line.  Every rejection is a :class:`DataError`.
+    line, as the file is read.  Every rejection is a :class:`DataError`.
     """
     blocks: list[dict[str, list]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -320,6 +315,11 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
                     f"load_trace_csv: {path} line {line_no}: expected integer iteration, row_id and raw_C "
                     f"and float normalized_C, tau and weight, got {line.strip()!r}"
                 ) from None
+            if not (math.isfinite(norm) and math.isfinite(tau) and math.isfinite(w)):
+                raise DataError(
+                    f"load_trace_csv: {path} line {line_no}: normalized_C, tau and weight must be finite, "
+                    f"got {line.strip()!r}"
+                )
             if m != len(blocks):
                 if m != len(blocks) + 1:
                     raise DataError(
@@ -342,16 +342,13 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     for m, bucket in enumerate(blocks, start=1):
         if bucket["row_id"] != row_ids:
             raise DataError(f"load_trace_csv: {path} iteration {m} does not list iteration 1's row ids in order")
-        state = TrustState(
+        states[m] = TrustState(
             iteration=m,
             raw_complexity=np.asarray(bucket["raw"], dtype=np.int64),
             normalized=np.asarray(bucket["norm"], dtype=np.float64),
             tau=np.asarray(bucket["tau"], dtype=np.float64),
             weights=np.asarray(bucket["w"], dtype=np.float64),
         )
-        if not np.isfinite(np.concatenate((state.normalized, state.tau, state.weights))).all():
-            raise _non_finite_record_error(path)
-        states[m] = state
     return np.asarray(row_ids, dtype=np.int64), states
 
 

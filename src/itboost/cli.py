@@ -18,7 +18,7 @@ from .boosting import (
     save_model,
     train,
 )
-from .data import DataError, load_csv, random_undersample, save_csv, stratified_kfold
+from .data import DataError, load_csv, random_undersample, save_csv, stratified_kfold, write_rows
 from .evaluation import (
     METRIC_NAMES,
     cross_validate,
@@ -222,10 +222,6 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
-# RatioReport fields that verify-bounds prints under another name
-PRINTED_KEYS = {"ratio": "tau_ratio", "bound_satisfied": "ratio_bound_satisfied"}
-
-
 def cmd_verify_bounds(args) -> int:
     try:
         required_group_size(args.eps, args.delta)  # check --eps and --delta before reading any file
@@ -251,13 +247,10 @@ def cmd_verify_bounds(args) -> int:
     )
     pairs = [("iteration", iteration)]
     for report in reports:
-        pairs += [(PRINTED_KEYS.get(key, key), value) for key, value in asdict(report).items()]
+        pairs += asdict(report).items()
     for key, value in pairs:
         print(f"{key}={value}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("key,value\n")
-        for key, value in pairs:
-            fh.write(f"{key},{value}\n")
+    write_rows(args.out, ["key", "value"], pairs)
     print(f"report written to {args.out}")
     return 0
 

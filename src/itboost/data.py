@@ -188,6 +188,19 @@ def _raise_first_bad_record(path, header: list[str], label_idx: int) -> NoReturn
     raise DataError(f"load_csv: {path} changed while it was read")
 
 
+def write_rows(path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` as one CSV record ending in ``\\n``.
+
+    Cells are written with ``str``, which for a float is its ``repr``, so
+    floats read back exactly.  Rows built from ``.tolist()`` columns format
+    Python numbers rather than one numpy scalar per cell.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_csv(dataset: Dataset, path, label_name: str = "label") -> None:
     """Write a Dataset to CSV with exact float round-trip (repr formatting).
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.stats import chi2, rankdata
 
 from .boosting import BoostConfig, RunTrace, train
-from .data import Dataset, FoldPlan, random_undersample
+from .data import Dataset, FoldPlan, random_undersample, write_rows
 from .noise import NOISE_KINDS, NoiseMask, NoiseSpec, inject
 
 METRIC_NAMES = ("acc", "f1", "auc", "log_loss")
@@ -103,15 +103,12 @@ class MetricReport:
         return float(np.sum(self.fold_train_seconds))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("fold," + ",".join(METRIC_NAMES) + ",train_seconds\n")
-            for i in range(self.n_folds):
-                cells = [str(i)] + [repr(float(self.per_fold[m][i])) for m in METRIC_NAMES]
-                cells.append(repr(float(self.fold_train_seconds[i])))
-                fh.write(",".join(cells) + "\n")
-            fh.write("mean," + ",".join(repr(self.mean(m)) for m in METRIC_NAMES) + ",")
-            fh.write(repr(self.total_train_seconds()) + "\n")
-            fh.write("std," + ",".join(repr(self.std(m)) for m in METRIC_NAMES) + ",\n")
+        """One row per fold, then the mean row and the std row (whose train_seconds cell is empty)."""
+        columns = [self.per_fold[m].tolist() for m in METRIC_NAMES] + [self.fold_train_seconds.tolist()]
+        rows = [[i, *cells] for i, cells in enumerate(zip(*columns))]
+        rows.append(["mean"] + [self.mean(m) for m in METRIC_NAMES] + [self.total_train_seconds()])
+        rows.append(["std"] + [self.std(m) for m in METRIC_NAMES] + [""])
+        write_rows(path, ["fold", *METRIC_NAMES, "train_seconds"], rows)
 
 
 def split_fold(dataset: Dataset, folds: FoldPlan, fold: int) -> tuple[Dataset, Dataset]:
@@ -217,18 +214,18 @@ def noise_specs(kind: str, rates: list, seed: int) -> list:
 
 def write_sweep_csv(rows: list, path, first_column: str = "mode") -> None:
     """rows: (label, kind, rate, MetricReport) tuples -> rate-indexed CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = [first_column, "kind", "rate"]
+    header = [first_column, "kind", "rate"]
+    for m in METRIC_NAMES:
+        header += [f"{m}_mean", f"{m}_std"]
+    header.append("train_seconds")
+    table = []
+    for label, kind, rate, report in rows:
+        cells = [label, kind, float(rate)]
         for m in METRIC_NAMES:
-            header += [f"{m}_mean", f"{m}_std"]
-        header.append("train_seconds")
-        fh.write(",".join(header) + "\n")
-        for label, kind, rate, report in rows:
-            cells = [label, kind, repr(float(rate))]
-            for m in METRIC_NAMES:
-                cells += [repr(report.mean(m)), repr(report.std(m))]
-            cells.append(repr(report.total_train_seconds()))
-            fh.write(",".join(cells) + "\n")
+            cells += [report.mean(m), report.std(m)]
+        cells.append(report.total_train_seconds())
+        table.append(cells)
+    write_rows(path, header, table)
 
 
 def initial_margins(trace: RunTrace, labels, loss: str, iteration: int) -> np.ndarray:
@@ -286,12 +283,10 @@ def trajectory_summary(trace: RunTrace, mask: NoiseMask | None, margins) -> dict
 
 
 def write_trajectory_csv(curves: dict, path) -> None:
-    names = list(curves)
-    n_iter = len(next(iter(curves.values())))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration," + ",".join(f"mean_weight_{n}" for n in names) + "\n")
-        for m in range(n_iter):
-            fh.write(",".join([str(m + 1)] + [repr(float(curves[n][m])) for n in names]) + "\n")
+    """One row per iteration: its number, then each curve's mean weight."""
+    columns = [curve.tolist() for curve in curves.values()]
+    rows = [[m, *cells] for m, cells in enumerate(zip(*columns), start=1)]
+    write_rows(path, ["iteration"] + [f"mean_weight_{name}" for name in curves], rows)
 
 
 # ---------------------------------------------------------------------------

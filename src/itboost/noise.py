@@ -7,9 +7,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataError, Dataset
+from .data import DataError, Dataset, write_rows
 
 NOISE_KINDS = ("symmetric", "asymmetric", "feature")
+MASK_HEADER = "row_id,kind"
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,7 @@ class NoiseMask:
         return np.isin(row_ids, sorted(self.flipped_rows))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["row_id", "kind"])
-            for row_id in sorted(self.flipped_rows):
-                writer.writerow([row_id, self.kind])
+        write_rows(path, MASK_HEADER.split(","), [[row_id, self.kind] for row_id in sorted(self.flipped_rows)])
 
     @staticmethod
     def read_csv(path) -> NoiseMask:
@@ -59,7 +56,7 @@ class NoiseMask:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header != ["row_id", "kind"]:
+            if header != MASK_HEADER.split(","):
                 raise DataError(f"NoiseMask.read_csv: unexpected header in {path}")
 
             def error(message: str) -> DataError:
@@ -69,7 +66,7 @@ class NoiseMask:
                 if not record:
                     continue
                 if len(record) != 2:
-                    raise error(f"expected 2 cells (row_id,kind), got {len(record)}")
+                    raise error(f"expected 2 cells ({MASK_HEADER}), got {len(record)}")
                 try:
                     row_id = int(record[0])
                 except ValueError:

@@ -65,11 +65,11 @@ def trust_bound_check(values) -> BoundReport:
 class RatioReport:
     tau_clean: float
     tau_noisy: float
-    ratio: float
+    tau_ratio: float
     complexity_gap: float
     correction: float
     ratio_bound: float
-    bound_satisfied: bool
+    ratio_bound_satisfied: bool
     gap_exceeds_correction: bool
 
 
@@ -94,11 +94,11 @@ def ratio_bound_check(clean, noisy) -> RatioReport:
     return RatioReport(
         tau_clean=tau_clean,
         tau_noisy=tau_noisy,
-        ratio=ratio,
+        tau_ratio=ratio,
         complexity_gap=gap,
         correction=correction,
         ratio_bound=bound,
-        bound_satisfied=ratio <= bound + COMPARISON_TOL,
+        ratio_bound_satisfied=ratio <= bound + COMPARISON_TOL,
         gap_exceeds_correction=gap > correction,
     )
 

@@ -290,7 +290,7 @@ def test_criterion_09_bound_checks(robustness_study):
             failures += 1
         clean = rng.random(int(rng.integers(1, 100)))
         noisy = rng.random(int(rng.integers(1, 100)))
-        if not ratio_bound_check(clean, noisy).bound_satisfied:
+        if not ratio_bound_check(clean, noisy).ratio_bound_satisfied:
             failures += 1
 
     # real traces from the robustness study
@@ -301,7 +301,7 @@ def test_criterion_09_bound_checks(robustness_study):
         report = trust_bound_check(state.normalized)
         if not (report.jensen_satisfied and report.hoeffding_satisfied):
             failures += 1
-        if not ratio_bound_check(state.normalized[~noisy_sel], state.normalized[noisy_sel]).bound_satisfied:
+        if not ratio_bound_check(state.normalized[~noisy_sel], state.normalized[noisy_sel]).ratio_bound_satisfied:
             failures += 1
 
     two_point = trust_bound_check(np.array([0.0, 1.0]))

@@ -455,6 +455,14 @@ class TestModelSerialization:
         save_model(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_int_learning_rate_saved_in_float_form(self, tmp_path):
+        ds = random_dataset(20, 2, seed=15)
+        model, _ = train(ds, BoostConfig(iterations=2, learning_rate=1, loss="squared"))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        assert " learning_rate=1.0 " in path.read_text().splitlines()[1]
+        assert load_model(path).config == model.config
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a model\n")
@@ -530,7 +538,13 @@ class TestModelSerialization:
         (2, r"L \S+", "L nan", "line 3: RegressionTree.from_tokens: 'nan' is not a finite number"),
         (3, r"I (\d+) \S+", r"I \1 -inf", "line 4: RegressionTree.from_tokens: '-inf' is not a finite number"),
         (4, r"I \d+", "I 5", "line 5: RegressionTree.from_tokens: feature 5 outside"),
-    ], ids=["inf-base-score", "nan-learning-rate", "word-tree-count", "nan-leaf", "inf-threshold", "feature-5"])
+        # int() and float() accept these, but the model would re-save to other bytes
+        (1, r"n_features=\S+", "n_features=0_2", "line 2: n_features=0_2 is not in save_model's form n_features=2"),
+        (1, r"seed=\S+", "seed=0100", "line 2: seed=0100 is not in save_model's form seed=100"),
+        (1, r"learning_rate=\S+", "learning_rate=0.1_0", "line 2: learning_rate=0.1_0 is not in save_model's form"),
+        (1, r"base_score=\S+", "base_score=+0.5", "line 2: base_score=+0.5 is not in save_model's form"),
+    ], ids=["inf-base-score", "nan-learning-rate", "word-tree-count", "nan-leaf", "inf-threshold", "feature-5",
+            "int-digit-groups", "int-leading-zero", "float-digit-groups", "float-plus-sign"])
     def test_bad_value_is_a_data_error_naming_the_line(self, tmp_path, index, pattern, repl, message):
         path, lines = self._saved(tmp_path)
         lines[index] = re.sub(pattern, repl, lines[index], count=1)
@@ -672,6 +686,62 @@ class TestTraceCsv:
         assert sorted(states) == sorted(clean_states)
         for m, state in states.items():
             np.testing.assert_array_equal(state.weights, clean_states[m].weights)
+
+    @pytest.fixture(scope="class")
+    def small_trace(self, tmp_path_factory):
+        ds = random_dataset(4, 2, seed=1)  # 4 rows x 4 iterations, normalized_C both 0 and 1
+        _, trace = train(ds, BoostConfig(iterations=4, max_depth=1, loss="squared", encoding="binary-delta"))
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        trace.to_csv(path)
+        return path.read_text().splitlines()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_loads_its_own_records_or_is_a_data_error(self, small_trace, tmp_path_factory, data):
+        lines = list(small_trace)
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutation = data.draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "blank"]))
+            i = data.draw(st.integers(0, len(lines) - 1))
+            if mutation == "delete":
+                del lines[i]
+            elif mutation == "duplicate":
+                lines.insert(i, lines[i])
+            elif mutation == "swap":
+                j = data.draw(st.integers(0, len(lines) - 1))
+                lines[i], lines[j] = lines[j], lines[i]
+            elif mutation == "replace":
+                cells = lines[i].split(",")
+                j = data.draw(st.integers(0, len(cells) - 1))
+                # junk holds no digit, so it never reads as a number
+                cells[j] = data.draw(st.sampled_from(["nan", "inf", "", "1.5"]) | st.text("xyz#:-", min_size=1))
+                lines[i] = ",".join(cells)
+            else:
+                lines.insert(i, data.draw(st.sampled_from(["", " ", "\t"])))
+        path = tmp_path_factory.mktemp("mutated") / "trace.csv"
+        path.write_text("\n".join(lines) + "\n")
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(boosting, "open", counting_open, raising=False)
+            try:
+                row_ids, states = load_trace_csv(path)
+            except DataError as exc:
+                assert str(path) in str(exc)
+                states = None
+        assert opened == [path]
+        if states is None:
+            return
+        # a file that loads is read as exactly its own records, in order
+        loaded = []
+        for m, state in sorted(states.items()):
+            columns = (state.raw_complexity, state.normalized, state.tau, state.weights)
+            loaded += [(m, *record) for record in zip(row_ids.tolist(), *(c.tolist() for c in columns))]
+        records = [line.split(",") for line in lines[1:] if line.strip()]
+        assert loaded == [(int(c[0]), int(c[1]), int(c[2]), float(c[3]), float(c[4]), float(c[5])) for c in records]
 
     def test_round_trip_values(self, tmp_path):
         ds = random_dataset(25, 2, seed=12)

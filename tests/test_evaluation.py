@@ -24,6 +24,8 @@ from itboost.evaluation import (
     noise_sweep,
     split_fold,
     trajectory_summary,
+    write_sweep_csv,
+    write_trajectory_csv,
 )
 from itboost.noise import NoiseSpec, inject
 from itboost.synth import make_gaussian_dataset
@@ -216,6 +218,55 @@ class TestCrossValidate:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("fold,acc,f1,auc,log_loss")
         assert len(lines) == 1 + 5 + 2  # header + folds + mean + std
+
+
+class TestWriterGoldens:
+    """Exact bytes of the report, sweep and trajectory CSVs for fixed, hand-built inputs."""
+
+    @staticmethod
+    def _report(acc, train_seconds):
+        per_fold = {"acc": np.array(acc), "f1": np.array([0.5, 2 / 3]), "auc": np.array([0.875, 1.0]),
+                    "log_loss": np.array([0.1, 0.3])}
+        return MetricReport(per_fold=per_fold, wall_time_seconds=0.0,
+                            fold_train_seconds=np.array(train_seconds), trust_seconds=0.0)
+
+    def test_report_csv(self, tmp_path):
+        path = tmp_path / "report.csv"
+        self._report([0.75, 0.5], [0.25, 0.125]).to_csv(path)
+        assert path.read_text() == (
+            "fold,acc,f1,auc,log_loss,train_seconds\n"
+            "0,0.75,0.5,0.875,0.1,0.25\n"
+            "1,0.5,0.6666666666666666,1.0,0.3,0.125\n"
+            "mean,0.625,0.5833333333333333,0.9375,0.2,0.375\n"
+            "std,0.125,0.08333333333333331,0.0625,0.09999999999999999,\n"
+        )
+
+    def test_sweep_csv(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        rows = [("enabled", "symmetric", 0.0, self._report([0.75, 0.5], [0.25, 0.125])),
+                ("disabled", "symmetric", np.float64(0.2), self._report([1.0, 0.25], [0.5, 1 / 3]))]
+        write_sweep_csv(rows, path)
+        metrics = "0.5833333333333333,0.08333333333333331,0.9375,0.0625,0.2,0.09999999999999999"
+        assert path.read_text() == (
+            "mode,kind,rate,acc_mean,acc_std,f1_mean,f1_std,auc_mean,auc_std,log_loss_mean,log_loss_std,"
+            "train_seconds\n"
+            f"enabled,symmetric,0.0,0.625,0.125,{metrics},0.375\n"
+            f"disabled,symmetric,0.2,0.625,0.375,{metrics},0.8333333333333333\n"
+        )
+        write_sweep_csv(rows[:1], path, first_column="encoding")
+        assert path.read_text().splitlines()[0].startswith("encoding,kind,rate,")
+
+    def test_trajectory_csv(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        curves = {"noisy": np.array([1.0, 0.1, 1 / 3]), "hard": np.array([0.5, 0.25, 2e-17]),
+                  "easy": np.array([1.0, 1.0, 1.5])}
+        write_trajectory_csv(curves, path)
+        assert path.read_text() == (
+            "iteration,mean_weight_noisy,mean_weight_hard,mean_weight_easy\n"
+            "1,1.0,0.5,1.0\n"
+            "2,0.1,0.25,1.0\n"
+            "3,0.3333333333333333,2e-17,1.5\n"
+        )
 
 
 class TestNoiseSweep:

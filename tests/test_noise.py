@@ -134,6 +134,13 @@ class TestMaskCsv:
         assert NoiseMask.read_csv(path) == mask
         assert mask.kind == "symmetric"
 
+    def test_written_bytes(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        NoiseMask(frozenset({12, 3, 7}), "asymmetric").to_csv(path)
+        assert path.read_text() == "row_id,kind\n3,asymmetric\n7,asymmetric\n12,asymmetric\n"
+        NoiseMask(frozenset(), "").to_csv(path)
+        assert path.read_text() == "row_id,kind\n"
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "mask.csv"
         path.write_text("row_id,kind\n3,symmetric\n\n7,symmetric\n\n")

@@ -74,11 +74,11 @@ class TestTrustBounds:
 class TestRatioBound:
     def test_constant_groups_equality(self):
         report = ratio_bound_check(np.full(5, 0.2), np.full(5, 0.8))
-        assert report.ratio == pytest.approx(math.exp(-0.6), abs=1e-9)
-        assert report.ratio == pytest.approx(0.548812, abs=1e-6)
+        assert report.tau_ratio == pytest.approx(math.exp(-0.6), abs=1e-9)
+        assert report.tau_ratio == pytest.approx(0.548812, abs=1e-6)
         assert report.correction == 0.0
-        assert report.ratio_bound == pytest.approx(report.ratio, abs=1e-12)
-        assert report.bound_satisfied
+        assert report.ratio_bound == pytest.approx(report.tau_ratio, abs=1e-12)
+        assert report.ratio_bound_satisfied
         assert report.gap_exceeds_correction
 
     def test_separated_uniform_groups(self):
@@ -87,8 +87,8 @@ class TestRatioBound:
             clean = rng.uniform(0.0, 0.3, size=80)
             noisy = rng.uniform(0.7, 1.0, size=60)
             report = ratio_bound_check(clean, noisy)
-            assert report.ratio < 1.0
-            assert report.bound_satisfied
+            assert report.tau_ratio < 1.0
+            assert report.ratio_bound_satisfied
 
     def test_identical_distributions_report_no_gap(self):
         values = np.linspace(0, 1, 50)
@@ -102,7 +102,7 @@ class TestRatioBound:
             clean = rng.random(int(rng.integers(1, 60)))
             noisy = rng.random(int(rng.integers(1, 60)))
             report = ratio_bound_check(clean, noisy)
-            assert report.bound_satisfied
+            assert report.ratio_bound_satisfied
 
 
 class TestSeparability:

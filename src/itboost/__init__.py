@@ -43,7 +43,6 @@ from .evaluation import (
     f1,
     friedman_test,
     log_loss,
-    noise_sweep,
     trajectory_summary,
 )
 from .noise import NoiseMask, NoiseSpec, inject
@@ -86,7 +85,6 @@ __all__ = [
     "logistic_gradient",
     "lz76_complexity",
     "make_gaussian_dataset",
-    "noise_sweep",
     "normalize_complexities",
     "random_undersample",
     "ratio_bound_check",

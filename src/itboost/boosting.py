@@ -296,58 +296,53 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     are not three integers and three finite floats, is rejected naming the
     line, as the file is read.  Every rejection is a :class:`DataError`.
     """
-    blocks: list[dict[str, list]] = []
+    blocks: list[list] = []  # per iteration, row_id, raw_C, normalized_C, tau and weight of each record in turn
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
             raise DataError(f"load_trace_csv: unexpected header in {path}")
         for line_no, line in enumerate(fh, start=2):
-            cells = line.split(",")
-            if len(cells) != 6:
-                if not line.strip():
-                    continue
-                raise DataError(f"load_trace_csv: {path} line {line_no}: expected 6 cells, got {len(cells)}")
             try:
-                m, row_id, raw = int(cells[0]), int(cells[1]), int(cells[2])
-                norm, tau, w = float(cells[3]), float(cells[4]), float(cells[5])
-            except ValueError:
-                raise DataError(
-                    f"load_trace_csv: {path} line {line_no}: expected integer iteration, row_id and raw_C "
-                    f"and float normalized_C, tau and weight, got {line.strip()!r}"
-                ) from None
-            if not (math.isfinite(norm) and math.isfinite(tau) and math.isfinite(w)):
-                raise DataError(
-                    f"load_trace_csv: {path} line {line_no}: normalized_C, tau and weight must be finite, "
-                    f"got {line.strip()!r}"
-                )
-            if m != len(blocks):
-                if m != len(blocks) + 1:
-                    raise DataError(
-                        f"load_trace_csv: {path} line {line_no}: iteration {m} after iteration "
-                        f"{len(blocks)}; iterations must run 1..M in order, one block each"
-                    )
-                blocks.append({"row_id": [], "raw": [], "norm": [], "tau": [], "w": []})
-            bucket = blocks[-1]
-            bucket["row_id"].append(row_id)
-            bucket["raw"].append(raw)
-            bucket["norm"].append(norm)
-            bucket["tau"].append(tau)
-            bucket["w"].append(w)
+                cells = line.split(",")
+                if len(cells) != 6:
+                    if not line.strip():
+                        continue
+                    raise ValueError(f"expected 6 cells, got {len(cells)}")
+                try:
+                    m, row_id, raw = int(cells[0]), int(cells[1]), int(cells[2])
+                    norm, tau, w = float(cells[3]), float(cells[4]), float(cells[5])
+                except ValueError:
+                    raise ValueError(
+                        "expected integer iteration, row_id and raw_C and float normalized_C, tau and weight, "
+                        f"got {line.strip()!r}"
+                    ) from None
+                if not (math.isfinite(norm) and math.isfinite(tau) and math.isfinite(w)):
+                    raise ValueError(f"normalized_C, tau and weight must be finite, got {line.strip()!r}")
+                if not blocks or m != len(blocks):
+                    if m != len(blocks) + 1:
+                        raise ValueError(
+                            f"iteration {m} after iteration {len(blocks)}; iterations must run 1..M in order, "
+                            "one block each"
+                        )
+                    blocks.append([])
+                blocks[-1] += row_id, raw, norm, tau, w
+            except ValueError as exc:
+                raise DataError(f"load_trace_csv: {path} line {line_no}: {exc}") from None
     if not blocks:
         raise DataError(f"load_trace_csv: {path} has no data rows")
-    row_ids = blocks[0]["row_id"]
+    row_ids = blocks[0][0::5]
     if len(set(row_ids)) != len(row_ids):
         raise DataError(f"load_trace_csv: {path} lists a row id twice in iteration 1")
     states: dict[int, TrustState] = {}
-    for m, bucket in enumerate(blocks, start=1):
-        if bucket["row_id"] != row_ids:
+    for m, block in enumerate(blocks, start=1):
+        if block[0::5] != row_ids:
             raise DataError(f"load_trace_csv: {path} iteration {m} does not list iteration 1's row ids in order")
         states[m] = TrustState(
             iteration=m,
-            raw_complexity=np.asarray(bucket["raw"], dtype=np.int64),
-            normalized=np.asarray(bucket["norm"], dtype=np.float64),
-            tau=np.asarray(bucket["tau"], dtype=np.float64),
-            weights=np.asarray(bucket["w"], dtype=np.float64),
+            raw_complexity=np.asarray(block[1::5], dtype=np.int64),
+            normalized=np.asarray(block[2::5], dtype=np.float64),
+            tau=np.asarray(block[3::5], dtype=np.float64),
+            weights=np.asarray(block[4::5], dtype=np.float64),
         )
     return np.asarray(row_ids, dtype=np.int64), states
 

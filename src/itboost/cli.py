@@ -24,7 +24,6 @@ from .evaluation import (
     cross_validate,
     initial_margins,
     noise_specs,
-    noise_sweep,
     trajectory_summary,
     write_sweep_csv,
     write_trajectory_csv,
@@ -43,28 +42,36 @@ class CliParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    """Input data, a config file, and one --dashed-name flag per BoostConfig field."""
+def _add_run_flags(p: argparse.ArgumentParser, sets_itself: tuple[str, ...] = ()) -> None:
+    """Input data, a config file, and one --dashed-name flag per BoostConfig field, except the
+    fields in ``sets_itself``, which the command sets itself and its config file may not set."""
     p.add_argument("--data", required=True, help="input CSV with a header row")
     p.add_argument("--label", default="label", help="label column name or zero-based index")
     p.add_argument("--positive", default="1", help="raw token mapped to the positive class")
     p.add_argument("--config", default=None, help="key=value config file; flags override it")
     for f in fields(BoostConfig):
-        flag = "--" + f.name.replace("_", "-")
-        p.add_argument(flag, type=type(f.default), choices=f.metadata.get("choices"), default=None,
-                       help=f"default {f.default}")
+        if f.name not in sets_itself:
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, type=type(f.default), choices=f.metadata.get("choices"), default=None,
+                           help=f"default {f.default}")
+    p.set_defaults(sets_itself=sets_itself)
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def int_at_least(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return int_at_least
 
 
 def _add_cv_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=5, help="cross-validation folds")
-    p.add_argument("--threads", type=positive_int, default=1,
+    p.add_argument("--k", type=at_least(2), default=5, help="cross-validation folds")
+    p.add_argument("--threads", type=at_least(1), default=1,
                    help="above 1, folds run in min(threads, k) forked worker processes (POSIX only)")
 
 
@@ -74,8 +81,11 @@ def _resolve_label(label: str):
 
 def _build_config(args) -> BoostConfig:
     mapping = parse_config_file(args.config) if args.config else {}
+    for key in args.sets_itself:
+        if key in mapping:
+            raise UsageError(f"config file {args.config} sets {key!r}, which {args.command} sets itself")
     for f in fields(BoostConfig):
-        value = getattr(args, f.name)
+        value = getattr(args, f.name, None)  # no attribute for a field the command sets itself
         if value is not None:
             mapping[f.name] = value
     try:
@@ -102,8 +112,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = _load(args)
     config = _build_config(args)
+    dataset = _load(args)
     t0 = time.perf_counter()
     model, trace = train(dataset, config)
     dt = time.perf_counter() - t0
@@ -119,8 +129,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = _load(args)
     config = _build_config(args)
+    dataset = _load(args)
     if args.undersample == "before":
         dataset = random_undersample(dataset, seed=config.seed)
     folds = stratified_kfold(dataset, args.k, config.seed)
@@ -151,41 +161,41 @@ def _peak_memory_mb():
     try:
         import resource
 
-        self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        children_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-        return max(self_kb, children_kb) / 1024.0
+        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS, KiB elsewhere
+        self_peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        children_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        return max(self_peak, children_peak) * unit / (1024.0 * 1024.0)
     except (ImportError, OSError):
         return None
 
 
 def cmd_noise_sweep(args) -> int:
-    dataset = _load(args)
     config = _build_config(args)
     try:
         rates = sorted(float(r) for r in args.rates.split(","))
-        noise_specs(args.kind, rates, config.seed)
+        specs = noise_specs(args.kind, rates, config.seed)
     except ValueError as exc:
         raise UsageError(f"bad --rates value: {exc}") from None
     modes = [m.strip() for m in args.modes.split(",")]
     for mode in modes:
         if mode not in TRUST_MODES:
             raise UsageError(f"bad --modes value {mode!r}: choose from {', '.join(TRUST_MODES)}")
+    dataset = _load(args)
     folds = stratified_kfold(dataset, args.k, config.seed)
-    rows = []
-    for mode in modes:
-        mode_config = replace(config, trust=mode)
-        for rate, report in noise_sweep(
-            dataset, mode_config, args.kind, rates, config.seed, folds, threads=args.threads
-        ):
-            rows.append((mode, args.kind, rate, report))
+    rows = [
+        (mode, args.kind, rate,
+         cross_validate(dataset, replace(config, trust=mode), folds, noise=spec, threads=args.threads))
+        for mode in modes
+        for rate, spec in zip(rates, specs)
+    ]
     write_sweep_csv(rows, args.out)
     print(f"{len(rows)} sweep rows written to {args.out}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    dataset = _load(args)
     config = _build_config(args)
+    dataset = _load(args)
     folds = stratified_kfold(dataset, args.k, config.seed)
     rows = []
     for encoding in ("binary-sign", "quantized"):
@@ -205,8 +215,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    dataset = _load(args)
     config = _build_config(args)
+    dataset = _load(args)
     spec = NoiseSpec(kind=args.noise_kind, rate=args.noise_rate, seed=config.seed)
     noisy, mask = inject(dataset, spec)
     model, trace = train(noisy, config)
@@ -283,14 +293,14 @@ def build_parser() -> CliParser:
                    help="rebalance classes before the CV split or per training fold")
 
     p = command("noise-sweep", cmd_noise_sweep, "cross-validate across noise rates and trust modes")
-    _add_run_flags(p)
+    _add_run_flags(p, sets_itself=("trust",))
     _add_cv_flags(p)
     p.add_argument("--kind", choices=NOISE_KINDS, required=True)
     p.add_argument("--rates", required=True, help="comma-separated noise rates")
     p.add_argument("--modes", default="enabled", help="comma-separated trust modes")
 
     p = command("ablate", cmd_ablate, "binary vs quantized encoding, metrics and timing")
-    _add_run_flags(p)
+    _add_run_flags(p, sets_itself=("encoding", "trust"))
     _add_cv_flags(p)
 
     p = command("trajectory", cmd_trajectory, "per-category mean weight curves from a noisy run")

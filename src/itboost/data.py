@@ -55,6 +55,9 @@ class Dataset:
             names = tuple(names)
             if len(names) != feats.shape[1]:
                 raise DataError("Dataset: feature_names length does not match feature columns")
+            for name, count in Counter(names).items():
+                if count > 1:
+                    raise DataError(f"Dataset: feature_names names {name!r} {count} times")
         object.__setattr__(self, "features", _frozen(feats))
         object.__setattr__(self, "labels", _frozen(labels))
         object.__setattr__(self, "row_ids", _frozen(row_ids))

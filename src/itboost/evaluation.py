@@ -1,4 +1,4 @@
-"""Classification metrics, cross-validation driver, noise sweeps, and rank tests."""
+"""Classification metrics, cross-validation driver, noise-sweep specs, and rank tests."""
 
 from __future__ import annotations
 
@@ -180,35 +180,13 @@ def cross_validate(
     )
 
 
-def noise_sweep(
-    dataset: Dataset,
-    config: BoostConfig,
-    kind: str,
-    rates: list,
-    seed: int,
-    folds: FoldPlan,
-    threads: int = 1,
-) -> list[tuple[float, MetricReport]]:
-    """One cross-validation per noise rate; rates must be sorted and in range.
-
-    Every rate is checked (:func:`noise_specs`) before the first
-    cross-validation.  ``threads`` is passed on: each rate's folds run in
-    ``min(threads, k)`` forked worker processes when it is above 1 (see
-    :func:`cross_validate`).
-    """
-    specs = noise_specs(kind, rates, seed)
-    return [
-        (float(rate), cross_validate(dataset, config, folds, noise=spec, threads=threads))
-        for rate, spec in zip(rates, specs)
-    ]
-
-
 def noise_specs(kind: str, rates: list, seed: int) -> list:
-    """The NoiseSpec of each sweep rate (None for rate 0); ValueError if the kind or any rate is invalid."""
+    """The NoiseSpec of each sweep rate (None for rate 0); ValueError if the kind or any rate is
+    invalid, or the rates are not sorted ascending."""
     if kind not in NOISE_KINDS:
-        raise ValueError(f"noise_sweep: kind must be one of {NOISE_KINDS}, got {kind!r}")
+        raise ValueError(f"noise_specs: kind must be one of {NOISE_KINDS}, got {kind!r}")
     if list(rates) != sorted(rates):
-        raise ValueError("noise_sweep: rates must be sorted ascending")
+        raise ValueError("noise_specs: rates must be sorted ascending")
     return [NoiseSpec(kind=kind, rate=float(rate), seed=seed) if rate > 0 else None for rate in rates]
 
 

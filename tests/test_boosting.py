@@ -641,6 +641,12 @@ class TestTraceCsv:
         path, header, rows = self._written(tmp_path)
         self._rejects(path, header, rows[:6] + rows[12:], "iteration 3 after iteration 1")
 
+    def test_first_iteration_other_than_1_rejected(self, tmp_path):
+        path, header, rows = self._written(tmp_path)
+        for first in ("0", "-1", "2"):
+            rows[0] = ",".join([first] + rows[0].split(",")[1:])
+            self._rejects(path, header, rows, f"line 2: iteration {first} after iteration 0")
+
     def test_repeated_row_id_rejected(self, tmp_path):
         path, header, rows = self._written(tmp_path)
         first_id = rows[0].split(",")[1]

@@ -1,11 +1,12 @@
 import re
 import resource
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from itboost import evaluation
+from itboost import cli
 from itboost.cli import _peak_memory_mb, build_parser, main
 from itboost.boosting import ENCODINGS, LOSSES, TRUST_MODES, BoostConfig, load_model
 from itboost.data import load_csv, save_csv
@@ -104,13 +105,21 @@ class TestEvaluate:
         peaks[resource.RUSAGE_CHILDREN] = 0
         assert _peak_memory_mb() == 100.0
 
+    def test_peak_memory_reads_bytes_on_macos(self, monkeypatch):
+        peaks = {resource.RUSAGE_SELF: 1024 * 1024 * 100, resource.RUSAGE_CHILDREN: 1024 * 1024 * 150}
+        monkeypatch.setattr(resource, "getrusage", lambda who: type("Usage", (), {"ru_maxrss": peaks[who]}))
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert _peak_memory_mb() == 150.0
+
 
 class TestThreadsFlag:
-    @pytest.mark.parametrize("command, extra", [
+    CV_COMMANDS = pytest.mark.parametrize("command, extra", [
         ("evaluate", []),
         ("noise-sweep", ["--kind", "symmetric", "--rates", "0.1"]),
         ("ablate", []),
     ])
+
+    @CV_COMMANDS
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_below_one_is_a_usage_error_before_loading(self, tmp_path, capsys, command, extra, threads):
         out = tmp_path / "out.csv"
@@ -118,6 +127,21 @@ class TestThreadsFlag:
         assert run(command, "--data", str(missing), *extra, "--threads", threads, "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith(
             f"usage error: argument --threads: must be at least 1, got {threads}")
+        assert not out.exists()
+
+    @CV_COMMANDS
+    @pytest.mark.parametrize("k", ["1", "0"])
+    def test_k_below_two_is_a_usage_error_before_loading(self, tmp_path, capsys, command, extra, k):
+        out = tmp_path / "out.csv"
+        missing = tmp_path / "absent.csv"  # a data error (exit 2) if the file were read first
+        assert run(command, "--data", str(missing), *extra, "--k", k, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: argument --k: must be at least 2, got {k}")
+        assert not out.exists()
+
+    def test_more_folds_than_rows_is_a_data_error(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run("evaluate", "--data", str(small_csv), "--k", "61", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
         assert not out.exists()
 
 
@@ -139,8 +163,8 @@ class TestNoiseSweep:
     def test_bad_value_rejected_before_training(self, small_csv, tmp_path, capsys, monkeypatch, rates, modes,
                                                 message):
         calls = []
-        real = evaluation.cross_validate
-        monkeypatch.setattr(evaluation, "cross_validate", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        real = cli.cross_validate
+        monkeypatch.setattr(cli, "cross_validate", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         out = tmp_path / "sweep.csv"
         code = run("noise-sweep", "--data", str(small_csv), "--kind", "symmetric", "--rates", rates,
                    "--modes", modes, "--k", "3", "--iterations", "2", "--out", str(out))
@@ -162,6 +186,70 @@ class TestAblate:
         assert lines[1].startswith("binary-sign")
         assert lines[2].startswith("quantized")
         assert "binary_vs_quantized_time_ratio=" in capsys.readouterr().out
+
+
+class TestSweepAndAblateGolden:
+    """noise-sweep and ablate on a fixed synth dataset: every CSV cell but train_seconds, and stdout
+    with its timing values masked."""
+
+    SWEEP_ROWS = [
+        "mode,kind,rate,acc_mean,acc_std,f1_mean,f1_std,auc_mean,auc_std,log_loss_mean,log_loss_std",
+        "enabled,symmetric,0.0,0.7833333333333333,0.023570226039551608,0.7766955266955268,0.029735109718607357,"
+        "0.8816666666666667,0.06059886320899277,0.5842363920571895,0.011400981705726823",
+        "enabled,symmetric,0.2,0.7000000000000001,0.07071067811865477,0.7201881515382659,0.0841733081704597,"
+        "0.6983333333333333,0.09741092797468308,0.6534433004090158,0.024818710486922607",
+        "disabled,symmetric,0.0,0.7833333333333333,0.023570226039551608,0.7933621933621934,0.02344955043667753,"
+        "0.8283333333333333,0.02656229575084869,0.5874082698934714,0.006603387163844114",
+        "disabled,symmetric,0.2,0.5666666666666668,0.11785113019775792,0.6024691358024691,0.1463262458274474,"
+        "0.7233333333333333,0.12119772641798558,0.6606180315744687,0.032313364554756474",
+    ]
+    ABLATE_ROWS = [
+        "encoding,kind,rate,acc_mean,acc_std,f1_mean,f1_std,auc_mean,auc_std,log_loss_mean,log_loss_std",
+        "binary-sign,none,0.0,0.8166666666666668,0.023570226039551553,0.8200956937799043,0.017242592346717128,"
+        "0.8783333333333333,0.02718251071716684,0.5851572311419011,0.011725128970263805",
+        "quantized,none,0.0,0.8000000000000002,0.04082482904638629,0.8040555935292777,0.05011806323010878,"
+        "0.8700000000000001,0.061779176642835464,0.5918213760121425,0.0213475852190163",
+    ]
+    ABLATE_STDOUT = (
+        "encoding=binary-sign acc=0.816667 train_seconds=* trust_seconds=*\n"
+        "encoding=quantized acc=0.800000 train_seconds=* trust_seconds=*\n"
+        "binary_vs_quantized_time_ratio=*\n"
+    )
+
+    @pytest.fixture
+    def data(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        assert run("synth", "--n", "60", "--d", "3", "--sep", "2.0", "--seed", "5", "--out", str(path)) == 0
+        capsys.readouterr()
+        return path
+
+    @staticmethod
+    def rows_without_train_seconds(path):
+        lines = path.read_text().splitlines()
+        assert lines[0].endswith(",train_seconds")
+        return [line.rsplit(",", 1)[0] for line in lines]
+
+    @staticmethod
+    def masked(stdout):
+        return re.sub(r"(seconds|ratio)=[0-9.]+", r"\1=*", stdout)
+
+    def test_noise_sweep(self, data, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run("noise-sweep", "--data", str(data), "--kind", "symmetric", "--rates", "0,0.2",
+                   "--modes", "enabled,disabled", "--k", "3", "--iterations", "6", "--loss", "squared",
+                   "--encoding", "binary-delta", "--out", str(out)) == 0
+        assert capsys.readouterr() == (f"4 sweep rows written to {out}\n", "")
+        assert self.rows_without_train_seconds(out) == self.SWEEP_ROWS
+
+    def test_ablate(self, data, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("loss = squared\n")
+        out = tmp_path / "ablate.csv"
+        assert run("ablate", "--data", str(data), "--config", str(cfg), "--k", "3", "--iterations", "6",
+                   "--out", str(out)) == 0
+        stdout, stderr = capsys.readouterr()
+        assert (self.masked(stdout), stderr) == (self.ABLATE_STDOUT + f"ablation table written to {out}\n", "")
+        assert self.rows_without_train_seconds(out) == self.ABLATE_ROWS
 
 
 class TestTrajectoryAndBounds:
@@ -376,12 +464,20 @@ class TestExitCodes:
 class TestBoostFlags:
     COMMANDS = ("train", "evaluate", "noise-sweep", "ablate", "trajectory")
 
+    SETS_ITSELF = {"noise-sweep": {"trust"}, "ablate": {"encoding", "trust"}}
+
     def test_one_flag_per_config_field(self):
         subparsers = build_parser()._subparsers._group_actions[0].choices
         choices = {"loss": LOSSES, "encoding": ENCODINGS, "trust": TRUST_MODES}
+        names = {f.name for f in fields(BoostConfig)}
         for command in self.COMMANDS:
             actions = subparsers[command]._option_string_actions
+            config_dests = {action.dest for action in actions.values()} & names
+            assert config_dests == names - self.SETS_ITSELF.get(command, set()), command
             for f in fields(BoostConfig):
+                if f.name not in config_dests:
+                    assert "--" + f.name.replace("_", "-") not in actions, (command, f.name)
+                    continue
                 action = actions["--" + f.name.replace("_", "-")]
                 assert action.dest == f.name
                 assert action.type is type(f.default), (command, f.name)
@@ -409,17 +505,38 @@ class TestUnreadFlagsRejected:
         ("synth", "--threads", "2"),
         ("train", "--threads", "2"),
         ("trajectory", "--threads", "2"),
+        ("noise-sweep", "--trust", "disabled"),
+        ("ablate", "--trust", "disabled"),
+        ("ablate", "--encoding", "binary-delta"),
     ])
     def test_removed_flag_is_a_usage_error(self, small_csv, tmp_path, capsys, command, flag, value):
+        missing = str(tmp_path / "absent.csv")  # a data error (exit 2) if the file were read first
         inputs = {
             "synth": [],
             "train": ["--data", str(small_csv), "--iterations", "2"],
             "trajectory": ["--data", str(small_csv), "--iterations", "2"],
             "verify-bounds": ["--trace", str(tmp_path / "t.csv"), "--mask", str(tmp_path / "m.csv")],
+            "noise-sweep": ["--data", missing, "--kind", "symmetric", "--rates", "0.1"],
+            "ablate": ["--data", missing],
         }[command]
         out = tmp_path / "out.csv"
         assert run(command, *inputs, flag, value, "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith(f"usage error: unrecognized arguments: {flag} {value}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, extra", [
+        ("noise-sweep", "trust", ["--kind", "symmetric", "--rates", "0.1"]),
+        ("ablate", "trust", []),
+        ("ablate", "encoding", []),
+    ])
+    def test_config_key_the_command_sets_is_a_usage_error(self, tmp_path, capsys, command, key, extra):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"iterations = 2\n{key} = {getattr(BoostConfig, key)}\n")
+        out = tmp_path / "out.csv"
+        missing = tmp_path / "absent.csv"  # a data error (exit 2) if the file were read first
+        assert run(command, "--data", str(missing), "--config", str(cfg), *extra, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: config file {cfg} sets {key!r}, which {command} sets itself\n")
         assert not out.exists()
 
 

@@ -290,6 +290,11 @@ class TestRoundTrip:
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.feature_names == ds.feature_names
 
+    def test_duplicate_feature_names_rejected_before_save(self):
+        # load_csv refuses a header that names a column twice, so such a Dataset must not exist to be saved
+        with pytest.raises(DataError, match="^Dataset: feature_names names 'a' 2 times$"):
+            Dataset(np.ones((2, 3)), np.array([1, -1]), np.arange(2), feature_names=("a", "b", "a"))
+
 
 class TestStratifiedKFold:
     def test_perfectly_balanced_small_case(self):

@@ -21,7 +21,6 @@ from itboost.evaluation import (
     initial_margins,
     log_loss,
     noise_specs,
-    noise_sweep,
     split_fold,
     trajectory_summary,
     write_sweep_csv,
@@ -270,43 +269,35 @@ class TestWriterGoldens:
 
 
 class TestNoiseSweep:
+    """The sweep is one cross_validate per noise_specs entry (the noise-sweep command's loop)."""
+
     def test_degenerate_sweep_equals_plain_cv(self):
         ds = make_gaussian_dataset(100, 3, separation=4.0, seed=5)
         folds = stratified_kfold(ds, 4, 5)
         cfg = BoostConfig(iterations=6, loss="squared", trust="disabled", seed=5)
-        [(rate, swept)] = noise_sweep(ds, cfg, "symmetric", [0.0], 5, folds)
+        [spec] = noise_specs("symmetric", [0.0], 5)
+        assert spec is None
+        swept = cross_validate(ds, cfg, folds, noise=spec)
         plain = cross_validate(ds, cfg, folds)
-        assert rate == 0.0
         np.testing.assert_array_equal(swept.per_fold["acc"], plain.per_fold["acc"])
 
     def test_row_per_rate(self):
-        ds = make_gaussian_dataset(100, 3, separation=4.0, seed=6)
-        folds = stratified_kfold(ds, 4, 6)
-        cfg = BoostConfig(iterations=4, loss="squared", trust="disabled", seed=6)
-        rows = noise_sweep(ds, cfg, "symmetric", [0.1, 0.2, 0.3], 6, folds)
-        assert [r for r, _ in rows] == [0.1, 0.2, 0.3]
+        specs = noise_specs("symmetric", [0.1, 0.2, 0.3], 6)
+        assert specs == [NoiseSpec("symmetric", rate, 6) for rate in (0.1, 0.2, 0.3)]
 
     def test_unsorted_rates_rejected(self):
-        ds = make_gaussian_dataset(60, 2, separation=4.0, seed=7)
-        folds = stratified_kfold(ds, 3, 7)
-        cfg = BoostConfig(iterations=3, loss="squared", seed=7)
-        with pytest.raises(ValueError):
-            noise_sweep(ds, cfg, "symmetric", [0.3, 0.1], 7, folds)
+        with pytest.raises(ValueError, match="^noise_specs: rates must be sorted ascending$"):
+            noise_specs("symmetric", [0.3, 0.1], 7)
 
-    def test_every_rate_checked_before_the_first_cv(self, monkeypatch):
-        ds = make_gaussian_dataset(60, 2, separation=4.0, seed=7)
-        folds = stratified_kfold(ds, 3, 7)
-        cfg = BoostConfig(iterations=3, loss="squared", seed=7)
-        calls = []
-        monkeypatch.setattr(evaluation, "cross_validate", lambda *a, **kw: calls.append(1))
+    def test_every_rate_checked_before_the_first_cv(self):
+        # noise_specs checks the whole list before returning any spec, so no cross-validation can start
         with pytest.raises(ValueError, match="label noise rate"):
-            noise_sweep(ds, cfg, "symmetric", [0.1, 0.3, 0.5], 7, folds)
-        assert calls == []
+            noise_specs("symmetric", [0.1, 0.3, 0.5], 7)
 
     def test_unknown_kind_rejected_at_every_rate(self):
-        with pytest.raises(ValueError, match="kind must be one of"):
+        with pytest.raises(ValueError, match="^noise_specs: kind must be one of"):
             noise_specs("bogus", [0.0], 1)
-        with pytest.raises(ValueError, match="kind must be one of"):
+        with pytest.raises(ValueError, match="^noise_specs: kind must be one of"):
             noise_specs("bogus", [0.0, 0.2], 1)
         assert noise_specs("feature", [0.0, 0.5], 1) == [None, NoiseSpec("feature", 0.5, 1)]
 
@@ -314,10 +305,8 @@ class TestNoiseSweep:
         ds = make_gaussian_dataset(200, 4, separation=5.0, seed=8)
         folds = stratified_kfold(ds, 5, 8)
         cfg = BoostConfig(iterations=60, loss="squared", trust="disabled", seed=8)
-        rows = noise_sweep(ds, cfg, "symmetric", [0.0, 0.4], 8, folds)
-        acc_clean = rows[0][1].mean("acc")
-        acc_noisy = rows[1][1].mean("acc")
-        assert acc_noisy < acc_clean
+        clean, noisy = (cross_validate(ds, cfg, folds, noise=spec) for spec in noise_specs("symmetric", [0.0, 0.4], 8))
+        assert noisy.mean("acc") < clean.mean("acc")
 
 
 class TestTrajectory:

@@ -24,8 +24,8 @@ from .complexity import (
     normalize_complexities,
     trust_weights,
 )
-from .data import DataError, Dataset, write_rows
-from .trees import RegressionTree, fit_tree_weighted, presort
+from .data import DataError, Dataset, utf8_input, write_rows
+from .trees import RegressionTree, _leaf_value, fit_tree_weighted, presort
 
 LOSSES = ("logistic", "squared")
 ENCODINGS = ("binary-sign", "binary-delta", "quantized")
@@ -79,7 +79,7 @@ class BoostConfig:
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` file, '#' comments and blank lines ignored."""
     mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with utf8_input("parse_config_file", path), open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -161,10 +161,12 @@ class Model:
     def predict_score(self, X):
         """Raw additive score of each row of X (n, d); a float for one row x (d,).
 
-        One row is summed in Python floats, tree by tree: the same float
-        operations in the same order as its row of the batch, so both agree
-        bit for bit.  A batch is laid out column-major once, so the transposed
-        (d, n) view each tree reads is already contiguous and never copied.
+        One row is checked once, turned into a list of Python floats once, and
+        walked down each tree by :func:`~itboost.trees._leaf_value`; its score
+        is summed in Python floats, tree by tree: the same float operations in
+        the same order as its row of the batch, so both agree bit for bit.  A
+        batch is laid out column-major once, so the transposed (d, n) view
+        each tree reads is already contiguous and never copied.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim not in (1, 2):
@@ -173,9 +175,10 @@ class Model:
             raise ValueError(f"Model.predict_score: expected {self.n_features} features, got {X.shape[-1]}")
         lr = self.learning_rate
         if X.ndim == 1:
+            row = X.tolist()
             score = float(self.base_score)
             for tree in self.trees:
-                score += lr * tree.predict(X)
+                score += lr * _leaf_value(tree.root, row)
             return score
         X = np.asfortranarray(X)
         scores = np.full(X.shape[0], self.base_score, dtype=np.float64)
@@ -212,7 +215,7 @@ def load_model(path) -> Model:
     order, each number written as :func:`save_model` writes it (``str`` of an int, ``repr`` of a
     float), and base_score, thresholds and leaves must be finite; every rejection is a
     :class:`DataError` naming the path and the line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with utf8_input("load_model", path), open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != MODEL_FORMAT_VERSION:
         raise DataError(f"load_model: {path} is not a {MODEL_FORMAT_VERSION} file")
@@ -297,7 +300,7 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     line, as the file is read.  Every rejection is a :class:`DataError`.
     """
     blocks: list[list] = []  # per iteration, row_id, raw_C, normalized_C, tau and weight of each record in turn
-    with open(path, "r", encoding="utf-8") as fh:
+    with utf8_input("load_trace_csv", path), open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
             raise DataError(f"load_trace_csv: unexpected header in {path}")

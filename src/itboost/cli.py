@@ -216,8 +216,11 @@ def cmd_ablate(args) -> int:
 
 def cmd_trajectory(args) -> int:
     config = _build_config(args)
+    try:
+        spec = NoiseSpec(kind=args.noise_kind, rate=args.noise_rate, seed=config.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     dataset = _load(args)
-    spec = NoiseSpec(kind=args.noise_kind, rate=args.noise_rate, seed=config.seed)
     noisy, mask = inject(dataset, spec)
     model, trace = train(noisy, config)
     early = max(1, config.iterations // 10)

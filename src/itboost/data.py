@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import NoReturn
@@ -13,6 +14,16 @@ import numpy as np
 
 class DataError(ValueError):
     """Raised for malformed input files or invalid dataset operations."""
+
+
+@contextmanager
+def utf8_input(reader: str, path):
+    """Raise a byte of ``path`` that is not UTF-8, met in the ``with`` body, as a
+    :class:`DataError` naming the file; ``reader`` starts the message."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{reader}: {path} is not UTF-8 text ({exc.reason})") from None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -58,6 +69,8 @@ class Dataset:
             for name, count in Counter(names).items():
                 if count > 1:
                     raise DataError(f"Dataset: feature_names names {name!r} {count} times")
+                if name != name.strip():  # load_csv strips header cells, so such a name cannot round-trip
+                    raise DataError(f"Dataset: feature name {name!r} has leading or trailing whitespace")
         object.__setattr__(self, "features", _frozen(feats))
         object.__setattr__(self, "labels", _frozen(labels))
         object.__setattr__(self, "row_ids", _frozen(row_ids))
@@ -101,7 +114,7 @@ def load_csv(path, label_column, positive_label: str) -> Dataset:
         fh = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError:
         raise DataError(f"load_csv: file not found: {path}") from None
-    with fh:
+    with fh, utf8_input("load_csv", path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -136,7 +149,7 @@ def load_csv(path, label_column, positive_label: str) -> Dataset:
                     keep_label(record.pop(label_idx).strip())
                     yield record
 
-        # Any bad record stops the bulk parse; the walk below then names it.
+        # Any bad record or byte stops the bulk parse; the walk below then names it.
         try:
             flat = np.fromiter(map(float, chain.from_iterable(feature_cells())), dtype=np.float64)
         except (ValueError, csv.Error):
@@ -167,7 +180,7 @@ def _raise_first_bad_record(path, header: list[str], label_idx: int) -> NoReturn
     checks fail, so the message names the row and column as a per-cell reader
     would.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with utf8_input("load_csv", path), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for line_no, record in enumerate(reader, start=2):

@@ -10,7 +10,12 @@ import numpy as np
 
 @dataclass
 class TreeNode:
-    """Internal node (feature, threshold) or leaf (value)."""
+    """Internal node (feature, threshold) or leaf (value).
+
+    The fit and :meth:`RegressionTree.from_tokens` store a Python int feature
+    and Python float threshold and value, so a single-row score summed from
+    leaf values stays a Python float.
+    """
 
     feature: int = -1
     threshold: float = 0.0
@@ -32,8 +37,9 @@ class RegressionTree:
         """Leaf value of each row of X (n, d); a float for one row x (d,).
 
         A row goes left when ``x[feature] <= threshold`` and right otherwise,
-        so NaN goes right.  One row walks a single root-to-leaf path; a batch
-        partitions its row indices down the tree (see :func:`_route`).
+        so NaN goes right.  One row walks a single root-to-leaf path (see
+        :func:`_leaf_value`); a batch partitions its row indices down the tree
+        (see :func:`_route`).
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim not in (1, 2):
@@ -41,10 +47,7 @@ class RegressionTree:
         if X.shape[-1] != self.n_features:
             raise ValueError(f"RegressionTree.predict: expected {self.n_features} features, got {X.shape[-1]}")
         if X.ndim == 1:
-            node = self.root
-            while node.left is not None:
-                node = node.left if X[node.feature] <= node.threshold else node.right
-            return float(node.value)
+            return float(_leaf_value(self.root, X.tolist()))
         out = np.empty(X.shape[0], dtype=np.float64)
         _route(self.root, np.ascontiguousarray(X.T), np.arange(X.shape[0]), out)
         return out
@@ -114,6 +117,19 @@ def _preorder(root: TreeNode):
         yield node, level
         if not node.is_leaf:
             stack += ((node.right, level + 1), (node.left, level + 1))
+
+
+def _leaf_value(root: TreeNode, row: list[float]) -> float:
+    """Leaf value that one row reaches from ``root``: the package's only single-row walk.
+
+    ``row`` is the row as a list of Python floats (``x.tolist()``), so each
+    comparison is a float ``<=``, the same IEEE comparison as numpy's, with no
+    numpy scalar made per node.
+    """
+    node = root
+    while node.left is not None:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.value
 
 
 def _route(root: TreeNode, XT: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:

@@ -134,6 +134,45 @@ class TestPredict:
         np.testing.assert_array_equal(model.predict_proba(np.asfortranarray(X)), proba)
         np.testing.assert_array_equal(model.predict_proba(X[::3]), proba[::3])
 
+    def test_single_row_at_split_edges_equals_the_batch(self, tmp_path):
+        ds = random_dataset(80, 3, seed=21)
+        model, _ = train(ds, BoostConfig(iterations=15, max_depth=3, loss="logistic", trust="disabled"))
+        save_model(model, tmp_path / "model.txt")
+        loaded = load_model(tmp_path / "model.txt")
+        splits = set()
+        for tree in model.trees:
+            stack = [tree.root]
+            while stack:
+                node = stack.pop()
+                if not node.is_leaf:
+                    splits.add((node.feature, node.threshold))
+                    stack += (node.left, node.right)
+        rows = []
+        for feature, threshold in sorted(splits):
+            for value in (threshold, np.nextafter(threshold, np.inf)):
+                rows.append(ds.features[0].copy())
+                rows[-1][feature] = value
+        for value in (np.inf, -np.inf, -0.0, np.nan):
+            rows.append(np.full(3, value))
+            for feature in range(3):
+                rows.append(ds.features[1].copy())
+                rows[-1][feature] = value
+        X = np.array(rows)
+
+        def bits(values):
+            return np.asarray(values, dtype=np.float64).view(np.int64)
+
+        for m in (model, loaded):
+            for predict in (m.predict_score, m.predict_proba):
+                singles = [predict(x) for x in X]
+                assert all(type(v) is float for v in singles)
+                np.testing.assert_array_equal(bits(singles), bits(predict(X)))
+            for tree in m.trees:
+                singles = [tree.predict(x) for x in X]
+                assert all(type(v) is float for v in singles)
+                np.testing.assert_array_equal(bits(singles), bits(tree.predict(X)))
+        np.testing.assert_array_equal(bits(loaded.predict_score(X)), bits(model.predict_score(X)))
+
     def test_single_row_equals_batch_without_trees(self):
         model = Model(base_score=0.7, n_features=2, trees=[], config=BoostConfig())
         X = np.array([[1.0, 2.0], [np.nan, 0.0]])

@@ -441,6 +441,23 @@ class TestExitCodes:
         bad.write_text("a,label\nfoo,1\n2.0,0\n")
         assert run("evaluate", "--data", str(bad), "--out", str(tmp_path / "r.csv")) == 2
 
+    def test_data_error_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,label\n1.0,1\n2.0\xff,0\n")
+        assert run("evaluate", "--data", str(bad), "--out", str(tmp_path / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: load_csv: ") and f"{bad} is not UTF-8 text" in err
+
+    @pytest.mark.parametrize("present", [True, False], ids=["data-present", "data-absent"])
+    def test_trajectory_bad_noise_rate_is_a_usage_error_before_loading(self, small_csv, tmp_path, capsys, present):
+        data = small_csv if present else tmp_path / "absent.csv"
+        out = tmp_path / "curves.csv"
+        assert run("trajectory", "--data", str(data), "--noise-rate", "0.6", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "usage error: NoiseSpec: label noise rate must be in [0, 0.5), got 0.6\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--eps", "0"], "epsilon must be positive"),
         (["--delta", "1.5"], "delta must be in (0, 1)"),

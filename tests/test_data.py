@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import per_cell_load_csv
 
+from itboost.boosting import TRACE_HEADER, load_model, load_trace_csv, parse_config_file
 from itboost.data import (
     DataError,
     Dataset,
@@ -16,6 +18,7 @@ from itboost.data import (
     save_csv,
     stratified_kfold,
 )
+from itboost.noise import MASK_HEADER, NoiseMask
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -294,6 +297,34 @@ class TestRoundTrip:
         # load_csv refuses a header that names a column twice, so such a Dataset must not exist to be saved
         with pytest.raises(DataError, match="^Dataset: feature_names names 'a' 2 times$"):
             Dataset(np.ones((2, 3)), np.array([1, -1]), np.arange(2), feature_names=("a", "b", "a"))
+
+    @pytest.mark.parametrize("names", [(" a", "a"), (" b ",), ("c\t", "d")])
+    def test_names_with_outer_whitespace_rejected_before_save(self, names):
+        # load_csv strips header cells, so such a name would save to a file that reads back otherwise
+        bad = next(name for name in names if name != name.strip())
+        with pytest.raises(DataError, match=f"^Dataset: feature name {re.escape(repr(bad))} has leading or trailing"):
+            Dataset(np.ones((2, len(names))), np.array([1, -1]), np.arange(2), feature_names=names)
+
+
+# each reader, the first line of a file it accepts, and the i-th record of such a file
+READERS = {
+    "load_csv": (lambda path: load_csv(path, "label", "1"), "a,label", "{i}.5,{parity}"),
+    "load_trace_csv": (load_trace_csv, TRACE_HEADER, "1,{i},3,0.5,0.5,1.0"),
+    "load_model": (load_model, "itboost-model v1", "tree {i}: L 0.0"),
+    "NoiseMask.read_csv": (NoiseMask.read_csv, MASK_HEADER, "{i},symmetric"),
+    "parse_config_file": (parse_config_file, "# config", "# comment {i}"),
+}
+
+
+@pytest.mark.parametrize("good_records", [0, 5000], ids=["first-record", "past-the-first-read-buffer"])
+@pytest.mark.parametrize("reader", READERS)
+def test_non_utf8_byte_is_a_data_error_naming_the_path(tmp_path, reader, good_records):
+    read, header, record = READERS[reader]
+    lines = [header] + [record.format(i=i, parity=i % 2) for i in range(good_records)]
+    path = tmp_path / "input.txt"
+    path.write_bytes("\n".join(lines).encode() + b"\n1\xff,0\n")
+    with pytest.raises(DataError, match=f"^{re.escape(reader)}: {re.escape(str(path))} is not UTF-8 text"):
+        read(path)
 
 
 class TestStratifiedKFold:

@@ -24,7 +24,7 @@ from .complexity import (
     normalize_complexities,
     trust_weights,
 )
-from .data import DataError, Dataset, utf8_input, write_rows
+from .data import DataError, Dataset, open_input, write_rows
 from .trees import RegressionTree, _leaf_value, fit_tree_weighted, presort
 
 LOSSES = ("logistic", "squared")
@@ -79,16 +79,16 @@ class BoostConfig:
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` file, '#' comments and blank lines ignored."""
     mapping = {}
-    with utf8_input("parse_config_file", path), open(path, "r", encoding="utf-8") as fh:
+    with open_input("parse_config_file", path) as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
             if "=" not in stripped:
-                raise ValueError(f"config file {path}, line {line_no}: expected 'key = value'")
+                raise DataError(f"parse_config_file: {path} line {line_no}: expected 'key = value'")
             key, value = (part.strip() for part in stripped.split("=", 1))
             if key in mapping:
-                raise ValueError(f"config file {path}, line {line_no}: key {key!r} given twice")
+                raise DataError(f"parse_config_file: {path} line {line_no}: key {key!r} given twice")
             mapping[key] = value
     return mapping
 
@@ -215,8 +215,8 @@ def load_model(path) -> Model:
     order, each number written as :func:`save_model` writes it (``str`` of an int, ``repr`` of a
     float), and base_score, thresholds and leaves must be finite; every rejection is a
     :class:`DataError` naming the path and the line."""
-    with utf8_input("load_model", path), open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    with open_input("load_model", path) as fh:
+        lines = [line.rstrip("\r\n") for line in fh]
     if not lines or lines[0] != MODEL_FORMAT_VERSION:
         raise DataError(f"load_model: {path} is not a {MODEL_FORMAT_VERSION} file")
     line_no = 2  # the line being read, for the rejection message
@@ -300,7 +300,7 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     line, as the file is read.  Every rejection is a :class:`DataError`.
     """
     blocks: list[list] = []  # per iteration, row_id, raw_C, normalized_C, tau and weight of each record in turn
-    with utf8_input("load_trace_csv", path), open(path, "r", encoding="utf-8") as fh:
+    with open_input("load_trace_csv", path) as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
             raise DataError(f"load_trace_csv: unexpected header in {path}")

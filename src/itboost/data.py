@@ -17,11 +17,15 @@ class DataError(ValueError):
 
 
 @contextmanager
-def utf8_input(reader: str, path):
-    """Raise a byte of ``path`` that is not UTF-8, met in the ``with`` body, as a
-    :class:`DataError` naming the file; ``reader`` starts the message."""
+def open_input(reader: str, path):
+    """Yield ``path`` open as UTF-8 text with ``newline=""`` (the mode :mod:`csv` needs).  A missing
+    file, or a byte that is not UTF-8 met in the ``with`` body, is a :class:`DataError` naming the
+    file; ``reader`` starts the message."""
     try:
-        yield
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise DataError(f"{reader}: file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{reader}: {path} is not UTF-8 text ({exc.reason})") from None
 
@@ -110,11 +114,7 @@ def load_csv(path, label_column, positive_label: str) -> Dataset:
     lines are skipped, rows with missing cells (the label's included) are
     rejected, and the first bad record in file order is the one reported.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise DataError(f"load_csv: file not found: {path}") from None
-    with fh, utf8_input("load_csv", path):
+    with open_input("load_csv", path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -180,7 +180,7 @@ def _raise_first_bad_record(path, header: list[str], label_idx: int) -> NoReturn
     checks fail, so the message names the row and column as a per-cell reader
     would.
     """
-    with utf8_input("load_csv", path), open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input("load_csv", path) as fh:
         reader = csv.reader(fh)
         next(reader)
         for line_no, record in enumerate(reader, start=2):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DataError, Dataset, utf8_input, write_rows
+from .data import DataError, Dataset, open_input, write_rows
 
 NOISE_KINDS = ("symmetric", "asymmetric", "feature")
 MASK_HEADER = "row_id,kind"
@@ -53,7 +53,7 @@ class NoiseMask:
         """
         rows = set()
         kind = None
-        with utf8_input("NoiseMask.read_csv", path), open(path, "r", encoding="utf-8", newline="") as fh:
+        with open_input("NoiseMask.read_csv", path) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != MASK_HEADER.split(","):

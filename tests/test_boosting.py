@@ -771,7 +771,7 @@ class TestTraceCsv:
             return open(file, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(boosting, "open", counting_open, raising=False)
+            mp.setattr("itboost.data.open", counting_open, raising=False)
             try:
                 row_ids, states = load_trace_csv(path)
             except DataError as exc:

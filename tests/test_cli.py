@@ -448,6 +448,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: load_csv: ") and f"{bad} is not UTF-8 text" in err
 
+    @pytest.mark.parametrize("reader, argv", [
+        ("load_trace_csv", ["verify-bounds", "--trace", "{absent}", "--mask", "{absent}"]),
+        ("NoiseMask.read_csv", ["verify-bounds", "--trace", "{trace}", "--mask", "{absent}"]),
+        ("parse_config_file", ["train", "--data", "{data}", "--config", "{absent}"]),
+    ], ids=["trace", "mask", "config"])
+    def test_missing_input_file_is_a_data_error(self, small_csv, tmp_path, capsys, reader, argv):
+        paths = {"data": small_csv, "trace": tmp_path / "trace.csv", "absent": tmp_path / "absent.csv"}
+        assert run("train", "--data", str(small_csv), "--iterations", "2", "--out", str(tmp_path / "model.txt"),
+                   "--trace", str(paths["trace"])) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        assert run(*(arg.format(**paths) for arg in argv), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"data error: {reader}: file not found: {paths['absent']}\n"
+        assert not out.exists()
+
+    def test_config_line_without_equals_is_a_data_error(self, small_csv, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("iterations 5\n")
+        out = tmp_path / "model.txt"
+        assert run("train", "--data", str(small_csv), "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"data error: parse_config_file: {cfg} line 1: expected 'key = value'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("present", [True, False], ids=["data-present", "data-absent"])
     def test_trajectory_bad_noise_rate_is_a_usage_error_before_loading(self, small_csv, tmp_path, capsys, present):
         data = small_csv if present else tmp_path / "absent.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import re
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import per_cell_load_csv
 
-from itboost.boosting import TRACE_HEADER, load_model, load_trace_csv, parse_config_file
+from itboost.boosting import TRACE_HEADER, BoostConfig, load_model, load_trace_csv, parse_config_file, save_model, train
 from itboost.data import (
     DataError,
     Dataset,
@@ -18,7 +19,8 @@ from itboost.data import (
     save_csv,
     stratified_kfold,
 )
-from itboost.noise import MASK_HEADER, NoiseMask
+from itboost.noise import MASK_HEADER, NoiseMask, NoiseSpec, inject
+from itboost.synth import make_gaussian_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -325,6 +327,53 @@ def test_non_utf8_byte_is_a_data_error_naming_the_path(tmp_path, reader, good_re
     path.write_bytes("\n".join(lines).encode() + b"\n1\xff,0\n")
     with pytest.raises(DataError, match=f"^{re.escape(reader)}: {re.escape(str(path))} is not UTF-8 text"):
         read(path)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_missing_file_is_a_data_error_naming_the_path(tmp_path, reader):
+    read = READERS[reader][0]
+    path = tmp_path / "absent.txt"
+    with pytest.raises(DataError, match=f"^{re.escape(reader)}: file not found: {re.escape(str(path))}$"):
+        read(path)
+
+
+@pytest.fixture(scope="module")
+def written_inputs(tmp_path_factory):
+    """One file per reader, named after it, as the package's writers (or, for a config, a person) write it."""
+    root = tmp_path_factory.mktemp("written")
+    dataset = make_gaussian_dataset(30, 2, separation=3.0, seed=4)
+    noisy, mask = inject(dataset, NoiseSpec("symmetric", 0.2, 1))
+    model, trace = train(noisy, BoostConfig(iterations=3, max_depth=2))
+    save_csv(dataset, root / "load_csv")
+    trace.to_csv(root / "load_trace_csv")
+    save_model(model, root / "load_model")
+    mask.to_csv(root / "NoiseMask.read_csv")
+    (root / "parse_config_file").write_text("# run\niterations = 7\nloss = squared\n\nlearning_rate = 0.2\n")
+    return root
+
+
+def plain(value):
+    """``value`` as nested builtins, each array as its dtype and list, so two loads compare exactly."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tolist()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, [plain(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_crlf_copy_loads_as_the_lf_file(written_inputs, tmp_path, reader):
+    read = READERS[reader][0]
+    lf = written_inputs / reader
+    text = lf.read_bytes()
+    assert text.count(b"\n") > 2 and b"\r" not in text
+    crlf = tmp_path / reader
+    crlf.write_bytes(text.replace(b"\n", b"\r\n"))
+    assert plain(read(crlf)) == plain(read(lf))
 
 
 class TestStratifiedKFold:

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itboost.data import DataError, Dataset
 from itboost.noise import NoiseMask, NoiseSpec, inject
@@ -168,6 +170,60 @@ class TestMaskCsv:
         path.write_text("row_id,kind\n" + body)
         with pytest.raises(DataError, match=rf"{re.escape(str(path))} line {line}: .*{message}"):
             NoiseMask.read_csv(path)
+
+    @pytest.fixture(scope="class")
+    def small_mask(self, tmp_path_factory):
+        _, mask = inject(make_dataset(n=20), NoiseSpec("symmetric", 0.3, 3))
+        path = tmp_path_factory.mktemp("mask") / "mask.csv"
+        mask.to_csv(path)
+        lines = path.read_text().splitlines()
+        assert len(lines) > 4
+        return lines
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_loads_its_own_records_or_is_a_data_error(self, small_mask, tmp_path_factory, data):
+        lines = list(small_mask)
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutation = data.draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "blank"]))
+            i = data.draw(st.integers(0, len(lines) - 1))
+            if mutation == "delete":
+                del lines[i]
+            elif mutation == "duplicate":
+                lines.insert(i, lines[i])
+            elif mutation == "swap":
+                j = data.draw(st.integers(0, len(lines) - 1))
+                lines[i], lines[j] = lines[j], lines[i]
+            elif mutation == "replace":
+                cells = lines[i].split(",")
+                j = data.draw(st.integers(0, len(cells) - 1))
+                # junk holds no digit and no quote, so it never reads as a number or joins two cells
+                cells[j] = data.draw(st.sampled_from(["", "1.5"]) | st.text("xyz#:-", min_size=1))
+                lines[i] = ",".join(cells)
+            else:
+                lines.insert(i, data.draw(st.sampled_from(["", " ", "\t"])))
+        path = tmp_path_factory.mktemp("mutated") / "mask.csv"
+        path.write_text("\n".join(lines) + "\n")
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("itboost.data.open", counting_open, raising=False)
+            try:
+                mask = NoiseMask.read_csv(path)
+            except DataError as exc:
+                assert str(path) in str(exc)
+                mask = None
+        assert opened == [path]
+        if mask is None:
+            return
+        # a file that loads is read as exactly its own records: every row id once, and their one kind
+        records = [line.split(",") for line in lines[1:] if line]
+        assert sorted(mask.flipped_rows) == sorted(int(cells[0]) for cells in records)
+        assert mask.kind == (records[0][1] if records else "")
 
     def test_inject_dispatch(self):
         ds = make_dataset()

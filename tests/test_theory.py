@@ -140,3 +140,24 @@ def test_imports_nothing_from_the_package():
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     modules += ["." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert [m for m in modules if m.startswith(".") or m.split(".")[0] == "itboost"] == []
+
+
+def test_only_open_input_opens_a_file_for_reading():
+    """Every reader opens its file through ``data.open_input``, so every reader rejects a missing or
+    undecodable file the same way: the package's one read-mode ``open(`` is the one inside it."""
+    read_opens = []
+    for source in sorted(Path(theory.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "open":
+                continue
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+            if "r" in mode or "+" in mode:
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                read_opens.append((source.name, getattr(scope, "name", None)))
+    assert read_opens == [("data.py", "open_input")]

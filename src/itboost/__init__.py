@@ -36,12 +36,10 @@ from .data import (
 )
 from .evaluation import (
     MetricReport,
-    RankMatrix,
     accuracy,
     auc,
     cross_validate,
     f1,
-    friedman_test,
     log_loss,
     trajectory_summary,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "Model",
     "NoiseMask",
     "NoiseSpec",
-    "RankMatrix",
     "RegressionTree",
     "RunTrace",
     "SymbolSequence",
@@ -76,7 +73,6 @@ __all__ = [
     "cross_validate",
     "f1",
     "fit_tree_weighted",
-    "friedman_test",
     "init_score",
     "inject",
     "load_csv",

@@ -23,7 +23,6 @@ from .evaluation import (
     METRIC_NAMES,
     cross_validate,
     initial_margins,
-    noise_specs,
     trajectory_summary,
     write_sweep_csv,
     write_trajectory_csv,
@@ -99,13 +98,16 @@ def _load(args):
 
 
 def cmd_synth(args) -> int:
-    dataset = make_gaussian_dataset(
-        n_rows=args.n,
-        n_informative=args.d,
-        n_distractors=args.distractors,
-        separation=args.sep,
-        seed=args.seed,
-    )
+    try:
+        dataset = make_gaussian_dataset(
+            n_rows=args.n,
+            n_informative=args.d,
+            n_distractors=args.distractors,
+            separation=args.sep,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     save_csv(dataset, args.out)
     print(f"wrote {dataset.n_rows} rows x {dataset.n_features} features to {args.out}")
     return 0
@@ -173,7 +175,7 @@ def cmd_noise_sweep(args) -> int:
     config = _build_config(args)
     try:
         rates = sorted(float(r) for r in args.rates.split(","))
-        specs = noise_specs(args.kind, rates, config.seed)
+        specs = [None if rate == 0 else NoiseSpec(kind=args.kind, rate=rate, seed=config.seed) for rate in rates]
     except ValueError as exc:
         raise UsageError(f"bad --rates value: {exc}") from None
     modes = [m.strip() for m in args.modes.split(",")]

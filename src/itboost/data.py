@@ -19,13 +19,15 @@ class DataError(ValueError):
 @contextmanager
 def open_input(reader: str, path):
     """Yield ``path`` open as UTF-8 text with ``newline=""`` (the mode :mod:`csv` needs).  A missing
-    file, or a byte that is not UTF-8 met in the ``with`` body, is a :class:`DataError` naming the
-    file; ``reader`` starts the message."""
+    file, any other file the system cannot read (a directory, say), or a byte that is not UTF-8 met
+    in the ``with`` body, is a :class:`DataError` naming the file; ``reader`` starts the message."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             yield fh
     except FileNotFoundError:
         raise DataError(f"{reader}: file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"{reader}: cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{reader}: {path} is not UTF-8 text ({exc.reason})") from None
 

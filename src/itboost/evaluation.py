@@ -1,4 +1,4 @@
-"""Classification metrics, cross-validation driver, noise-sweep specs, and rank tests."""
+"""Classification metrics, cross-validation driver, sweep and trajectory CSVs, Friedman statistic."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from scipy.stats import chi2, rankdata
 
 from .boosting import BoostConfig, RunTrace, train
 from .data import Dataset, FoldPlan, random_undersample, write_rows
-from .noise import NOISE_KINDS, NoiseMask, NoiseSpec, inject
+from .noise import NoiseMask, NoiseSpec, inject
 
 METRIC_NAMES = ("acc", "f1", "auc", "log_loss")
 
@@ -88,10 +88,6 @@ class MetricReport:
     wall_time_seconds: float
     fold_train_seconds: np.ndarray
     trust_seconds: float
-
-    @property
-    def n_folds(self) -> int:
-        return len(self.per_fold["acc"])
 
     def mean(self, name: str) -> float:
         return float(np.mean(self.per_fold[name]))
@@ -180,16 +176,6 @@ def cross_validate(
     )
 
 
-def noise_specs(kind: str, rates: list, seed: int) -> list:
-    """The NoiseSpec of each sweep rate (None for rate 0); ValueError if the kind or any rate is
-    invalid, or the rates are not sorted ascending."""
-    if kind not in NOISE_KINDS:
-        raise ValueError(f"noise_specs: kind must be one of {NOISE_KINDS}, got {kind!r}")
-    if list(rates) != sorted(rates):
-        raise ValueError("noise_specs: rates must be sorted ascending")
-    return [NoiseSpec(kind=kind, rate=float(rate), seed=seed) if rate > 0 else None for rate in rates]
-
-
 def write_sweep_csv(rows: list, path, first_column: str = "mode") -> None:
     """rows: (label, kind, rate, MetricReport) tuples -> rate-indexed CSV."""
     header = [first_column, "kind", "rate"]
@@ -268,23 +254,7 @@ def write_trajectory_csv(curves: dict, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Friedman rank test
-
-
-@dataclass(frozen=True)
-class RankMatrix:
-    """Datasets x algorithms score matrix for the rank test."""
-
-    scores: np.ndarray
-    higher_is_better: bool = True
-
-    def __post_init__(self):
-        s = np.asarray(self.scores, dtype=np.float64)
-        if s.ndim != 2 or s.shape[0] < 2 or s.shape[1] < 2:
-            raise ValueError("RankMatrix: need at least 2 datasets and 2 algorithms")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("RankMatrix: scores contain NaN or infinite values")
-        object.__setattr__(self, "scores", s)
+# Friedman statistic
 
 
 @dataclass(frozen=True)
@@ -303,16 +273,3 @@ def friedman_from_mean_ranks(mean_ranks, n_datasets: int) -> FriedmanResult:
     stat = 12.0 * n_datasets / (a * (a + 1.0)) * float(np.sum(r * r)) - 3.0 * n_datasets * (a + 1.0)
     stat = max(stat, 0.0)
     return FriedmanResult(mean_ranks=r, statistic=stat, p_value=float(chi2.sf(stat, a - 1)))
-
-
-def friedman_test(matrix: RankMatrix) -> FriedmanResult:
-    """Rank algorithms within each dataset (rank 1 = best, ties averaged) and test.
-
-    The statistic is referred to the chi-square distribution with A-1 degrees
-    of freedom (upper tail).
-    """
-    scores = matrix.scores
-    oriented = -scores if matrix.higher_is_better else scores
-    ranks = np.vstack([rankdata(row) for row in oriented])
-    mean_ranks = ranks.mean(axis=0)
-    return friedman_from_mean_ranks(mean_ranks, scores.shape[0])

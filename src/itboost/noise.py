@@ -48,8 +48,9 @@ class NoiseMask:
         """The mask a :meth:`to_csv` file holds (a header-only file gives kind ``""``).
 
         Blank lines are skipped.  A record that is not two cells, a row id
-        that is not an integer, a row id given twice and a second kind are
-        rejected with :class:`DataError` naming the path and line.
+        that is not an integer, a row id given twice, a kind not in
+        :data:`NOISE_KINDS` and a second kind are rejected with
+        :class:`DataError` naming the path and line.
         """
         rows = set()
         kind = None
@@ -73,6 +74,8 @@ class NoiseMask:
                     raise error(f"row id {record[0]!r} is not an integer") from None
                 if row_id in rows:
                     raise error(f"row id {row_id} given twice")
+                if record[1] not in NOISE_KINDS:
+                    raise error(f"kind {record[1]!r} is not one of {NOISE_KINDS}")
                 if kind is not None and record[1] != kind:
                     raise error(f"kind {record[1]!r} after {kind!r}; a mask has one kind")
                 rows.add(row_id)

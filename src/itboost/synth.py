@@ -27,8 +27,8 @@ def make_gaussian_dataset(
         raise ValueError("make_gaussian_dataset: need at least 1 informative feature")
     if n_distractors < 0:
         raise ValueError("make_gaussian_dataset: negative distractor count")
-    if separation < 0:
-        raise ValueError("make_gaussian_dataset: separation must be nonnegative")
+    if not 0 <= separation < np.inf:
+        raise ValueError(f"make_gaussian_dataset: separation must be finite and nonnegative, got {separation}")
 
     rng = np.random.default_rng(seed)
     n_pos = n_rows // 2

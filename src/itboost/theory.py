@@ -117,7 +117,7 @@ class SeparabilityReport:
 
 def required_group_size(epsilon: float, delta: float) -> int:
     """Smallest per-group n with concentration radius epsilon at confidence 1 - delta."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("required_group_size: epsilon must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("required_group_size: delta must be in (0, 1)")

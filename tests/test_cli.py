@@ -49,6 +49,15 @@ class TestSynth:
         assert ds.n_rows == 40
         assert ds.n_features == 5
 
+    @pytest.mark.parametrize("flags", [
+        ["--n", "1"], ["--d", "0"], ["--distractors", "-1"], ["--sep", "-1"], ["--sep", "nan"], ["--sep", "inf"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_bad_flag_is_a_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "s.csv"
+        assert run("synth", *flags, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("usage error: make_gaussian_dataset: ")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_model_and_trace(self, small_csv, tmp_path, capsys):
@@ -158,6 +167,10 @@ class TestNoiseSweep:
 
     @pytest.mark.parametrize("rates, modes, message", [
         ("0.1,0.3,0.5", "enabled", "usage error: bad --rates value: NoiseSpec: label noise rate must be in [0, 0.5)"),
+        ("-0.2,0.1", "enabled", "usage error: bad --rates value: NoiseSpec: label noise rate must be in [0, 0.5), "
+                                "got -0.2\n"),
+        ("0.1,nan", "enabled", "usage error: bad --rates value: NoiseSpec: label noise rate must be in [0, 0.5), "
+                               "got nan\n"),
         ("0.1,0.3", "enabled,bogus", "usage error: bad --modes value 'bogus': choose from enabled, disabled,"),
     ])
     def test_bad_value_rejected_before_training(self, small_csv, tmp_path, capsys, monkeypatch, rates, modes,
@@ -166,7 +179,7 @@ class TestNoiseSweep:
         real = cli.cross_validate
         monkeypatch.setattr(cli, "cross_validate", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         out = tmp_path / "sweep.csv"
-        code = run("noise-sweep", "--data", str(small_csv), "--kind", "symmetric", "--rates", rates,
+        code = run("noise-sweep", "--data", str(small_csv), "--kind", "symmetric", f"--rates={rates}",
                    "--modes", modes, "--k", "3", "--iterations", "2", "--out", str(out))
         assert code == 1
         assert capsys.readouterr().err.startswith(message)
@@ -284,8 +297,9 @@ class TestTrajectoryAndBounds:
             (lambda text: text + text.splitlines()[1] + "\n", 2),
             (lambda text: text.replace("symmetric", "asymmetric", 1), 2),
             (lambda text: text + "12\n", 2),
+            (lambda text: text.replace("symmetric", "bogus"), 2),
         ],
-        ids=["trailing-blank-line", "repeated-row-id", "mixed-kinds", "one-cell-record"],
+        ids=["trailing-blank-line", "repeated-row-id", "mixed-kinds", "one-cell-record", "unknown-kind"],
     )
     def test_verify_bounds_mask_reader(self, small_csv, tmp_path, capsys, edit, code):
         mask = tmp_path / "mask.csv"
@@ -463,6 +477,12 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"data error: {reader}: file not found: {paths['absent']}\n"
         assert not out.exists()
 
+    def test_directory_input_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "model.txt"
+        assert run("train", "--data", str(tmp_path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"data error: load_csv: cannot read {tmp_path}: Is a directory\n"
+        assert not out.exists()
+
     def test_config_line_without_equals_is_a_data_error(self, small_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("iterations 5\n")
@@ -485,6 +505,7 @@ class TestExitCodes:
         (["--eps", "0"], "epsilon must be positive"),
         (["--delta", "1.5"], "delta must be in (0, 1)"),
         (["--delta", "0"], "delta must be in (0, 1)"),
+        (["--eps", "nan"], "epsilon must be positive"),
     ])
     def test_bad_eps_or_delta_is_a_usage_error_before_loading(self, tmp_path, capsys, flags, message):
         out = tmp_path / "bounds.csv"

@@ -337,6 +337,13 @@ def test_missing_file_is_a_data_error_naming_the_path(tmp_path, reader):
         read(path)
 
 
+@pytest.mark.parametrize("reader", READERS)
+def test_directory_is_a_data_error_naming_the_path(tmp_path, reader):
+    read = READERS[reader][0]
+    with pytest.raises(DataError, match=f"^{re.escape(reader)}: cannot read {re.escape(str(tmp_path))}: "):
+        read(tmp_path)
+
+
 @pytest.fixture(scope="module")
 def written_inputs(tmp_path_factory):
     """One file per reader, named after it, as the package's writers (or, for a config, a person) write it."""

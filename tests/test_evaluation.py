@@ -1,3 +1,4 @@
+import csv
 import math
 import multiprocessing
 import threading
@@ -5,22 +6,20 @@ import threading
 import numpy as np
 import pytest
 
-from itboost import evaluation
+from itboost import cli, evaluation
 from itboost.boosting import BoostConfig, train
-from itboost.data import FoldPlan, stratified_kfold
+from itboost.data import FoldPlan, save_csv, stratified_kfold
 from itboost.evaluation import (
+    METRIC_NAMES,
     MetricReport,
-    RankMatrix,
     accuracy,
     auc,
     compute_metrics,
     cross_validate,
     f1,
     friedman_from_mean_ranks,
-    friedman_test,
     initial_margins,
     log_loss,
-    noise_specs,
     split_fold,
     trajectory_summary,
     write_sweep_csv,
@@ -101,7 +100,6 @@ class TestCrossValidate:
         ds, folds = self._task()
         cfg = BoostConfig(iterations=10, loss="squared", trust="disabled", seed=0)
         report = cross_validate(ds, cfg, folds)
-        assert report.n_folds == 5
         for name in ("acc", "f1", "auc", "log_loss"):
             assert len(report.per_fold[name]) == 5
 
@@ -182,7 +180,7 @@ class TestCrossValidate:
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
         report = cross_validate(ds, cfg, folds, threads=10**6)
         assert requested == [folds.k]
-        assert report.n_folds == folds.k
+        assert len(report.per_fold["acc"]) == folds.k
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
@@ -269,44 +267,70 @@ class TestWriterGoldens:
 
 
 class TestNoiseSweep:
-    """The sweep is one cross_validate per noise_specs entry (the noise-sweep command's loop)."""
+    """noise-sweep runs one cross_validate per (mode, rate), given that rate's NoiseSpec (None at rate 0)."""
 
-    def test_degenerate_sweep_equals_plain_cv(self):
+    @staticmethod
+    def sweep(tmp_path, monkeypatch, dataset, *flags):
+        """Run noise-sweep on ``dataset``: its exit code, the noise of each cross_validate, its CSV rows."""
+        data, out = tmp_path / "data.csv", tmp_path / "sweep.csv"
+        save_csv(dataset, data)
+        noises = []
+        real = cli.cross_validate
+
+        def recording(*args, noise=None, **kwargs):
+            noises.append(noise)
+            return real(*args, noise=noise, **kwargs)
+
+        monkeypatch.setattr(cli, "cross_validate", recording)
+        code = cli.main(["noise-sweep", "--data", str(data), *flags, "--out", str(out)])
+        rows = list(csv.DictReader(out.read_text().splitlines())) if out.exists() else None
+        return code, noises, rows
+
+    def test_degenerate_sweep_equals_plain_cv(self, tmp_path, monkeypatch):
         ds = make_gaussian_dataset(100, 3, separation=4.0, seed=5)
-        folds = stratified_kfold(ds, 4, 5)
-        cfg = BoostConfig(iterations=6, loss="squared", trust="disabled", seed=5)
-        [spec] = noise_specs("symmetric", [0.0], 5)
-        assert spec is None
-        swept = cross_validate(ds, cfg, folds, noise=spec)
-        plain = cross_validate(ds, cfg, folds)
-        np.testing.assert_array_equal(swept.per_fold["acc"], plain.per_fold["acc"])
+        flags = ["--k", "4", "--iterations", "6", "--loss", "squared", "--seed", "5"]
+        code, noises, [swept] = self.sweep(tmp_path, monkeypatch, ds, "--kind", "symmetric", "--rates", "0",
+                                           "--modes", "disabled", *flags)
+        assert (code, noises) == (0, [None])
+        report = tmp_path / "report.csv"
+        assert cli.main(["evaluate", "--data", str(tmp_path / "data.csv"), "--trust", "disabled", *flags,
+                         "--out", str(report)]) == 0
+        plain = {row["fold"]: row for row in csv.DictReader(report.read_text().splitlines())}
+        for m in METRIC_NAMES:
+            assert (swept[f"{m}_mean"], swept[f"{m}_std"]) == (plain["mean"][m], plain["std"][m])
 
-    def test_row_per_rate(self):
-        specs = noise_specs("symmetric", [0.1, 0.2, 0.3], 6)
-        assert specs == [NoiseSpec("symmetric", rate, 6) for rate in (0.1, 0.2, 0.3)]
+    def test_row_per_rate(self, tmp_path, monkeypatch):
+        ds = make_gaussian_dataset(60, 3, separation=4.0, seed=6)
+        flags = ["--k", "3", "--iterations", "2", "--seed", "6"]
+        code, noises, rows = self.sweep(tmp_path, monkeypatch, ds, "--kind", "symmetric", "--rates", "0.3,0.1,0.2",
+                                        *flags)
+        assert code == 0
+        assert noises == [NoiseSpec("symmetric", rate, 6) for rate in (0.1, 0.2, 0.3)]
+        assert [row["rate"] for row in rows] == ["0.1", "0.2", "0.3"]
+        code, noises, rows = self.sweep(tmp_path, monkeypatch, ds, "--kind", "feature", "--rates", "0,0.5,1", *flags)
+        assert code == 0
+        assert noises == [None, NoiseSpec("feature", 0.5, 6), NoiseSpec("feature", 1.0, 6)]
+        assert [row["rate"] for row in rows] == ["0.0", "0.5", "1.0"]
 
-    def test_unsorted_rates_rejected(self):
-        with pytest.raises(ValueError, match="^noise_specs: rates must be sorted ascending$"):
-            noise_specs("symmetric", [0.3, 0.1], 7)
+    def test_every_rate_checked_before_the_first_cv(self, tmp_path, monkeypatch, capsys):
+        # the specs are built for the whole list before the loop, so the bad last rate stops every cross-validation
+        ds = make_gaussian_dataset(60, 3, separation=4.0, seed=7)
+        assert self.sweep(tmp_path, monkeypatch, ds, "--kind", "symmetric", "--rates", "0.1,0.3,0.5") == (1, [], None)
+        assert "label noise rate" in capsys.readouterr().err
 
-    def test_every_rate_checked_before_the_first_cv(self):
-        # noise_specs checks the whole list before returning any spec, so no cross-validation can start
-        with pytest.raises(ValueError, match="label noise rate"):
-            noise_specs("symmetric", [0.1, 0.3, 0.5], 7)
+    def test_unknown_kind_rejected_at_every_rate(self, tmp_path, monkeypatch, capsys):
+        ds = make_gaussian_dataset(60, 3, separation=4.0, seed=1)
+        for rates in ("0", "0,0.2"):
+            assert self.sweep(tmp_path, monkeypatch, ds, "--kind", "bogus", "--rates", rates) == (1, [], None)
+            assert capsys.readouterr().err.startswith("usage error: argument --kind: invalid choice: 'bogus'")
 
-    def test_unknown_kind_rejected_at_every_rate(self):
-        with pytest.raises(ValueError, match="^noise_specs: kind must be one of"):
-            noise_specs("bogus", [0.0], 1)
-        with pytest.raises(ValueError, match="^noise_specs: kind must be one of"):
-            noise_specs("bogus", [0.0, 0.2], 1)
-        assert noise_specs("feature", [0.0, 0.5], 1) == [None, NoiseSpec("feature", 0.5, 1)]
-
-    def test_heavy_noise_degrades_baseline(self):
+    def test_heavy_noise_degrades_baseline(self, tmp_path, monkeypatch):
         ds = make_gaussian_dataset(200, 4, separation=5.0, seed=8)
-        folds = stratified_kfold(ds, 5, 8)
-        cfg = BoostConfig(iterations=60, loss="squared", trust="disabled", seed=8)
-        clean, noisy = (cross_validate(ds, cfg, folds, noise=spec) for spec in noise_specs("symmetric", [0.0, 0.4], 8))
-        assert noisy.mean("acc") < clean.mean("acc")
+        code, _, (clean, noisy) = self.sweep(tmp_path, monkeypatch, ds, "--kind", "symmetric", "--rates", "0,0.4",
+                                             "--modes", "disabled", "--iterations", "60", "--loss", "squared",
+                                             "--seed", "8")
+        assert code == 0
+        assert float(noisy["acc_mean"]) < float(clean["acc_mean"])
 
 
 class TestTrajectory:
@@ -375,8 +399,7 @@ class TestTrajectory:
 
 class TestFriedman:
     def test_no_signal_case(self):
-        scores = np.full((4, 3), 0.8)
-        result = friedman_test(RankMatrix(scores))
+        result = friedman_from_mean_ranks([2.0, 2.0, 2.0], 4)
         np.testing.assert_allclose(result.mean_ranks, [2.0, 2.0, 2.0])
         assert result.statistic == pytest.approx(0.0, abs=1e-12)
         assert result.p_value == pytest.approx(1.0, abs=1e-12)
@@ -387,32 +410,17 @@ class TestFriedman:
         assert result.p_value == pytest.approx(0.000700, abs=2e-4)
 
     def test_two_algorithms_dominant(self):
-        scores = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        result = friedman_test(RankMatrix(scores, higher_is_better=True))
+        # one algorithm ranked first on each of 4 datasets
+        result = friedman_from_mean_ranks([1.0, 2.0], 4)
         np.testing.assert_allclose(result.mean_ranks, [1.0, 2.0])
         assert result.statistic == pytest.approx(4.0, abs=1e-12)
         assert result.p_value == pytest.approx(0.0455, abs=1e-4)
 
-    def test_lower_is_better_flag(self):
-        scores = np.array([[0.1, 0.9], [0.2, 0.8], [0.3, 0.7]])
-        result = friedman_test(RankMatrix(scores, higher_is_better=False))
-        np.testing.assert_allclose(result.mean_ranks, [1.0, 2.0])
-
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(12)
-        scores = rng.random((6, 5))
-        base = friedman_test(RankMatrix(scores))
+        mean_ranks = np.mean([rng.permutation(5) + 1.0 for _ in range(6)], axis=0)
+        base = friedman_from_mean_ranks(mean_ranks, 6)
         perm = rng.permutation(5)
-        permuted = friedman_test(RankMatrix(scores[:, perm]))
+        permuted = friedman_from_mean_ranks(mean_ranks[perm], 6)
         np.testing.assert_allclose(permuted.mean_ranks, base.mean_ranks[perm], atol=1e-12)
         assert permuted.statistic == pytest.approx(base.statistic, abs=1e-9)
-
-    def test_ties_get_average_ranks(self):
-        scores = np.array([[0.5, 0.5, 0.1], [0.9, 0.2, 0.2]])
-        result = friedman_test(RankMatrix(scores))
-        np.testing.assert_allclose(result.mean_ranks, [(1.5 + 1) / 2, (1.5 + 2.5) / 2, (3 + 2.5) / 2])
-
-    def test_nan_scores_rejected(self):
-        with pytest.raises(ValueError):
-            RankMatrix(np.array([[0.1, np.nan], [0.2, 0.3]]))
-

@@ -161,9 +161,11 @@ class TestMaskCsv:
             ("3,symmetric\nx,symmetric\n", 3, "not an integer"),
             ("3,symmetric\n\n3,symmetric\n", 4, "given twice"),
             ("3,symmetric\n4,asymmetric\n", 3, "one kind"),
-            ("3,\n4,symmetric\n", 3, "one kind"),
+            ("3,\n4,symmetric\n", 2, "kind '' is not one of"),
+            ("3,bogus\n", 2, "kind 'bogus' is not one of"),
         ],
-        ids=["one-cell", "three-cells", "non-integer-id", "repeated-id", "mixed-kinds", "empty-then-named-kind"],
+        ids=["one-cell", "three-cells", "non-integer-id", "repeated-id", "mixed-kinds", "empty-then-named-kind",
+             "unknown-kind"],
     )
     def test_inconsistent_record_rejected(self, tmp_path, body, line, message):
         path = tmp_path / "mask.csv"

@@ -19,7 +19,6 @@ from .boosting import (
     train,
 )
 from .complexity import (
-    SymbolSequence,
     TrustState,
     lz76_complexity,
     normalize_complexities,
@@ -66,7 +65,6 @@ __all__ = [
     "NoiseSpec",
     "RegressionTree",
     "RunTrace",
-    "SymbolSequence",
     "TrustState",
     "accuracy",
     "auc",

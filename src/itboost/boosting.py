@@ -58,6 +58,8 @@ class BoostConfig:
             raise ValueError("BoostConfig: max_depth must be >= 1")
         if self.min_samples_leaf < 1:
             raise ValueError("BoostConfig: min_samples_leaf must be >= 1")
+        if self.seed < 0:
+            raise ValueError("BoostConfig: seed must be >= 0")
         for f in fields(self):
             choices = f.metadata.get("choices")
             value = getattr(self, f.name)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, fields, replace
 
 from .boosting import (
@@ -182,6 +183,10 @@ def cmd_noise_sweep(args) -> int:
     for mode in modes:
         if mode not in TRUST_MODES:
             raise UsageError(f"bad --modes value {mode!r}: choose from {', '.join(TRUST_MODES)}")
+    for flag, values in (("--rates", rates), ("--modes", modes)):
+        for value, count in Counter(values).items():
+            if count > 1:
+                raise UsageError(f"bad {flag} value: {value!r} given {count} times")
     dataset = _load(args)
     folds = stratified_kfold(dataset, args.k, config.seed)
     rows = [
@@ -281,7 +286,7 @@ def build_parser() -> CliParser:
         return p
 
     p = command("synth", cmd_synth, "generate a seeded synthetic two-Gaussian dataset")
-    p.add_argument("--seed", type=int, default=BoostConfig.seed, help="dataset seed (default %(default)s)")
+    p.add_argument("--seed", type=at_least(0), default=BoostConfig.seed, help="dataset seed (default %(default)s)")
     p.add_argument("--n", type=int, default=400, help="number of rows")
     p.add_argument("--d", type=int, default=10, help="informative feature count")
     p.add_argument("--distractors", type=int, default=0, help="pure-noise feature count")

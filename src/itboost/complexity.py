@@ -53,55 +53,6 @@ def encode_gradients(g: np.ndarray, encoding: str, g_prev: np.ndarray | None = N
     return [alphabet[c] for c in codes]
 
 
-class SymbolSequence:
-    """Append-only symbol history with an online Lempel-Ziv phrase counter.
-
-    The parser state mirrors the exhaustive left-to-right parsing performed
-    by :func:`lz76_complexity`: symbols are appended one at a time, and after
-    every append :attr:`complexity` equals a from-scratch parse of the current
-    contents.  Existing symbols are never modified (it is a history).
-    Training parses with :func:`lz76_complexity`; this parser is kept as an
-    independent check of it (acceptance criterion 1).
-    """
-
-    __slots__ = ("alphabet", "_chars", "_phrase_start", "_closed")
-
-    def __init__(self, alphabet: str = BINARY_ALPHABET, symbols: str = ""):
-        if len(set(alphabet)) != len(alphabet) or not alphabet:
-            raise ValueError("SymbolSequence: alphabet must be nonempty and duplicate-free")
-        self.alphabet = alphabet
-        self._chars = ""
-        self._phrase_start = 0
-        self._closed = 0
-        for s in symbols:
-            self.append(s)
-
-    def __len__(self) -> int:
-        return len(self._chars)
-
-    @property
-    def symbols(self) -> str:
-        return self._chars
-
-    @property
-    def complexity(self) -> int:
-        """Phrase count of the current contents (open suffix counts as one)."""
-        return self._closed + (1 if self._phrase_start < len(self._chars) else 0)
-
-    def append(self, symbol: str) -> int:
-        """Append one symbol and return the updated phrase count."""
-        if symbol not in self.alphabet:
-            raise ValueError(f"SymbolSequence: symbol {symbol!r} not in alphabet {self.alphabet!r}")
-        j = len(self._chars)
-        self._chars += symbol
-        # The open phrase extended to position j stays open only while it
-        # occurs somewhere in the text strictly before j.
-        if self._chars[self._phrase_start : j + 1] not in self._chars[:j]:
-            self._closed += 1
-            self._phrase_start = j + 1
-        return self.complexity
-
-
 def lz76_complexity(s: str) -> int:
     """Phrase count of the exhaustive left-to-right Lempel-Ziv parsing.
 

@@ -42,7 +42,8 @@ class Dataset:
     """Immutable feature matrix with labels in {-1, +1} and stable row identities.
 
     ``row_ids`` survive fold splitting and undersampling so that noise masks,
-    which are keyed by row id, remain meaningful on any subset.
+    which are keyed by row id, remain meaningful on any subset.  Without
+    ``feature_names`` the columns are named ``x0``, ``x1``, ...
     """
 
     features: np.ndarray
@@ -67,16 +68,17 @@ class Dataset:
         sorted_ids = np.sort(row_ids, kind="stable")  # timsort: one linear pass over ids already in order
         if np.any(sorted_ids[1:] == sorted_ids[:-1]):
             raise DataError("Dataset: row_ids must be unique")
-        names = self.feature_names
-        if names is not None:
-            names = tuple(names)
-            if len(names) != feats.shape[1]:
-                raise DataError("Dataset: feature_names length does not match feature columns")
-            for name, count in Counter(names).items():
-                if count > 1:
-                    raise DataError(f"Dataset: feature_names names {name!r} {count} times")
-                if name != name.strip():  # load_csv strips header cells, so such a name cannot round-trip
-                    raise DataError(f"Dataset: feature name {name!r} has leading or trailing whitespace")
+        if self.feature_names is None:
+            names = tuple(f"x{j}" for j in range(feats.shape[1]))
+        else:
+            names = tuple(self.feature_names)
+        if len(names) != feats.shape[1]:
+            raise DataError("Dataset: feature_names length does not match feature columns")
+        for name, count in Counter(names).items():
+            if count > 1:
+                raise DataError(f"Dataset: feature_names names {name!r} {count} times")
+            if name != name.strip():  # load_csv strips header cells, so such a name cannot round-trip
+                raise DataError(f"Dataset: feature name {name!r} has leading or trailing whitespace")
         object.__setattr__(self, "features", _frozen(feats))
         object.__setattr__(self, "labels", _frozen(labels))
         object.__setattr__(self, "row_ids", _frozen(row_ids))
@@ -99,11 +101,6 @@ class Dataset:
             row_ids=self.row_ids[idx],
             feature_names=self.feature_names,
         )
-
-    def column_names(self) -> tuple[str, ...]:
-        if self.feature_names is not None:
-            return self.feature_names
-        return tuple(f"x{j}" for j in range(self.n_features))
 
 
 def load_csv(path, label_column, positive_label: str) -> Dataset:
@@ -224,7 +221,7 @@ def save_csv(dataset: Dataset, path, label_name: str = "label") -> None:
 
     Rows are formatted and written one at a time; no line list is built.
     """
-    names = dataset.column_names()
+    names = dataset.feature_names
     if label_name in names:
         raise DataError(f"save_csv: label column name {label_name!r} clashes with a feature name")
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -117,8 +117,8 @@ class SeparabilityReport:
 
 def required_group_size(epsilon: float, delta: float) -> int:
     """Smallest per-group n with concentration radius epsilon at confidence 1 - delta."""
-    if not epsilon > 0:
-        raise ValueError("required_group_size: epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("required_group_size: epsilon must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ValueError("required_group_size: delta must be in (0, 1)")
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2))

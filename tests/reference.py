@@ -45,6 +45,32 @@ def naive_lz76(s: str) -> int:
     return count
 
 
+class SymbolSequence:
+    """Online phrase counter: after every ``append``, ``complexity`` equals a
+    from-scratch parse of the symbols appended so far."""
+
+    def __init__(self):
+        self._chars = ""
+        self._phrase_start = 0
+        self._closed = 0
+
+    @property
+    def complexity(self) -> int:
+        """Phrase count of the current contents (open suffix counts as one)."""
+        return self._closed + (1 if self._phrase_start < len(self._chars) else 0)
+
+    def append(self, symbol: str) -> int:
+        """Append one symbol and return the updated phrase count."""
+        j = len(self._chars)
+        self._chars += symbol
+        # The open phrase extended to position j stays open only while it
+        # occurs somewhere in the text strictly before j.
+        if self._chars[self._phrase_start : j + 1] not in self._chars[:j]:
+            self._closed += 1
+            self._phrase_start = j + 1
+        return self.complexity
+
+
 def pairwise_auc(labels, probabilities) -> float:
     """AUC as the mean over all (positive, negative) pairs with half credit for ties."""
     y = np.asarray(labels)

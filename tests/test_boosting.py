@@ -582,8 +582,9 @@ class TestModelSerialization:
         (1, r"seed=\S+", "seed=0100", "line 2: seed=0100 is not in save_model's form seed=100"),
         (1, r"learning_rate=\S+", "learning_rate=0.1_0", "line 2: learning_rate=0.1_0 is not in save_model's form"),
         (1, r"base_score=\S+", "base_score=+0.5", "line 2: base_score=+0.5 is not in save_model's form"),
+        (1, r"seed=\S+", "seed=-1", "line 2: BoostConfig: seed must be >= 0"),
     ], ids=["inf-base-score", "nan-learning-rate", "word-tree-count", "nan-leaf", "inf-threshold", "feature-5",
-            "int-digit-groups", "int-leading-zero", "float-digit-groups", "float-plus-sign"])
+            "int-digit-groups", "int-leading-zero", "float-digit-groups", "float-plus-sign", "negative-seed"])
     def test_bad_value_is_a_data_error_naming_the_line(self, tmp_path, index, pattern, repl, message):
         path, lines = self._saved(tmp_path)
         lines[index] = re.sub(pattern, repl, lines[index], count=1)

@@ -172,6 +172,8 @@ class TestNoiseSweep:
         ("0.1,nan", "enabled", "usage error: bad --rates value: NoiseSpec: label noise rate must be in [0, 0.5), "
                                "got nan\n"),
         ("0.1,0.3", "enabled,bogus", "usage error: bad --modes value 'bogus': choose from enabled, disabled,"),
+        ("0.1,0.3,0.10", "enabled", "usage error: bad --rates value: 0.1 given 2 times\n"),
+        ("0.1,0.3", "enabled,disabled,enabled", "usage error: bad --modes value: 'enabled' given 2 times\n"),
     ])
     def test_bad_value_rejected_before_training(self, small_csv, tmp_path, capsys, monkeypatch, rates, modes,
                                                 message):
@@ -506,6 +508,7 @@ class TestExitCodes:
         (["--delta", "1.5"], "delta must be in (0, 1)"),
         (["--delta", "0"], "delta must be in (0, 1)"),
         (["--eps", "nan"], "epsilon must be positive"),
+        (["--eps", "inf"], "epsilon must be positive"),
     ])
     def test_bad_eps_or_delta_is_a_usage_error_before_loading(self, tmp_path, capsys, flags, message):
         out = tmp_path / "bounds.csv"
@@ -513,6 +516,18 @@ class TestExitCodes:
         assert run("verify-bounds", "--trace", str(missing), "--mask", str(missing), *flags, "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("synth", "usage error: argument --seed: must be at least 0, got -1\n"),
+        ("train", "usage error: BoostConfig: seed must be >= 0\n"),
+        ("evaluate", "usage error: BoostConfig: seed must be >= 0\n"),
+    ])
+    def test_negative_seed_is_a_usage_error_naming_it(self, tmp_path, capsys, command, message):
+        out = tmp_path / "out.csv"
+        data = [] if command == "synth" else ["--data", str(tmp_path / "absent.csv")]  # never read
+        assert run(command, *data, "--seed", "-1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
     def test_seed_defaults_to_42(self, small_csv, tmp_path):

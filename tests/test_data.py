@@ -272,7 +272,7 @@ class TestRoundTrip:
         back = load_csv(path, "label", positive_label="1")
         assert back.features.tobytes() == ds.features.tobytes()  # -0.0 and subnormals included
         assert np.array_equal(back.labels, ds.labels)
-        assert back.feature_names == ds.column_names()
+        assert back.feature_names == ds.feature_names == tuple(f"x{j}" for j in range(ds.n_features))
 
     def test_golden_bytes(self, tmp_path):
         ds = Dataset(

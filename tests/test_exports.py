@@ -7,8 +7,6 @@ from pathlib import Path
 import itboost
 
 ROOT = Path(__file__).resolve().parents[1]
-# criterion 1's reference oracle for the LZ parse; only the tests use it
-TEST_ONLY_EXPORTS = {"SymbolSequence"}
 
 
 def imported_public_names() -> set:
@@ -47,5 +45,5 @@ def test_every_export_is_used_by_a_program():
     programs = [path for path in package.glob("*.py") if path.name != "__init__.py"]
     programs += [path for path in (ROOT / "perfbench").glob("*.py") if not path.name.startswith("test_")]
     used = set().union(*map(used_names, programs))
-    unused = sorted(set(itboost.__all__) - used - TEST_ONLY_EXPORTS)
+    unused = sorted(set(itboost.__all__) - used)
     assert unused == []

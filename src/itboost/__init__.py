@@ -49,7 +49,7 @@ from .theory import (
     ratio_bound_check,
     trust_bound_check,
 )
-from .trees import RegressionTree, fit_tree_weighted
+from .trees import RegressionTree, fit_tree_weighted, presort
 
 __version__ = "0.1.0"
 
@@ -80,6 +80,7 @@ __all__ = [
     "lz76_complexity",
     "make_gaussian_dataset",
     "normalize_complexities",
+    "presort",
     "random_undersample",
     "ratio_bound_check",
     "save_csv",

@@ -236,6 +236,8 @@ def load_model(path) -> Model:
         if not math.isfinite(base_score):
             raise ValueError(f"base_score must be finite, got {base_score}")
         n_features = header.pop("n_features")
+        if n_features < 1:
+            raise ValueError(f"n_features must be at least 1, got {n_features}")
         n_trees = header.pop("n_trees")
         config = BoostConfig(**header)
         if len(lines) - 2 != n_trees:
@@ -404,7 +406,7 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
         if config.trust == "disabled" or not moved:
             weights = np.ones(n, dtype=np.float64)
         t1 = time.perf_counter()
-        tree = fit_tree_weighted(X, g, weights, config.max_depth, config.min_samples_leaf, presorted=sorted_X)
+        tree = fit_tree_weighted(sorted_X, g, weights, config.max_depth, config.min_samples_leaf)
         scores = scores + config.learning_rate * tree.predict(X)
         t2 = time.perf_counter()
         trees.append(tree)

@@ -323,7 +323,7 @@ def build_parser() -> CliParser:
     p = command("verify-bounds", cmd_verify_bounds, "trust-weight bound and separability reports from a trace")
     p.add_argument("--trace", required=True, help="trace CSV written by train/trajectory")
     p.add_argument("--mask", required=True, help="noise mask CSV")
-    p.add_argument("--iteration", type=int, default=None)
+    p.add_argument("--iteration", type=at_least(1), default=None)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.05)
 

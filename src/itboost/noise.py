@@ -27,6 +27,8 @@ class NoiseSpec:
                 raise ValueError(f"NoiseSpec: feature noise rate must be in [0, 1], got {self.rate}")
         elif not 0.0 <= self.rate < 0.5:
             raise ValueError(f"NoiseSpec: label noise rate must be in [0, 0.5), got {self.rate}")
+        if self.seed < 0:
+            raise ValueError("NoiseSpec: seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ def make_gaussian_dataset(
         raise ValueError("make_gaussian_dataset: negative distractor count")
     if not 0 <= separation < np.inf:
         raise ValueError(f"make_gaussian_dataset: separation must be finite and nonnegative, got {separation}")
+    if seed < 0:
+        raise ValueError("make_gaussian_dataset: seed must be >= 0")
 
     rng = np.random.default_rng(seed)
     n_pos = n_rows // 2

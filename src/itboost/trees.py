@@ -34,20 +34,17 @@ class RegressionTree:
     n_features: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value of each row of X (n, d); a float for one row x (d,).
+        """Leaf value of each row of the (n, d) batch X.
 
         A row goes left when ``x[feature] <= threshold`` and right otherwise,
-        so NaN goes right.  One row walks a single root-to-leaf path (see
-        :func:`_leaf_value`); a batch partitions its row indices down the tree
-        (see :func:`_route`).
+        so NaN goes right.  The batch partitions its row indices down the tree
+        (see :func:`_route`); one row is scored by :meth:`Model.predict_score`.
         """
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim not in (1, 2):
-            raise ValueError(f"RegressionTree.predict: expected 1-D or 2-D input, got shape {X.shape}")
-        if X.shape[-1] != self.n_features:
-            raise ValueError(f"RegressionTree.predict: expected {self.n_features} features, got {X.shape[-1]}")
-        if X.ndim == 1:
-            return float(_leaf_value(self.root, X.tolist()))
+        if X.ndim != 2:
+            raise ValueError(f"RegressionTree.predict: expected a 2-D batch, got shape {X.shape}")
+        if X.shape[1] != self.n_features:
+            raise ValueError(f"RegressionTree.predict: expected {self.n_features} features, got {X.shape[1]}")
         out = np.empty(X.shape[0], dtype=np.float64)
         _route(self.root, np.ascontiguousarray(X.T), np.arange(X.shape[0]), out)
         return out
@@ -267,43 +264,45 @@ def presort(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ``features`` do not change across boosting rounds, so a caller that fits
     many trees on them sorts once and passes the result to every
-    :func:`fit_tree_weighted` call as ``presorted=``.
+    :func:`fit_tree_weighted` call.
     """
-    XT = np.ascontiguousarray(np.asarray(features, dtype=np.float64).T)
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"presort: features must be 2-D, got shape {X.shape}")
+    XT = np.ascontiguousarray(X.T)
     order = XT.argsort(axis=1, kind="stable")
     return XT, order, np.take_along_axis(XT, order, axis=1)
 
 
 def fit_tree_weighted(
-    features: np.ndarray,
+    presorted: tuple[np.ndarray, np.ndarray, np.ndarray],
     targets: np.ndarray,
     weights: np.ndarray,
     max_depth: int,
     min_samples_leaf: int = 1,
-    *,
-    presorted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> RegressionTree:
     """Greedy CART minimising weighted squared error of the targets.
 
-    Leaf values are weighted means of the targets reaching the leaf.  Samples
-    with zero weight are excluded entirely (they influence neither splits nor
-    leaf values, though the finished tree still routes them at prediction
-    time).  Growth stops at max_depth, at min_samples_leaf, or when the
-    node's targets are constant.
+    ``presorted`` is :func:`presort` of the (n, d) features.  Leaf values are
+    weighted means of the targets reaching the leaf.  Samples with zero
+    weight are excluded entirely (they influence neither splits nor leaf
+    values, though the finished tree still routes them at prediction time).
+    Growth stops at max_depth, at min_samples_leaf, or when the node's
+    targets are constant.
 
-    ``presorted`` is :func:`presort` of ``features``; without it the fit
-    sorts them itself, and the tree is the same either way.  When some
-    weights are zero, a stable filter of each feature's order drops those
-    samples, which is the order a stable argsort of the weighted samples
-    would give; each child then inherits its parent's order the same way.
+    When some weights are zero, a stable filter of each feature's order drops
+    those samples, which is the order a stable argsort of the weighted
+    samples would give; each child then inherits its parent's order the same
+    way.
     """
-    X = np.asarray(features, dtype=np.float64)
+    XT, order, xs = presorted
     g = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("fit_tree_weighted: features must be 2-D")
-    if not (X.shape[0] == g.shape[0] == w.shape[0]):
-        raise ValueError("fit_tree_weighted: features, targets, weights lengths disagree")
+    if not (XT.ndim == 2 and XT.shape == order.shape == xs.shape):
+        raise ValueError(f"fit_tree_weighted: presorted shapes {XT.shape}, {order.shape}, {xs.shape} differ")
+    d, n = XT.shape
+    if not (g.shape == w.shape == (n,)):
+        raise ValueError(f"fit_tree_weighted: targets {g.shape} and weights {w.shape} need {n} entries")
     if (w < 0).any():
         raise ValueError("fit_tree_weighted: negative weights")
     if max_depth < 1 or min_samples_leaf < 1:
@@ -311,18 +310,10 @@ def fit_tree_weighted(
     active = w > 0
     if not active.any():
         raise ValueError("fit_tree_weighted: all weights are zero")
-    if presorted is None:
-        presorted = presort(X)
-    XT, order, xs = presorted
-    if not XT.shape == order.shape == xs.shape == X.shape[::-1]:
-        raise ValueError(
-            f"fit_tree_weighted: presorted arrays of shapes {XT.shape}, {order.shape}, {xs.shape} "
-            f"do not match features of shape {X.shape}"
-        )
     rows = active.nonzero()[0]
-    if rows.shape[0] < X.shape[0]:
+    if rows.shape[0] < n:
         keep = active.take(order).ravel()
-        order = order.compress(keep).reshape(X.shape[1], -1)
-        xs = xs.compress(keep).reshape(X.shape[1], -1)
+        order = order.compress(keep).reshape(d, -1)
+        xs = xs.compress(keep).reshape(d, -1)
     root = _grow(XT, g, w, order, xs, rows, max_depth, min_samples_leaf)
-    return RegressionTree(root=root, n_features=X.shape[1])
+    return RegressionTree(root=root, n_features=d)

@@ -32,7 +32,7 @@ from itboost.theory import (
     separability_from_groups,
     trust_bound_check,
 )
-from itboost.trees import fit_tree_weighted
+from itboost.trees import fit_tree_weighted, presort
 from reference import ReferenceGBDT, SymbolSequence, brute_force_tree, tree_weighted_sse
 
 
@@ -193,7 +193,7 @@ def test_criterion_04_tree_matches_exhaustive_search():
             w[int(rng.integers(0, n))] = 0.0
         if not np.any(w > 0):
             w[0] = 1.0
-        mine = fit_tree_weighted(X, g, w, max_depth=depth)
+        mine = fit_tree_weighted(presort(X), g, w, max_depth=depth)
         oracle = brute_force_tree(X, g, w, max_depth=depth)
         diff = abs(tree_weighted_sse(mine, X, g, w) - tree_weighted_sse(oracle, X, g, w))
         worst = max(worst, diff)

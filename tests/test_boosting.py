@@ -167,10 +167,6 @@ class TestPredict:
                 singles = [predict(x) for x in X]
                 assert all(type(v) is float for v in singles)
                 np.testing.assert_array_equal(bits(singles), bits(predict(X)))
-            for tree in m.trees:
-                singles = [tree.predict(x) for x in X]
-                assert all(type(v) is float for v in singles)
-                np.testing.assert_array_equal(bits(singles), bits(tree.predict(X)))
         np.testing.assert_array_equal(bits(loaded.predict_score(X)), bits(model.predict_score(X)))
 
     def test_single_row_equals_batch_without_trees(self):
@@ -583,8 +579,11 @@ class TestModelSerialization:
         (1, r"learning_rate=\S+", "learning_rate=0.1_0", "line 2: learning_rate=0.1_0 is not in save_model's form"),
         (1, r"base_score=\S+", "base_score=+0.5", "line 2: base_score=+0.5 is not in save_model's form"),
         (1, r"seed=\S+", "seed=-1", "line 2: BoostConfig: seed must be >= 0"),
+        (1, r"n_features=\S+", "n_features=0", "line 2: n_features must be at least 1, got 0"),
+        (1, r"n_features=\S+", "n_features=-3", "line 2: n_features must be at least 1, got -3"),
     ], ids=["inf-base-score", "nan-learning-rate", "word-tree-count", "nan-leaf", "inf-threshold", "feature-5",
-            "int-digit-groups", "int-leading-zero", "float-digit-groups", "float-plus-sign", "negative-seed"])
+            "int-digit-groups", "int-leading-zero", "float-digit-groups", "float-plus-sign", "negative-seed",
+            "zero-features", "negative-features"])
     def test_bad_value_is_a_data_error_naming_the_line(self, tmp_path, index, pattern, repl, message):
         path, lines = self._saved(tmp_path)
         lines[index] = re.sub(pattern, repl, lines[index], count=1)

@@ -509,6 +509,8 @@ class TestExitCodes:
         (["--delta", "0"], "delta must be in (0, 1)"),
         (["--eps", "nan"], "epsilon must be positive"),
         (["--eps", "inf"], "epsilon must be positive"),
+        (["--iteration", "0"], "argument --iteration: must be at least 1, got 0"),
+        (["--iteration", "-2"], "argument --iteration: must be at least 1, got -2"),
     ])
     def test_bad_eps_or_delta_is_a_usage_error_before_loading(self, tmp_path, capsys, flags, message):
         out = tmp_path / "bounds.csv"

@@ -383,6 +383,11 @@ def test_crlf_copy_loads_as_the_lf_file(written_inputs, tmp_path, reader):
     assert plain(read(crlf)) == plain(read(lf))
 
 
+def test_make_gaussian_dataset_rejects_negative_seed_naming_itself():
+    with pytest.raises(ValueError, match=r"^make_gaussian_dataset: seed must be >= 0$"):
+        make_gaussian_dataset(10, 2, seed=-1)
+
+
 class TestStratifiedKFold:
     def test_perfectly_balanced_small_case(self):
         ds = Dataset(np.arange(10.0)[:, None], np.array([1, -1] * 5), np.arange(10))

@@ -35,6 +35,10 @@ class TestSpec:
         with pytest.raises(ValueError):
             NoiseSpec("adversarial", 0.1, 0)
 
+    def test_negative_seed_rejected_naming_the_class(self):
+        with pytest.raises(ValueError, match=r"^NoiseSpec: seed must be >= 0$"):
+            NoiseSpec("symmetric", 0.1, -1)
+
 
 class TestSymmetric:
     def test_zero_rate_identity(self):

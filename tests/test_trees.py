@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ class TestFitBasics:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         g = np.array([-1.0, -1.0, 1.0, 1.0])
         w = np.ones(4)
-        tree = fit_tree_weighted(X, g, w, max_depth=1)
+        tree = fit_tree_weighted(presort(X), g, w, max_depth=1)
         assert not tree.root.is_leaf
         assert tree.root.feature == 0
         assert tree.root.threshold == 1.5
@@ -21,7 +23,7 @@ class TestFitBasics:
 
     def test_constant_targets_give_single_leaf(self):
         X = np.arange(6.0)[:, None]
-        tree = fit_tree_weighted(X, np.full(6, 0.3), np.ones(6), max_depth=3)
+        tree = fit_tree_weighted(presort(X), np.full(6, 0.3), np.ones(6), max_depth=3)
         assert tree.root.is_leaf
         assert tree.root.value == pytest.approx(0.3)
 
@@ -29,7 +31,7 @@ class TestFitBasics:
         X = np.zeros((3, 1))  # no split possible
         g = np.array([1.0, 2.0, 4.0])
         w = np.array([1.0, 1.0, 2.0])
-        tree = fit_tree_weighted(X, g, w, max_depth=2)
+        tree = fit_tree_weighted(presort(X), g, w, max_depth=2)
         assert tree.root.is_leaf
         assert tree.root.value == pytest.approx((1 + 2 + 8) / 4.0)
 
@@ -37,7 +39,7 @@ class TestFitBasics:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 2))
         g = rng.normal(size=20)
-        tree = fit_tree_weighted(X, g, np.ones(20), max_depth=4, min_samples_leaf=5)
+        tree = fit_tree_weighted(presort(X), g, np.ones(20), max_depth=4, min_samples_leaf=5)
 
         def leaf_counts(node, idx):
             if node.is_leaf:
@@ -53,26 +55,36 @@ class TestFitBasics:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(64, 3))
         g = rng.normal(size=64)
-        tree = fit_tree_weighted(X, g, np.ones(64), max_depth=2)
+        tree = fit_tree_weighted(presort(X), g, np.ones(64), max_depth=2)
         assert tree.depth() <= 2
         assert tree.n_leaves() <= 4
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            fit_tree_weighted(np.ones((3, 1)), np.ones(3), np.zeros(3), max_depth=1)
+            fit_tree_weighted(presort(np.ones((3, 1))), np.ones(3), np.zeros(3), max_depth=1)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            fit_tree_weighted(np.ones((3, 1)), np.ones(3), np.array([1.0, -1.0, 1.0]), max_depth=1)
+            fit_tree_weighted(presort(np.ones((3, 1))), np.ones(3), np.array([1.0, -1.0, 1.0]), max_depth=1)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            fit_tree_weighted(np.ones((3, 1)), np.ones(2), np.ones(3), max_depth=1)
+            fit_tree_weighted(presort(np.ones((3, 1))), np.ones(2), np.ones(3), max_depth=1)
 
-    @pytest.mark.parametrize("other", [np.ones((4, 2)), np.ones((3, 1)), np.ones((2, 3))])
-    def test_presort_of_other_shape_rejected(self, other):
-        with pytest.raises(ValueError, match="presorted"):
-            fit_tree_weighted(np.ones((3, 2)), np.ones(3), np.ones(3), max_depth=1, presorted=presort(other))
+    def test_presorted_arrays_disagreeing_with_each_other_or_the_targets_rejected(self):
+        XT, order, xs = presort(np.ones((3, 2)))
+        with pytest.raises(ValueError, match=r"presorted shapes \(2, 3\), \(2, 4\), \(2, 3\) differ"):
+            fit_tree_weighted((XT, np.zeros((2, 4), dtype=np.int64), xs), np.ones(3), np.ones(3), max_depth=1)
+        with pytest.raises(ValueError, match=r"presorted shapes \(3,\), \(3,\), \(3,\) differ"):
+            fit_tree_weighted((XT[0], order[0], xs[0]), np.ones(3), np.ones(3), max_depth=1)
+        for g, w in ((np.ones(4), np.ones(4)), (np.ones((3, 1)), np.ones(3))):
+            with pytest.raises(ValueError, match=r"need 3 entries"):
+                fit_tree_weighted((XT, order, xs), g, w, max_depth=1)
+
+    @pytest.mark.parametrize("shape", [(3,), (), (2, 3, 2)])
+    def test_presort_rejects_input_not_2d(self, shape):
+        with pytest.raises(ValueError, match=rf"^presort: features must be 2-D, got shape {re.escape(str(shape))}$"):
+            presort(np.ones(shape))
 
 
 class TestZeroWeightInvariance:
@@ -83,20 +95,20 @@ class TestZeroWeightInvariance:
             X = rng.normal(size=(n, 2))
             g = rng.normal(size=n)
             w = rng.random(n) + 0.1
-            base = fit_tree_weighted(X, g, w, max_depth=3)
+            base = fit_tree_weighted(presort(X), g, w, max_depth=3)
             extra = int(rng.integers(1, 6))
             X2 = np.vstack([X, rng.normal(size=(extra, 2))])
             g2 = np.concatenate([g, rng.normal(size=extra)])
             w2 = np.concatenate([w, np.zeros(extra)])
-            padded = fit_tree_weighted(X2, g2, w2, max_depth=3)
+            padded = fit_tree_weighted(presort(X2), g2, w2, max_depth=3)
             assert base.to_tokens() == padded.to_tokens()
 
     def test_zero_weight_rows_still_routed_at_prediction(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         g = np.array([-1.0, -1.0, 1.0, 1.0])
         w = np.array([1.0, 1.0, 1.0, 0.0])
-        tree = fit_tree_weighted(X, g, w, max_depth=1)
-        assert tree.predict(np.array([3.0])) == tree.root.right.value
+        tree = fit_tree_weighted(presort(X), g, w, max_depth=1)
+        assert tree.predict(np.array([[3.0]])).tolist() == [tree.root.right.value]
 
 
 class TestUniformMatchesUnweighted:
@@ -104,8 +116,8 @@ class TestUniformMatchesUnweighted:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 3))
         g = rng.normal(size=30)
-        a = fit_tree_weighted(X, g, np.ones(30), max_depth=3)
-        b = fit_tree_weighted(X, g, np.full(30, 7.0), max_depth=3)
+        a = fit_tree_weighted(presort(X), g, np.ones(30), max_depth=3)
+        b = fit_tree_weighted(presort(X), g, np.full(30, 7.0), max_depth=3)
         ta, tb = a.to_tokens(), b.to_tokens()
         assert [t for t in ta if t in "IL"] == [t for t in tb if t in "IL"]
         # structure identical; leaf values equal up to fp tolerance
@@ -132,7 +144,7 @@ class TestOracleAgreement:
                 w[rng.integers(0, n)] = 0.0
             if not np.any(w > 0):
                 w[0] = 1.0
-            mine = fit_tree_weighted(X, g, w, max_depth=depth)
+            mine = fit_tree_weighted(presort(X), g, w, max_depth=depth)
             oracle = brute_force_tree(X, g, w, max_depth=depth)
             assert tree_weighted_sse(mine, X, g, w) == pytest.approx(
                 tree_weighted_sse(oracle, X, g, w), abs=1e-9
@@ -142,7 +154,7 @@ class TestOracleAgreement:
         X = np.array([[0.0, 5.0], [1.0, 1.0], [2.0, 4.0], [3.0, 0.0], [4.0, 3.0], [5.0, 2.0]])
         g = np.array([1.0, -2.0, 0.5, 3.0, -1.0, 2.0])
         w = np.array([1.0, 0.5, 2.0, 1.0, 0.2, 1.5])
-        mine = fit_tree_weighted(X, g, w, max_depth=2)
+        mine = fit_tree_weighted(presort(X), g, w, max_depth=2)
         oracle = brute_force_tree(X, g, w, max_depth=2)
         assert tree_weighted_sse(mine, X, g, w) == pytest.approx(
             tree_weighted_sse(oracle, X, g, w), abs=1e-9
@@ -185,20 +197,16 @@ class TestPerFeatureOracle:
         rng = np.random.default_rng(1000 * depth + min_samples_leaf)
         for trial in range(30):
             X, g, w = self._case(rng, trial)
-            mine = fit_tree_weighted(X, g, w, max_depth=depth, min_samples_leaf=min_samples_leaf)
+            mine = fit_tree_weighted(presort(X), g, w, max_depth=depth, min_samples_leaf=min_samples_leaf)
             oracle = per_feature_tree(X, g, w, max_depth=depth, min_samples_leaf=min_samples_leaf)
             assert mine.to_tokens() == oracle.to_tokens(), (trial, X.shape)
-            # a presort of the full X, filtered by w > 0 inside the fit on the odd trials
-            shared = fit_tree_weighted(X, g, w, max_depth=depth, min_samples_leaf=min_samples_leaf,
-                                       presorted=presort(X))
-            assert shared.to_tokens() == oracle.to_tokens(), (trial, X.shape)
 
     def test_duplicated_column_resolves_to_the_lowest_feature(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=30)
         X = np.column_stack([rng.normal(size=30), x, x])
         g = np.where(x > 0, 1.0, -1.0)
-        tree = fit_tree_weighted(X, g, np.ones(30), max_depth=1)
+        tree = fit_tree_weighted(presort(X), g, np.ones(30), max_depth=1)
         assert tree.root.feature == 1
         assert tree.to_tokens() == per_feature_tree(X, g, np.ones(30), max_depth=1).to_tokens()
 
@@ -208,13 +216,13 @@ class TestSerialization:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(40, 3))
         g = rng.normal(size=40)
-        tree = fit_tree_weighted(X, g, np.ones(40), max_depth=3)
+        tree = fit_tree_weighted(presort(X), g, np.ones(40), max_depth=3)
         back = RegressionTree.from_tokens(tree.to_tokens(), n_features=3)
         assert back.to_tokens() == tree.to_tokens()
         np.testing.assert_array_equal(back.predict(X), tree.predict(X))
 
     def test_predict_dimension_check(self):
-        tree = fit_tree_weighted(np.ones((2, 2)), np.array([0.0, 1.0]), np.ones(2), max_depth=1)
+        tree = fit_tree_weighted(presort(np.ones((2, 2))), np.array([0.0, 1.0]), np.ones(2), max_depth=1)
         with pytest.raises(ValueError):
             tree.predict(np.ones((3, 5)))
 
@@ -231,7 +239,7 @@ def fitted_trees(draw):
     if d > 1 and draw(st.booleans()):
         X[:, -1] = X[:, 0]
     g = rng.normal(size=n)
-    tree = fit_tree_weighted(X, g, np.ones(n), max_depth=depth)
+    tree = fit_tree_weighted(presort(X), g, np.ones(n), max_depth=depth)
     # integer data splits at midpoints x.5, so these values land on thresholds
     pool = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, np.nan])
     Q = np.vstack([X, rng.choice(pool, size=(draw(st.integers(0, 10)), d))])
@@ -239,9 +247,10 @@ def fitted_trees(draw):
 
 
 class TestPredictPaths:
-    """A row scored alone walks one root-to-leaf path; a batch partitions its
-    row indices down the tree.  Both must give the same leaf, and the same as
-    the reference GBDT's independent tree walker."""
+    """A batch partitions its row indices down the tree, and each row must
+    reach the leaf the reference GBDT's independent tree walker reaches,
+    whatever the batch's memory layout.  One row alone is scored by
+    ``Model`` (see ``tests/test_boosting.py``)."""
 
     @given(case=fitted_trees())
     @settings(max_examples=150, deadline=None)
@@ -250,10 +259,6 @@ class TestPredictPaths:
         batch = tree.predict(Q)
         oracle = ReferenceGBDT(1, 0.1, 1, 1, "squared")._predict_tree(tree.root, Q)
         np.testing.assert_array_equal(batch, oracle)
-        for i, x in enumerate(Q):
-            single = tree.predict(x)
-            assert type(single) is float
-            assert single == batch[i]
         np.testing.assert_array_equal(tree.predict(np.asfortranarray(Q)), batch)
         np.testing.assert_array_equal(tree.predict(Q[::2]), batch[::2])
         wide = np.hstack([Q, Q])[:, : Q.shape[1]]  # column-strided view
@@ -264,19 +269,17 @@ class TestPredictPaths:
 
     def test_value_at_threshold_goes_left(self):
         tree = self._stump()
-        assert tree.predict(np.array([9.0, 1.5])) == -1.0
-        assert tree.predict(np.array([9.0, np.nextafter(1.5, 2.0)])) == 2.0
-        np.testing.assert_array_equal(tree.predict(np.array([[9.0, 1.5], [0.0, 1.6]])), [-1.0, 2.0])
+        Q = np.array([[9.0, 1.5], [9.0, np.nextafter(1.5, 2.0)], [0.0, 1.6]])
+        np.testing.assert_array_equal(tree.predict(Q), [-1.0, 2.0, 2.0])
 
     def test_nan_goes_right(self):
         tree = self._stump()
-        assert tree.predict(np.array([0.0, np.nan])) == 2.0
         np.testing.assert_array_equal(tree.predict(np.array([[0.0, np.nan], [0.0, 0.0]])), [2.0, -1.0])
 
     def test_empty_batch(self):
         assert self._stump().predict(np.empty((0, 2))).shape == (0,)
 
-    @pytest.mark.parametrize("shape", [(), (2, 3, 2), (1, 1, 2)])
-    def test_input_not_1d_or_2d_rejected(self, shape):
-        with pytest.raises(ValueError, match=r"1-D or 2-D.*shape"):
+    @pytest.mark.parametrize("shape", [(), (2, 3, 2), (1, 1, 2), (2,)])
+    def test_input_not_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match=rf"expected a 2-D batch, got shape {re.escape(str(shape))}$"):
             self._stump().predict(np.ones(shape))

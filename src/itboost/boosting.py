@@ -25,7 +25,7 @@ from .complexity import (
     trust_weights,
 )
 from .data import DataError, Dataset, open_input, write_rows
-from .trees import RegressionTree, _leaf_value, fit_tree_weighted, presort
+from .trees import RegressionTree, fit_tree_weighted, presort
 
 LOSSES = ("logistic", "squared")
 ENCODINGS = ("binary-sign", "binary-delta", "quantized")
@@ -164,11 +164,13 @@ class Model:
         """Raw additive score of each row of X (n, d); a float for one row x (d,).
 
         One row is checked once, turned into a list of Python floats once, and
-        walked down each tree by :func:`~itboost.trees._leaf_value`; its score
-        is summed in Python floats, tree by tree: the same float operations in
-        the same order as its row of the batch, so both agree bit for bit.  A
-        batch is laid out column-major once, so the transposed (d, n) view
-        each tree reads is already contiguous and never copied.
+        walked down each tree inline, the package's only single-row walk: each
+        node compares a Python float with ``<=``, the same IEEE comparison as
+        the batch's, so NaN goes right.  Its score is summed in Python floats,
+        tree by tree: the same float operations in the same order as its row
+        of the batch, so both agree bit for bit.  A batch is laid out
+        column-major once, so the transposed (d, n) view each tree reads is
+        already contiguous and never copied.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim not in (1, 2):
@@ -180,7 +182,10 @@ class Model:
             row = X.tolist()
             score = float(self.base_score)
             for tree in self.trees:
-                score += lr * _leaf_value(tree.root, row)
+                node = tree.root
+                while node.left is not None:
+                    node = node.left if row[node.feature] <= node.threshold else node.right
+                score += lr * node.value
             return score
         X = np.asfortranarray(X)
         scores = np.full(X.shape[0], self.base_score, dtype=np.float64)
@@ -189,9 +194,14 @@ class Model:
         return scores
 
     def predict_proba(self, X):
-        score = np.clip(self.predict_score(X), -SCORE_CLAMP, SCORE_CLAMP)
-        out = expit(score)
-        return float(out) if np.ndim(out) == 0 else out
+        """Positive-class probability: ``expit`` of the score clamped to
+        ``[-SCORE_CLAMP, SCORE_CLAMP]``.  One row's float score is clamped in
+        Python floats; ``min(max(s, lo), hi)`` keeps NaN as ``np.clip`` does,
+        so a row alone equals its row of the batch."""
+        score = self.predict_score(X)
+        if isinstance(score, float):
+            return float(expit(min(max(score, -SCORE_CLAMP), SCORE_CLAMP)))
+        return expit(np.clip(score, -SCORE_CLAMP, SCORE_CLAMP))
 
 
 MODEL_FORMAT_VERSION = "itboost-model v1"
@@ -301,7 +311,8 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     concatenated trace is rejected rather than read with its rows misaligned.
     Blank lines are skipped; a record that is not six cells, or whose cells
     are not three integers and three finite floats, is rejected naming the
-    line, as the file is read.  Every rejection is a :class:`DataError`.
+    line, as the file is read; an integer outside int64 is rejected naming
+    its column.  Every rejection is a :class:`DataError`.
     """
     blocks: list[list] = []  # per iteration, row_id, raw_C, normalized_C, tau and weight of each record in turn
     with open_input("load_trace_csv", path) as fh:
@@ -340,18 +351,25 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     row_ids = blocks[0][0::5]
     if len(set(row_ids)) != len(row_ids):
         raise DataError(f"load_trace_csv: {path} lists a row id twice in iteration 1")
+
+    def int64s(values, column):
+        try:
+            return np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            raise DataError(f"load_trace_csv: {path} column {column} holds an integer outside int64") from None
+
     states: dict[int, TrustState] = {}
     for m, block in enumerate(blocks, start=1):
         if block[0::5] != row_ids:
             raise DataError(f"load_trace_csv: {path} iteration {m} does not list iteration 1's row ids in order")
         states[m] = TrustState(
             iteration=m,
-            raw_complexity=np.asarray(block[1::5], dtype=np.int64),
+            raw_complexity=int64s(block[1::5], "raw_C"),
             normalized=np.asarray(block[2::5], dtype=np.float64),
             tau=np.asarray(block[3::5], dtype=np.float64),
             weights=np.asarray(block[4::5], dtype=np.float64),
         )
-    return np.asarray(row_ids, dtype=np.int64), states
+    return int64s(row_ids, "row_id"), states
 
 
 def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:

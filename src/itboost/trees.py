@@ -8,13 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """Internal node (feature, threshold) or leaf (value).
 
     The fit and :meth:`RegressionTree.from_tokens` store a Python int feature
     and Python float threshold and value, so a single-row score summed from
-    leaf values stays a Python float.
+    leaf values stays a Python float.  Slots, not a ``__dict__``, hold the
+    fields, so each node visit of a single-row walk is a slot read.
     """
 
     feature: int = -1
@@ -28,7 +29,7 @@ class TreeNode:
         return self.left is None
 
 
-@dataclass
+@dataclass(slots=True)
 class RegressionTree:
     root: TreeNode
     n_features: int
@@ -114,19 +115,6 @@ def _preorder(root: TreeNode):
         yield node, level
         if not node.is_leaf:
             stack += ((node.right, level + 1), (node.left, level + 1))
-
-
-def _leaf_value(root: TreeNode, row: list[float]) -> float:
-    """Leaf value that one row reaches from ``root``: the package's only single-row walk.
-
-    ``row`` is the row as a list of Python floats (``x.tolist()``), so each
-    comparison is a float ``<=``, the same IEEE comparison as numpy's, with no
-    numpy scalar made per node.
-    """
-    node = root
-    while node.left is not None:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.value
 
 
 def _route(root: TreeNode, XT: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
@@ -288,7 +276,8 @@ def fit_tree_weighted(
     weight are excluded entirely (they influence neither splits nor leaf
     values, though the finished tree still routes them at prediction time).
     Growth stops at max_depth, at min_samples_leaf, or when the node's
-    targets are constant.
+    targets are constant.  Targets and weights must be finite, and weights
+    non-negative with at least one positive.
 
     When some weights are zero, a stable filter of each feature's order drops
     those samples, which is the order a stable argsort of the weighted
@@ -303,6 +292,8 @@ def fit_tree_weighted(
     d, n = XT.shape
     if not (g.shape == w.shape == (n,)):
         raise ValueError(f"fit_tree_weighted: targets {g.shape} and weights {w.shape} need {n} entries")
+    if not (np.isfinite(g).all() and np.isfinite(w).all()):
+        raise ValueError("fit_tree_weighted: targets and weights must be finite")
     if (w < 0).any():
         raise ValueError("fit_tree_weighted: negative weights")
     if max_depth < 1 or min_samples_leaf < 1:

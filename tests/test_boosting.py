@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from itboost import boosting
 from itboost.boosting import (
@@ -116,10 +117,19 @@ class TestPredict:
             model.predict_score(np.ones((4, 2)))
 
     def test_extreme_scores_clamped(self):
-        cfg = BoostConfig(learning_rate=1.0)
-        model = Model(base_score=500.0, n_features=1, trees=[], config=cfg)
-        proba = model.predict_proba(np.zeros((1, 1)))
-        assert np.all(np.isfinite(proba)) and proba[0] <= 1.0
+        """One row is clamped in Python floats and a batch by ``np.clip``;
+        both agree at, beyond and inside ±SCORE_CLAMP, and both keep NaN,
+        which ``min(max(score, lo), hi)`` does only with the score first."""
+        for score in (500.0, 50.5, 50.0, 49.5, -50.0, -50.5, -500.0, np.inf, -np.inf, np.nan):
+            model = Model(base_score=score, n_features=1, trees=[], config=BoostConfig(learning_rate=1.0))
+            proba = model.predict_proba(np.zeros((2, 1)))
+            alone = model.predict_proba(np.zeros(1))
+            assert type(alone) is float
+            np.testing.assert_array_equal(proba, [alone, alone])
+            if math.isnan(score):
+                assert math.isnan(alone)
+            else:
+                assert alone == expit(max(-50.0, min(score, 50.0))) and 0.0 < alone <= 1.0, score
 
     @pytest.mark.parametrize("loss", LOSSES)
     def test_single_row_equals_its_row_of_the_batch(self, loss):
@@ -711,6 +721,19 @@ class TestTraceCsv:
         cells[column] = "1.5"
         rows[8] = ",".join(cells)
         self._rejects(path, header, rows, f"{re.escape(str(path))} line 10: expected integer iteration")
+
+    @pytest.mark.parametrize("text", ["99999999999999999999", "9223372036854775808", "-9223372036854775809"])
+    @pytest.mark.parametrize("column, name", [(1, "row_id"), (2, "raw_C")])
+    def test_integer_outside_int64_rejected(self, tmp_path, column, name, text):
+        path, header, rows = self._written(tmp_path)
+        for block in range(3):  # the same cell of every block, so a changed row id still agrees across blocks
+            cells = rows[6 * block + 1].split(",")
+            cells[column] = text
+            rows[6 * block + 1] = ",".join(cells)
+        path.write_text("\n".join([header] + rows) + "\n")
+        message = f"^load_trace_csv: {re.escape(str(path))} column {name} holds an integer outside int64$"
+        with pytest.raises(DataError, match=message):
+            load_trace_csv(path)
 
     @pytest.mark.parametrize("column, text", [(3, "nan"), (4, "inf"), (5, "-inf")])  # normalized_C, tau, weight
     def test_non_finite_cell_rejected(self, tmp_path, column, text):

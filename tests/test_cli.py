@@ -424,7 +424,8 @@ class TestVerifyBoundsReport:
         (lambda cells: cells[:5], "line 4: expected 6 cells, got 5"),
         (lambda cells: cells[:3] + ["nan"] + cells[4:], "line 4: normalized_C, tau and weight must be finite"),
         (lambda cells: cells[:5] + ["inf"], "line 4: normalized_C, tau and weight must be finite"),
-    ], ids=["short-record", "nan-cell", "inf-cell"])
+        (lambda cells: cells[:2] + ["99999999999999999999"] + cells[3:], "column raw_C holds an integer outside int64"),
+    ], ids=["short-record", "nan-cell", "inf-cell", "int64-overflow"])
     def test_malformed_trace_is_a_data_error(self, trace_and_mask, tmp_path, capsys, edit, message):
         trace, mask = trace_and_mask
         lines = trace.read_text().splitlines()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itboost.boosting import BoostConfig, Model
 from itboost.trees import RegressionTree, fit_tree_weighted, presort
 from reference import ReferenceGBDT, brute_force_tree, per_feature_tree, tree_weighted_sse
 
@@ -66,6 +67,15 @@ class TestFitBasics:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             fit_tree_weighted(presort(np.ones((3, 1))), np.ones(3), np.array([1.0, -1.0, 1.0]), max_depth=1)
+
+    @pytest.mark.parametrize("targets, weights", [
+        ([1.0, 2.0, np.nan, 4.0, 5.0, 6.0], np.ones(6)),
+        (np.arange(6.0), [1.0, 1.0, np.inf, 1.0, 1.0, 1.0]),
+        (np.arange(6.0), [1.0, 1.0, np.nan, 1.0, 1.0, 1.0]),
+    ], ids=["nan-target", "inf-weight", "nan-weight"])
+    def test_non_finite_targets_or_weights_rejected(self, targets, weights):
+        with pytest.raises(ValueError, match="^fit_tree_weighted: targets and weights must be finite$"):
+            fit_tree_weighted(presort(np.arange(6.0)[:, None]), targets, weights, max_depth=2)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -249,8 +259,8 @@ def fitted_trees(draw):
 class TestPredictPaths:
     """A batch partitions its row indices down the tree, and each row must
     reach the leaf the reference GBDT's independent tree walker reaches,
-    whatever the batch's memory layout.  One row alone is scored by
-    ``Model`` (see ``tests/test_boosting.py``)."""
+    whatever the batch's memory layout.  One row alone is walked by
+    ``Model.predict_score``, so a one-tree ``Model`` scores each row alone."""
 
     @given(case=fitted_trees())
     @settings(max_examples=150, deadline=None)
@@ -263,6 +273,12 @@ class TestPredictPaths:
         np.testing.assert_array_equal(tree.predict(Q[::2]), batch[::2])
         wide = np.hstack([Q, Q])[:, : Q.shape[1]]  # column-strided view
         np.testing.assert_array_equal(tree.predict(wide), batch)
+        # base 0 and rate 1 make a row's score 0.0 + 1.0 * leaf, which is the leaf exactly
+        model = Model(base_score=0.0, n_features=tree.n_features, trees=[tree],
+                      config=BoostConfig(learning_rate=1.0))
+        alone = [model.predict_score(q) for q in Q]
+        np.testing.assert_array_equal(alone, model.predict_score(Q))
+        np.testing.assert_array_equal(alone, batch)
 
     def _stump(self):
         return RegressionTree.from_tokens(["I", "1", "1.5", "L", "-1.0", "L", "2.0"], n_features=2)

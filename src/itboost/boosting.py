@@ -269,9 +269,10 @@ TRACE_HEADER = "iteration,row_id,raw_C,normalized_C,tau,weight"
 @dataclass
 class RunTrace:
     """Per-iteration training record: residuals, trust state, loss, the
-    seconds spent per round in the trust step and in the tree fit (the fit
-    plus the score update), and the number of distinct histories the round
-    parsed from scratch (0 unless trust is enabled)."""
+    seconds spent per round in the trust step and in the tree fit (the fit,
+    which also scores the training rows, plus the score update), and the
+    number of distinct histories the round parsed from scratch (0 unless
+    trust is enabled)."""
 
     row_ids: np.ndarray
     gradients: list[np.ndarray] = field(default_factory=list)
@@ -378,8 +379,10 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
     Per iteration m: (1) pseudo-residuals against the current scores; (2) one
     encoded symbol appended to every sample's history; (3) raw complexities,
     min-max normalisation across samples, trust term exp(-normalized), weight
-    |g| * trust; (4) weighted tree fit on the residuals, then scores advance
-    by learning_rate * tree(x).
+    |g| * trust; (4) weighted tree fit on the residuals, which writes each
+    training row's leaf value into one buffer as it fits, then scores
+    advance by learning_rate times that value, the same floats as
+    learning_rate * tree(x) without routing the rows down the tree again.
 
     Only ``trust='enabled'`` keeps histories (step 2).  The other modes are
     ablations of the same weight step with every normalized complexity 0, so
@@ -391,12 +394,12 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
     :func:`lz76_complexity`; the phrase count depends on the history string
     alone, so rows that share a history share one parse per round.
     """
-    X = dataset.features
-    sorted_X = presort(X)  # X never changes, so every round's fit shares one sort
+    sorted_X = presort(dataset.features)  # the features never change, so every round's fit shares one sort
     y = dataset.labels.astype(np.float64)
     n = dataset.n_rows
     f0 = init_score(dataset.labels, config.loss)
     scores = np.full(n, f0, dtype=np.float64)
+    fitted = np.empty(n, dtype=np.float64)  # each round's tree(x) per row, written by the fit
 
     track_history = config.trust == "enabled"
     histories: list[str] = [""] * n
@@ -424,8 +427,8 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
         if config.trust == "disabled" or not moved:
             weights = np.ones(n, dtype=np.float64)
         t1 = time.perf_counter()
-        tree = fit_tree_weighted(sorted_X, g, weights, config.max_depth, config.min_samples_leaf)
-        scores = scores + config.learning_rate * tree.predict(X)
+        tree = fit_tree_weighted(sorted_X, g, weights, config.max_depth, config.min_samples_leaf, out=fitted)
+        scores += config.learning_rate * fitted
         t2 = time.perf_counter()
         trees.append(tree)
 

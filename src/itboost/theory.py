@@ -116,12 +116,25 @@ class SeparabilityReport:
 
 
 def required_group_size(epsilon: float, delta: float) -> int:
-    """Smallest per-group n with concentration radius epsilon at confidence 1 - delta."""
+    """Smallest per-group n with concentration radius epsilon at confidence 1 - delta.
+
+    ValueError when ``log(2/delta) / (2*epsilon**2)`` leaves the float range:
+    ``epsilon**2`` overflows or underflows to 0, or the quotient is infinite.
+    """
     if not 0.0 < epsilon < math.inf:
         raise ValueError("required_group_size: epsilon must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise ValueError("required_group_size: delta must be in (0, 1)")
-    return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2))
+    try:
+        size = math.log(2.0 / delta) / (2.0 * epsilon**2)
+    except (OverflowError, ZeroDivisionError):
+        size = math.inf
+    if not math.isfinite(size):
+        raise ValueError(
+            f"required_group_size: group size log(2/delta) / (2*epsilon**2) is out of range "
+            f"for epsilon={epsilon!r}, delta={delta!r}"
+        )
+    return math.ceil(size)
 
 
 def separability_from_groups(clean_values, noisy_values, epsilon: float, delta: float) -> SeparabilityReport:

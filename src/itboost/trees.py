@@ -212,15 +212,18 @@ def _best_split(xs, g, w, order, tol, min_samples_leaf):
     return sse_f, f, mid if lo <= mid < hi else lo
 
 
-def _grow(XT, g, w, order, xs, rows, max_depth, min_samples_leaf) -> TreeNode:
+def _grow(XT, g, w, order, xs, rows, max_depth, min_samples_leaf, out) -> TreeNode:
     """Tree for the samples ``rows`` (ascending), whose per-feature sorted
-    order and values are ``order`` and ``xs`` (see :func:`_best_split`).
+    order and values are ``order`` and ``xs`` (see :func:`_best_split`); each
+    leaf writes its value into ``out`` at its rows.
 
     Nodes are grown from an explicit stack, so a tree as deep as its sample
     count needs no recursion.  A split makes one stable filter of the node's
     ``order`` and ``xs`` per child: that keeps each feature sorted, ties in
     row order, which is the order a stable argsort of the child's samples
-    would give.
+    would give.  A child that cannot split (it is at ``max_depth`` or has
+    fewer than ``2 * min_samples_leaf`` rows) is a leaf, so it carries its
+    rows only and no sorted arrays.
     """
     root = TreeNode()
     go_left = np.zeros(g.shape[0], dtype=bool)
@@ -234,15 +237,23 @@ def _grow(XT, g, w, order, xs, rows, max_depth, min_samples_leaf) -> TreeNode:
             found = _best_split(xs, g, w, order, split_tolerance(gn, wn), min_samples_leaf)
         if found is None:
             node.value = _weighted_mean(gn, wn)
+            out[rows] = node.value
             continue
         _, node.feature, node.threshold = found
         row_left = XT[node.feature].take(rows) <= node.threshold
-        go_left[rows] = row_left  # entries outside rows are stale, and order reads none of them
-        left = go_left.take(order).ravel()
         node.left, node.right = TreeNode(), TreeNode()
-        for child, keep, keep_rows in ((node.left, left, row_left), (node.right, ~left, ~row_left)):
+        left = None  # the node's per-feature go-left mask, built for the first child that can split
+        for child, keep_rows in ((node.left, row_left), (node.right, ~row_left)):
+            child_rows = rows.compress(keep_rows)
+            if depth + 1 == max_depth or child_rows.shape[0] < 2 * min_samples_leaf:
+                stack.append((child, None, None, child_rows, depth + 1))
+                continue
+            if left is None:
+                go_left[rows] = row_left  # entries outside rows are stale, and order reads none of them
+                left = go_left.take(order).ravel()
+            keep = left if child is node.left else ~left
             stack.append((child, order.compress(keep).reshape(d, -1), xs.compress(keep).reshape(d, -1),
-                          rows.compress(keep_rows), depth + 1))
+                          child_rows, depth + 1))
     return root
 
 
@@ -268,16 +279,22 @@ def fit_tree_weighted(
     weights: np.ndarray,
     max_depth: int,
     min_samples_leaf: int = 1,
+    out: np.ndarray | None = None,
 ) -> RegressionTree:
     """Greedy CART minimising weighted squared error of the targets.
 
     ``presorted`` is :func:`presort` of the (n, d) features.  Leaf values are
     weighted means of the targets reaching the leaf.  Samples with zero
     weight are excluded entirely (they influence neither splits nor leaf
-    values, though the finished tree still routes them at prediction time).
-    Growth stops at max_depth, at min_samples_leaf, or when the node's
-    targets are constant.  Targets and weights must be finite, and weights
-    non-negative with at least one positive.
+    values).  Growth stops at max_depth, at min_samples_leaf, or when the
+    node's targets are constant.  Targets and weights must be finite, and
+    weights non-negative with at least one positive.
+
+    The fit also scores its own rows: every sample's leaf value, the
+    ``tree.predict`` of its features bit for bit, is written into ``out``, a
+    writeable float64 array of shape (n,), when one is given.  A weighted
+    sample gets the value of the leaf the fit put it in, and the zero-weight
+    samples are routed down the finished tree in one batch.
 
     When some weights are zero, a stable filter of each feature's order drops
     those samples, which is the order a stable argsort of the weighted
@@ -292,6 +309,11 @@ def fit_tree_weighted(
     d, n = XT.shape
     if not (g.shape == w.shape == (n,)):
         raise ValueError(f"fit_tree_weighted: targets {g.shape} and weights {w.shape} need {n} entries")
+    if out is None:
+        out = np.empty(n, dtype=np.float64)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (n,)
+              and out.flags.writeable):
+        raise ValueError(f"fit_tree_weighted: out must be a writeable float64 array of shape ({n},)")
     if not (np.isfinite(g).all() and np.isfinite(w).all()):
         raise ValueError("fit_tree_weighted: targets and weights must be finite")
     if (w < 0).any():
@@ -306,5 +328,7 @@ def fit_tree_weighted(
         keep = active.take(order).ravel()
         order = order.compress(keep).reshape(d, -1)
         xs = xs.compress(keep).reshape(d, -1)
-    root = _grow(XT, g, w, order, xs, rows, max_depth, min_samples_leaf)
+    root = _grow(XT, g, w, order, xs, rows, max_depth, min_samples_leaf, out)
+    if rows.shape[0] < n:
+        _route(root, XT, (~active).nonzero()[0], out)
     return RegressionTree(root=root, n_features=d)

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from itboost.boosting import Model, gradient, init_score, loss_value
+from itboost.complexity import encode_gradients, lz76_complexity, normalize_complexities, trust_weights
 from itboost.data import DataError
-from itboost.trees import RegressionTree, TreeNode, split_tolerance
+from itboost.trees import RegressionTree, TreeNode, fit_tree_weighted, presort, split_tolerance
 
 
 def split_threshold(lo: float, hi: float) -> float:
@@ -347,6 +349,33 @@ class ReferenceGBDT:
             )
 
         return [RegressionTree(root=convert(t), n_features=-1) for t in self.trees]
+
+
+def rerouting_train(dataset, config):
+    """``boosting.train``'s rounds, with each round's scores advanced by
+    ``tree.predict(X)``, which routes every training row down the new tree
+    again.  Returns the model and the per-round mean training losses."""
+    X, y, n = dataset.features, dataset.labels.astype(np.float64), dataset.n_rows
+    base = init_score(dataset.labels, config.loss)
+    scores = np.full(n, base)
+    histories, prev_g, trees, losses = [""] * n, None, [], []
+    for _ in range(config.iterations):
+        g = gradient(y, scores, config.loss)
+        moved = bool(np.any(g))
+        normalized = np.zeros(n)
+        if config.trust == "enabled" and moved:
+            symbols = encode_gradients(g, config.encoding, g_prev=prev_g)
+            histories = [h + s for h, s in zip(histories, symbols)]
+            normalized = normalize_complexities(np.array([lz76_complexity(h) for h in histories], dtype=np.int64))
+        _, weights = trust_weights(g, normalized)
+        if config.trust == "disabled" or not moved:
+            weights = np.ones(n)
+        tree = fit_tree_weighted(presort(X), g, weights, config.max_depth, config.min_samples_leaf)
+        scores = scores + config.learning_rate * tree.predict(X)
+        trees.append(tree)
+        losses.append(float(np.mean(loss_value(y, scores, config.loss))))
+        prev_g = g
+    return Model(base_score=base, n_features=dataset.n_features, trees=trees, config=config), losses
 
 
 def per_cell_load_csv(path, label_column, positive_label: str):

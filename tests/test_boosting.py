@@ -32,7 +32,7 @@ from itboost.data import DataError, Dataset
 from itboost.synth import make_gaussian_dataset
 from itboost.trees import RegressionTree, TreeNode
 from conftest import random_dataset
-from reference import ReferenceGBDT
+from reference import ReferenceGBDT, rerouting_train
 
 
 class TestGradients:
@@ -359,6 +359,31 @@ class TestTrain:
         assert calls == {"encode_gradients": 4, "lz76_complexity": distinct, "normalize_complexities": 4,
                          "trust_weights": 4, "fit_tree_weighted": 4, "presort": 1}
         assert sum(trace.distinct_histories) == distinct
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("encoding", ["binary-sign", "binary-delta", "quantized"])
+    def test_fit_scores_the_training_rows_without_predict(self, tmp_path, monkeypatch, encoding, loss):
+        # the second case fits most rows exactly, so later rounds have
+        # zero-weight rows, which the fit routes itself
+        cases = [(random_dataset(40, 3, seed=21), BoostConfig(iterations=10, max_depth=4)),
+                 (_MOSTLY_EXACT, BoostConfig(iterations=6, learning_rate=1.0, max_depth=8))]
+        for ds, base in cases:
+            cfg = BoostConfig(**(asdict(base) | {"loss": loss, "encoding": encoding}))
+            calls = []
+
+            def predict(tree, X, _inner=RegressionTree.predict):
+                calls.append(len(X))
+                return _inner(tree, X)
+
+            monkeypatch.setattr(RegressionTree, "predict", predict)
+            model, trace = train(ds, cfg)
+            monkeypatch.undo()
+            assert calls == []
+            ref_model, ref_losses = rerouting_train(ds, cfg)
+            assert trace.train_loss == ref_losses
+            save_model(model, tmp_path / "model.txt")
+            save_model(ref_model, tmp_path / "ref.txt")
+            assert (tmp_path / "model.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
     def test_chain_tree_deeper_than_the_recursion_limit(self, tmp_path):
         # one sorted feature with alternating labels: every split peels off a

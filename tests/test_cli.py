@@ -512,6 +512,9 @@ class TestExitCodes:
         (["--eps", "inf"], "epsilon must be positive"),
         (["--iteration", "0"], "argument --iteration: must be at least 1, got 0"),
         (["--iteration", "-2"], "argument --iteration: must be at least 1, got -2"),
+        (["--eps", "1e-200"], "group size log(2/delta) / (2*epsilon**2) is out of range"),
+        (["--eps", "1e-160"], "group size log(2/delta) / (2*epsilon**2) is out of range"),
+        (["--delta", "1e-310"], "group size log(2/delta) / (2*epsilon**2) is out of range"),
     ])
     def test_bad_eps_or_delta_is_a_usage_error_before_loading(self, tmp_path, capsys, flags, message):
         out = tmp_path / "bounds.csv"

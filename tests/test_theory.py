@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,17 @@ class TestSeparability:
         delta_values = [0.01, 0.05, 0.2, 0.4]
         sizes = [required_group_size(0.1, d) for d in delta_values]
         assert sizes == sorted(sizes, reverse=True)
+
+    @pytest.mark.parametrize("epsilon, delta", [
+        (1e-200, 0.05),  # epsilon**2 underflows to 0
+        (1e-160, 0.05),  # epsilon**2 is subnormal and the size overflows to inf
+        (0.1, 1e-310),  # 2/delta overflows to inf
+        (1e200, 0.05),  # epsilon**2 overflows
+    ])
+    def test_size_outside_the_float_range_rejected(self, epsilon, delta):
+        with pytest.raises(ValueError, match=r"^required_group_size: group size .* is out of range for "
+                                             + re.escape(f"epsilon={epsilon!r}, delta={delta!r}") + "$"):
+            required_group_size(epsilon, delta)
 
     def test_identical_groups_not_separable(self):
         values = np.linspace(0, 1, 300)

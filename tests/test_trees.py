@@ -91,6 +91,20 @@ class TestFitBasics:
             with pytest.raises(ValueError, match=r"need 3 entries"):
                 fit_tree_weighted((XT, order, xs), g, w, max_depth=1)
 
+    @pytest.mark.parametrize("out", [
+        np.empty(4), np.empty((3, 1)), np.empty(3, dtype=np.float32), np.empty(3, dtype=np.int64), [0.0, 0.0, 0.0],
+    ], ids=["long", "2-d", "float32", "int64", "list"])
+    def test_out_of_wrong_shape_or_dtype_rejected(self, out):
+        with pytest.raises(ValueError, match=r"^fit_tree_weighted: out must be a writeable float64 array of shape \(3,\)$"):
+            fit_tree_weighted(presort(np.arange(3.0)[:, None]), np.arange(3.0), np.ones(3), max_depth=1, out=out)
+
+    def test_read_only_out_rejected(self):
+        out = np.zeros(3)
+        out.flags.writeable = False
+        with pytest.raises(ValueError, match=r"^fit_tree_weighted: out must be a writeable float64 array of shape \(3,\)$"):
+            fit_tree_weighted(presort(np.arange(3.0)[:, None]), np.arange(3.0), np.ones(3), max_depth=1, out=out)
+        assert not out.any()
+
     @pytest.mark.parametrize("shape", [(3,), (), (2, 3, 2)])
     def test_presort_rejects_input_not_2d(self, shape):
         with pytest.raises(ValueError, match=rf"^presort: features must be 2-D, got shape {re.escape(str(shape))}$"):
@@ -119,6 +133,52 @@ class TestZeroWeightInvariance:
         w = np.array([1.0, 1.0, 1.0, 0.0])
         tree = fit_tree_weighted(presort(X), g, w, max_depth=1)
         assert tree.predict(np.array([[3.0]])).tolist() == [tree.root.right.value]
+
+
+@st.composite
+def weighted_fits(draw):
+    """Features with ties (integer-valued, or a column duplicating the first),
+    weights of which a drawn share are zero, and a depth and leaf size."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, draw(st.sampled_from([2, 4, 50])), size=(n, d)).astype(float)
+    if d > 1 and draw(st.booleans()):
+        X[:, -1] = X[:, 0]
+    g = rng.normal(size=n)
+    if draw(st.booleans()):
+        g = np.round(g)
+    w = rng.random(n) + 0.05
+    w[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
+    w[draw(st.integers(0, n - 1))] = 1.0  # at least one weighted row
+    return X, g, w, draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.booleans())
+
+
+class TestOwnRowScoring:
+    """The fit writes each row's leaf value into ``out``: weighted rows from
+    the fit's own partition, zero-weight rows by routing them afterwards."""
+
+    @given(case=weighted_fits())
+    @settings(max_examples=300, deadline=None)
+    def test_out_equals_predict_bit_for_bit(self, case):
+        X, g, w, depth, min_samples_leaf, strided = case
+        buffer = np.full(2 * X.shape[0], np.nan)
+        out = buffer[::2] if strided else buffer[: X.shape[0]]
+        tree = fit_tree_weighted(presort(X), g, w, depth, min_samples_leaf, out=out)
+        assert out.tobytes() == tree.predict(X).tobytes()
+        if strided:
+            assert np.isnan(buffer[1::2]).all()
+        plain = fit_tree_weighted(presort(X), g, w, depth, min_samples_leaf)
+        assert plain.to_tokens() == tree.to_tokens()
+
+    def test_zero_weight_rows_are_scored_by_the_leaf_they_reach(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0], [9.0], [-4.0]])
+        g = np.array([-1.0, -1.0, 1.0, 1.0, 5.0, 7.0])
+        w = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        out = np.full(6, np.nan)
+        tree = fit_tree_weighted(presort(X), g, w, max_depth=1, out=out)
+        assert tree.to_tokens() == ["I", "0", "1.5", "L", "-1.0", "L", "1.0"]
+        assert out.tolist() == [-1.0, -1.0, 1.0, 1.0, 1.0, -1.0]
 
 
 class TestUniformMatchesUnweighted:

@@ -1,4 +1,4 @@
-"""Classification metrics, cross-validation driver, sweep and trajectory CSVs, Friedman statistic."""
+"""Classification metrics, cross-validation driver, and sweep and trajectory CSVs."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.stats import chi2, rankdata
+from scipy.stats import rankdata
 
 from .boosting import BoostConfig, RunTrace, train
 from .data import Dataset, FoldPlan, random_undersample, write_rows
@@ -215,7 +215,7 @@ def initial_margins(trace: RunTrace, labels, loss: str, iteration: int) -> np.nd
     raise ValueError(f"initial_margins: unknown loss {loss!r}")
 
 
-def trajectory_summary(trace: RunTrace, mask: NoiseMask | None, margins) -> dict:
+def trajectory_summary(trace: RunTrace, mask: NoiseMask, margins) -> dict:
     """Mean trust weight per iteration for noisy / hard / easy sample categories.
 
     Noisy rows come from the mask; among the remaining (clean) rows, hard and
@@ -226,7 +226,7 @@ def trajectory_summary(trace: RunTrace, mask: NoiseMask | None, margins) -> dict
     n = trace.row_ids.size
     if margins.shape != (n,):
         raise ValueError("trajectory_summary: margins length does not match trace rows")
-    noisy = mask.selects(trace.row_ids) if mask is not None else np.zeros(n, dtype=bool)
+    noisy = mask.selects(trace.row_ids)
     clean = ~noisy
     curves: dict = {}
     members: dict = {}
@@ -252,24 +252,3 @@ def write_trajectory_csv(curves: dict, path) -> None:
     rows = [[m, *cells] for m, cells in enumerate(zip(*columns), start=1)]
     write_rows(path, ["iteration"] + [f"mean_weight_{name}" for name in curves], rows)
 
-
-# ---------------------------------------------------------------------------
-# Friedman statistic
-
-
-@dataclass(frozen=True)
-class FriedmanResult:
-    mean_ranks: np.ndarray
-    statistic: float
-    p_value: float
-
-
-def friedman_from_mean_ranks(mean_ranks, n_datasets: int) -> FriedmanResult:
-    """Chi-square rank statistic from per-algorithm mean ranks over D datasets."""
-    r = np.asarray(mean_ranks, dtype=np.float64)
-    a = r.size
-    if a < 2 or n_datasets < 2:
-        raise ValueError("friedman_from_mean_ranks: need >= 2 algorithms and >= 2 datasets")
-    stat = 12.0 * n_datasets / (a * (a + 1.0)) * float(np.sum(r * r)) - 3.0 * n_datasets * (a + 1.0)
-    stat = max(stat, 0.0)
-    return FriedmanResult(mean_ranks=r, statistic=stat, p_value=float(chi2.sf(stat, a - 1)))

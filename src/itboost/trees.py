@@ -50,16 +50,13 @@ class RegressionTree:
         _route(self.root, np.ascontiguousarray(X.T), np.arange(X.shape[0]), out)
         return out
 
-    def depth(self) -> int:
-        return max(level for node, level in _preorder(self.root) if node.is_leaf)
-
     def n_leaves(self) -> int:
-        return sum(node.is_leaf for node, _ in _preorder(self.root))
+        return sum(node.is_leaf for node in _preorder(self.root))
 
     def to_tokens(self) -> list[str]:
         """Preorder serialisation: 'I <feature> <threshold>' / 'L <value>' tokens."""
         tokens: list[str] = []
-        for node, _ in _preorder(self.root):
+        for node in _preorder(self.root):
             if node.is_leaf:
                 tokens += ("L", repr(float(node.value)))
             else:
@@ -107,14 +104,14 @@ class RegressionTree:
 
 
 def _preorder(root: TreeNode):
-    """``(node, depth)`` for every node under ``root``: parents first, left
-    subtrees before right.  An explicit stack, so no depth is too deep."""
-    stack = [(root, 0)]
+    """Every node under ``root``: parents first, left subtrees before right.
+    An explicit stack, so no depth is too deep."""
+    stack = [root]
     while stack:
-        node, level = stack.pop()
-        yield node, level
+        node = stack.pop()
+        yield node
         if not node.is_leaf:
-            stack += ((node.right, level + 1), (node.left, level + 1))
+            stack += (node.right, node.left)
 
 
 def _route(root: TreeNode, XT: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
+from scipy.stats import chi2
 
-from itboost.boosting import Model, gradient, init_score, loss_value
-from itboost.complexity import encode_gradients, lz76_complexity, normalize_complexities, trust_weights
+from itboost.boosting import Model
 from itboost.data import DataError
-from itboost.trees import RegressionTree, TreeNode, fit_tree_weighted, presort, split_tolerance
+from itboost.trees import RegressionTree, TreeNode, split_tolerance
 
 
 def split_threshold(lo: float, hi: float) -> float:
@@ -351,31 +351,94 @@ class ReferenceGBDT:
         return [RegressionTree(root=convert(t), n_features=-1) for t in self.trees]
 
 
-def rerouting_train(dataset, config):
-    """``boosting.train``'s rounds, with each round's scores advanced by
-    ``tree.predict(X)``, which routes every training row down the new tree
-    again.  Returns the model and the per-round mean training losses."""
+def _oracle_symbols(g: np.ndarray, encoding: str, g_prev: np.ndarray | None) -> list[str]:
+    """One symbol per residual, as ``encode_gradients``' docstring defines them:
+    binary-sign is the sign; binary-delta is whether g rose since ``g_prev``,
+    or the sign in the first round; quantized is the sign and whether |g|
+    reaches the median |g|, or the median nonzero |g| when that median is 0."""
+    g = g.tolist()
+    if encoding == "binary-sign" or (encoding == "binary-delta" and g_prev is None):
+        return ["1" if v > 0 else "0" for v in g]
+    if encoding == "binary-delta":
+        return ["1" if v > u else "0" for v, u in zip(g, g_prev.tolist())]
+    magnitude = [abs(v) for v in g]
+    threshold = np.median(magnitude)
+    if threshold == 0:
+        threshold = np.median([m for m in magnitude if m > 0])
+    return ["0123"[2 * (v > 0) + (m >= threshold)] for v, m in zip(g, magnitude)]
+
+
+def oracle_train(dataset, config):
+    """``boosting.train`` rebuilt from the definitions: one online
+    :class:`SymbolSequence` per row, :func:`_oracle_symbols`, min-max scaled
+    complexities, weights |g| * exp(-C) (uniform with trust disabled or in a
+    round whose residuals are all 0), a :func:`per_feature_tree` per round,
+    and scores advanced by ``tree.predict(X)``.  Returns the model, each
+    round's weights and each round's mean training loss."""
     X, y, n = dataset.features, dataset.labels.astype(np.float64), dataset.n_rows
-    base = init_score(dataset.labels, config.loss)
+    if config.loss == "logistic":
+        p = float(np.mean(dataset.labels == 1))
+        base = float(np.log(p / (1.0 - p)))
+    else:
+        base = float(np.mean(dataset.labels))
     scores = np.full(n, base)
-    histories, prev_g, trees, losses = [""] * n, None, [], []
+    sequences = [SymbolSequence() for _ in range(n)]
+    prev_g, trees, round_weights, losses = None, [], [], []
     for _ in range(config.iterations):
-        g = gradient(y, scores, config.loss)
-        moved = bool(np.any(g))
-        normalized = np.zeros(n)
+        g = y * expit(-y * scores) if config.loss == "logistic" else y - scores
+        moved = bool((g != 0).any())
+        c = np.zeros(n)
         if config.trust == "enabled" and moved:
-            symbols = encode_gradients(g, config.encoding, g_prev=prev_g)
-            histories = [h + s for h, s in zip(histories, symbols)]
-            normalized = normalize_complexities(np.array([lz76_complexity(h) for h in histories], dtype=np.int64))
-        _, weights = trust_weights(g, normalized)
+            symbols = _oracle_symbols(g, config.encoding, prev_g)
+            raw = np.array([seq.append(s) for seq, s in zip(sequences, symbols)], dtype=np.float64)
+            if raw.max() > raw.min():
+                c = (raw - raw.min()) / (raw.max() - raw.min())
+        weights = np.abs(g) * np.exp(-c)
         if config.trust == "disabled" or not moved:
             weights = np.ones(n)
-        tree = fit_tree_weighted(presort(X), g, weights, config.max_depth, config.min_samples_leaf)
+        tree = per_feature_tree(X, g, weights, config.max_depth, config.min_samples_leaf)
         scores = scores + config.learning_rate * tree.predict(X)
+        loss = np.logaddexp(0.0, -y * scores) if config.loss == "logistic" else 0.5 * (y - scores) ** 2
         trees.append(tree)
-        losses.append(float(np.mean(loss_value(y, scores, config.loss))))
+        round_weights.append(weights)
+        losses.append(float(np.mean(loss)))
         prev_g = g
-    return Model(base_score=base, n_features=dataset.n_features, trees=trees, config=config), losses
+    return Model(base_score=base, n_features=dataset.n_features, trees=trees, config=config), round_weights, losses
+
+
+def tree_depth(tree: RegressionTree) -> int:
+    """Edges on the tree's longest root-to-leaf path, walked with an explicit
+    stack, so a chain deeper than the recursion limit has a depth too."""
+    deepest, stack = 0, [(tree.root, 0)]
+    while stack:
+        node, level = stack.pop()
+        if node.left is None:
+            deepest = max(deepest, level)
+        else:
+            stack += ((node.left, level + 1), (node.right, level + 1))
+    return deepest
+
+
+# ---------------------------------------------------------------------------
+# Friedman statistic, the arithmetic behind the paper's mean-rank comparison.
+
+
+@dataclass(frozen=True)
+class FriedmanResult:
+    mean_ranks: np.ndarray
+    statistic: float
+    p_value: float
+
+
+def friedman_from_mean_ranks(mean_ranks, n_datasets: int) -> FriedmanResult:
+    """Chi-square rank statistic from per-algorithm mean ranks over D datasets."""
+    r = np.asarray(mean_ranks, dtype=np.float64)
+    a = r.size
+    if a < 2 or n_datasets < 2:
+        raise ValueError("friedman_from_mean_ranks: need >= 2 algorithms and >= 2 datasets")
+    stat = 12.0 * n_datasets / (a * (a + 1.0)) * float(np.sum(r * r)) - 3.0 * n_datasets * (a + 1.0)
+    stat = max(stat, 0.0)
+    return FriedmanResult(mean_ranks=r, statistic=stat, p_value=float(chi2.sf(stat, a - 1)))
 
 
 def per_cell_load_csv(path, label_column, positive_label: str):

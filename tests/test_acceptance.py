@@ -19,7 +19,6 @@ from itboost.complexity import (
 from itboost.data import stratified_kfold
 from itboost.evaluation import (
     cross_validate,
-    friedman_from_mean_ranks,
     initial_margins,
     run_fold,
     split_fold,
@@ -33,7 +32,13 @@ from itboost.theory import (
     trust_bound_check,
 )
 from itboost.trees import fit_tree_weighted, presort
-from reference import ReferenceGBDT, SymbolSequence, brute_force_tree, tree_weighted_sse
+from reference import (
+    ReferenceGBDT,
+    SymbolSequence,
+    brute_force_tree,
+    friedman_from_mean_ranks,
+    tree_weighted_sse,
+)
 
 
 def verdict(num, name, ok, detail=""):

@@ -32,7 +32,7 @@ from itboost.data import DataError, Dataset
 from itboost.synth import make_gaussian_dataset
 from itboost.trees import RegressionTree, TreeNode
 from conftest import random_dataset
-from reference import ReferenceGBDT, rerouting_train
+from reference import ReferenceGBDT, oracle_train, tree_depth
 
 
 class TestGradients:
@@ -379,7 +379,7 @@ class TestTrain:
             model, trace = train(ds, cfg)
             monkeypatch.undo()
             assert calls == []
-            ref_model, ref_losses = rerouting_train(ds, cfg)
+            ref_model, _, ref_losses = oracle_train(ds, cfg)
             assert trace.train_loss == ref_losses
             save_model(model, tmp_path / "model.txt")
             save_model(ref_model, tmp_path / "ref.txt")
@@ -393,7 +393,7 @@ class TestTrain:
                      row_ids=np.arange(n))
         cfg = BoostConfig(iterations=1, max_depth=100000, loss="squared", trust="disabled")
         model, _ = train(ds, cfg)
-        assert model.trees[0].depth() == n - 1
+        assert tree_depth(model.trees[0]) == n - 1
         path = tmp_path / "model.txt"
         save_model(model, path)
         back = load_model(path)
@@ -495,6 +495,24 @@ class TestTrainNeverRaises:
         model, trace = train(dataset, config)
         assert len(model.trees) == trace.n_iterations == config.iterations
         assert all(np.all(np.isfinite(state.weights)) for state in trace.trust)
+
+
+class TestTrainMatchesOracle:
+    @given(dataset=datasets(), config=configs)
+    @example(dataset=_MOSTLY_EXACT,
+             config=BoostConfig(iterations=4, learning_rate=1.0, max_depth=8, loss="squared", encoding="quantized"))
+    @settings(max_examples=300, deadline=None)
+    def test_model_weights_and_losses_match_the_oracle(self, tmp_path_factory, dataset, config):
+        if config.loss == "logistic" and np.unique(dataset.labels).size < 2:
+            return  # rejected before any round, see TestTrainNeverRaises
+        model, trace = train(dataset, config)
+        oracle_model, oracle_weights, oracle_losses = oracle_train(dataset, config)
+        directory = tmp_path_factory.mktemp("oracle")
+        save_model(model, directory / "model.txt")
+        save_model(oracle_model, directory / "oracle.txt")
+        assert (directory / "model.txt").read_bytes() == (directory / "oracle.txt").read_bytes()
+        assert [state.weights.tolist() for state in trace.trust] == [w.tolist() for w in oracle_weights]
+        assert trace.train_loss == oracle_losses
 
 
 def replayed_histories(trace, encoding):

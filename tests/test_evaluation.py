@@ -17,7 +17,6 @@ from itboost.evaluation import (
     compute_metrics,
     cross_validate,
     f1,
-    friedman_from_mean_ranks,
     initial_margins,
     log_loss,
     split_fold,
@@ -27,7 +26,7 @@ from itboost.evaluation import (
 )
 from itboost.noise import NoiseSpec, inject
 from itboost.synth import make_gaussian_dataset
-from reference import pairwise_auc
+from reference import friedman_from_mean_ranks, pairwise_auc
 
 
 class TestMetrics:

@@ -1,5 +1,5 @@
 """The package's public names: ``__all__`` and the imports of ``__init__.py`` agree, and a program
-uses each of them."""
+uses each of them and each of the package's definitions."""
 
 import ast
 from pathlib import Path
@@ -7,6 +7,9 @@ from pathlib import Path
 import itboost
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(itboost.__file__).parent
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+PROGRAMS = MODULES + [path for path in (ROOT / "perfbench").glob("*.py") if not path.name.startswith("test_")]
 
 
 def imported_public_names() -> set:
@@ -29,21 +32,51 @@ def test_every_public_import_is_exported_once():
     assert sorted(itboost.__all__) == sorted(imported_public_names())
 
 
-def used_names(path: Path) -> set:
-    """Every name a module reads: its bare names and the attribute names it looks up."""
-    names = set()
+def names_read(path: Path) -> tuple[set, set]:
+    """The bare names a module reads and the attribute names it reads."""
+    bare, attributes = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+            attributes.add(node.attr)
+    return bare, attributes
+
+
+def programs_read() -> tuple[set, set]:
+    reads = [names_read(path) for path in PROGRAMS]
+    return set().union(*(bare for bare, _ in reads)), set().union(*(attributes for _, attributes in reads))
+
+
+def definitions(path: Path):
+    """``(qualified name, is_method)`` for each top-level function and class of a module and each
+    non-dunder function in those classes' bodies."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (*defs, ast.ClassDef)):
+            yield node.name, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", True
 
 
 def test_every_export_is_used_by_a_program():
-    package = Path(itboost.__file__).parent
-    programs = [path for path in package.glob("*.py") if path.name != "__init__.py"]
-    programs += [path for path in (ROOT / "perfbench").glob("*.py") if not path.name.startswith("test_")]
-    used = set().union(*map(used_names, programs))
-    unused = sorted(set(itboost.__all__) - used)
+    bare, attributes = programs_read()
+    unused = sorted(set(itboost.__all__) - bare - attributes)
+    assert unused == []
+
+
+def test_every_definition_is_used_by_a_program():
+    # a method counts only when read as an attribute, so a local variable of
+    # the same name does not hide it
+    bare, attributes = programs_read()
+    unused = [
+        f"{path.name}:{name}"
+        for path in MODULES
+        for name, is_method in definitions(path)
+        if name.rpartition(".")[2] not in (attributes if is_method else bare | attributes)
+    ]
     assert unused == []

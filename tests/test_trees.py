@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from itboost.boosting import BoostConfig, Model
 from itboost.trees import RegressionTree, fit_tree_weighted, presort
-from reference import ReferenceGBDT, brute_force_tree, per_feature_tree, tree_weighted_sse
+from reference import ReferenceGBDT, brute_force_tree, per_feature_tree, tree_depth, tree_weighted_sse
 
 
 class TestFitBasics:
@@ -57,7 +57,7 @@ class TestFitBasics:
         X = rng.normal(size=(64, 3))
         g = rng.normal(size=64)
         tree = fit_tree_weighted(presort(X), g, np.ones(64), max_depth=2)
-        assert tree.depth() <= 2
+        assert tree_depth(tree) <= 2
         assert tree.n_leaves() <= 4
 
     def test_all_zero_weights_rejected(self):

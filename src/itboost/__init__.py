@@ -13,9 +13,7 @@ from .boosting import (
     RunTrace,
     init_score,
     load_model,
-    logistic_gradient,
     save_model,
-    squared_gradient,
     train,
 )
 from .complexity import (
@@ -76,7 +74,6 @@ __all__ = [
     "load_csv",
     "load_model",
     "log_loss",
-    "logistic_gradient",
     "lz76_complexity",
     "make_gaussian_dataset",
     "normalize_complexities",
@@ -85,7 +82,6 @@ __all__ = [
     "ratio_bound_check",
     "save_csv",
     "save_model",
-    "squared_gradient",
     "stratified_kfold",
     "train",
     "trajectory_summary",

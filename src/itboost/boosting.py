@@ -95,24 +95,20 @@ def parse_config_file(path) -> dict:
     return mapping
 
 
-def logistic_gradient(y, score):
-    """Negative gradient of log(1 + exp(-y*F)) w.r.t. F: y / (1 + exp(y*F)).
+def gradient(y, score, loss: str):
+    """Negative gradient of the loss w.r.t. the score F, elementwise.
 
-    Computed through the stable logistic sigmoid, so large |F| decays to the
-    exp(-y*F) asymptote instead of overflowing.
+    Logistic, log(1 + exp(-y*F)): y / (1 + exp(y*F)), computed through the
+    stable logistic sigmoid, so large |F| decays to the exp(-y*F) asymptote
+    instead of overflowing.  Squared, 0.5*(y - F)^2: the plain residual y - F.
     """
     y = np.asarray(y, dtype=np.float64)
     score = np.asarray(score, dtype=np.float64)
-    out = y * expit(-y * score)
-    return float(out) if out.ndim == 0 else out
-
-
-def squared_gradient(y, score):
-    """Negative gradient of 0.5*(y - F)^2 w.r.t. F: the plain residual y - F."""
-    y = np.asarray(y, dtype=np.float64)
-    score = np.asarray(score, dtype=np.float64)
-    out = y - score
-    return float(out) if out.ndim == 0 else out
+    if loss == "logistic":
+        return y * expit(-y * score)
+    if loss == "squared":
+        return y - score
+    raise ValueError(f"gradient: unknown loss {loss!r}")
 
 
 def loss_value(y, score, loss: str):
@@ -124,14 +120,6 @@ def loss_value(y, score, loss: str):
     if loss == "squared":
         return 0.5 * (y - score) ** 2
     raise ValueError(f"loss_value: unknown loss {loss!r}")
-
-
-def gradient(y, score, loss: str):
-    if loss == "logistic":
-        return logistic_gradient(y, score)
-    if loss == "squared":
-        return squared_gradient(y, score)
-    raise ValueError(f"gradient: unknown loss {loss!r}")
 
 
 def init_score(labels, loss: str) -> float:

@@ -231,7 +231,7 @@ def cmd_trajectory(args) -> int:
     noisy, mask = inject(dataset, spec)
     model, trace = train(noisy, config)
     early = max(1, config.iterations // 10)
-    margins = initial_margins(trace, noisy.labels, config.loss, early)
+    margins = initial_margins(model, noisy, early)
     curves = trajectory_summary(trace, mask, margins)
     write_trajectory_csv(curves, args.out)
     if args.mask_out:

@@ -121,19 +121,21 @@ def load_csv(path, label_column, positive_label: str) -> Dataset:
         header = [h.strip() for h in header]
         for name, count in Counter(header).items():
             if count > 1:
-                raise DataError(f"load_csv: header names column {name!r} {count} times")
+                raise DataError(f"load_csv: {path} header names column {name!r} {count} times")
         if isinstance(label_column, int):
             if not 0 <= label_column < len(header):
-                raise DataError(f"load_csv: label column index {label_column} out of range for {len(header)} columns")
+                raise DataError(
+                    f"load_csv: {path} has {len(header)} columns, so label column index {label_column} is out of range"
+                )
             label_idx = label_column
         else:
             try:
                 label_idx = header.index(str(label_column))
             except ValueError:
-                raise DataError(f"load_csv: label column {label_column!r} not in header {header}") from None
+                raise DataError(f"load_csv: label column {label_column!r} not in {path} header {header}") from None
         feature_names = tuple(name for i, name in enumerate(header) if i != label_idx)
         if not feature_names:
-            raise DataError("load_csv: no feature columns besides the label")
+            raise DataError(f"load_csv: {path} has no feature columns besides the label")
 
         width = len(header)
         raw_labels: list[str] = []
@@ -160,9 +162,11 @@ def load_csv(path, label_column, positive_label: str) -> Dataset:
     if not raw_labels:
         raise DataError(f"load_csv: {path} has no data rows")
     if len(distinct) < 2:
-        raise DataError(f"load_csv: fewer than 2 distinct labels (found {sorted(distinct)})")
+        raise DataError(f"load_csv: {path} has fewer than 2 distinct labels (found {sorted(distinct)})")
     if positive_label not in distinct:
-        raise DataError(f"load_csv: positive label {positive_label!r} never occurs (labels: {sorted(distinct)})")
+        raise DataError(
+            f"load_csv: positive label {positive_label!r} never occurs in {path} (labels: {sorted(distinct)})"
+        )
     labels = np.array([1 if tok == positive_label else -1 for tok in raw_labels], dtype=np.int64)
     return Dataset(
         features=flat.reshape(len(raw_labels), len(feature_names)),

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 from scipy.stats import rankdata
 
-from .boosting import BoostConfig, RunTrace, train
+from .boosting import BoostConfig, Model, RunTrace, train
 from .data import Dataset, FoldPlan, random_undersample, write_rows
 from .noise import NoiseMask, NoiseSpec, inject
 
@@ -119,24 +119,23 @@ def run_fold(
     fold: int,
     noise: NoiseSpec | None = None,
     undersample_train: bool = False,
-) -> tuple[dict, float, RunTrace, NoiseMask | None]:
+) -> tuple[dict, float, RunTrace]:
     """Train on one (optionally corrupted) training split, evaluate on the clean test split."""
     train_ds, test_ds = split_fold(dataset, folds, fold)
     if undersample_train:
         train_ds = random_undersample(train_ds, seed=config.seed + fold)
-    mask = None
     if noise is not None:
-        train_ds, mask = inject(train_ds, replace(noise, seed=noise.seed + fold))
+        train_ds, _ = inject(train_ds, replace(noise, seed=noise.seed + fold))
     t0 = time.perf_counter()
     model, trace = train(train_ds, config)
     train_dt = time.perf_counter() - t0
     probs = model.predict_proba(test_ds.features)
-    return compute_metrics(test_ds.labels, probs), train_dt, trace, mask
+    return compute_metrics(test_ds.labels, probs), train_dt, trace
 
 
 def _fold_job(dataset, config, folds, noise, undersample_train, fold) -> tuple[dict, float, float]:
     """One fold's (metrics, train seconds, trust seconds); the trace stays where it was made."""
-    metrics, train_dt, trace, _ = run_fold(dataset, config, folds, fold, noise, undersample_train)
+    metrics, train_dt, trace = run_fold(dataset, config, folds, fold, noise, undersample_train)
     return metrics, train_dt, trace.total_trust_seconds()
 
 
@@ -192,27 +191,15 @@ def write_sweep_csv(rows: list, path, first_column: str = "mode") -> None:
     write_rows(path, header, table)
 
 
-def initial_margins(trace: RunTrace, labels, loss: str, iteration: int) -> np.ndarray:
-    """Margins y*F at a 1-based iteration, recovered from the traced residuals.
-
-    ValueError if ``iteration`` is outside 1..M or ``labels`` is not one
-    label per trace row.
-    """
-    n_iterations = len(trace.gradients)
+def initial_margins(model: Model, dataset: Dataset, iteration: int) -> np.ndarray:
+    """Margins y*F of ``dataset``'s rows under the model's first ``iteration - 1`` trees: the
+    scores with which training entered 1-based round ``iteration``, when ``dataset`` is the
+    training set.  ValueError if ``iteration`` is outside 1..M."""
+    n_iterations = len(model.trees)
     if not 1 <= iteration <= n_iterations:
         raise ValueError(f"initial_margins: iteration {iteration} outside 1..{n_iterations}")
-    y = np.asarray(labels, dtype=np.float64)
-    if y.shape != trace.row_ids.shape:
-        raise ValueError(f"initial_margins: {y.size} labels for a trace of {trace.row_ids.size} rows")
-    g = trace.gradients[iteration - 1]
-    if loss == "squared":
-        # g = y - F and y^2 = 1, so y*F = 1 - y*g
-        return 1.0 - y * g
-    if loss == "logistic":
-        # |g| = sigmoid(-y*F), so y*F = log((1 - |g|) / |g|)
-        a = np.clip(np.abs(g), 1e-300, 1.0 - 1e-16)
-        return np.log((1.0 - a) / a)
-    raise ValueError(f"initial_margins: unknown loss {loss!r}")
+    prefix = replace(model, trees=model.trees[: iteration - 1])
+    return dataset.labels * prefix.predict_score(dataset.features)
 
 
 def trajectory_summary(trace: RunTrace, mask: NoiseMask, margins) -> dict:

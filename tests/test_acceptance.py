@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from itboost.boosting import BoostConfig, save_model, train
+from itboost.boosting import BoostConfig, gradient, loss_value, save_model, train
 from itboost.complexity import (
     lz76_complexity,
     normalize_complexities,
@@ -23,7 +23,6 @@ from itboost.evaluation import (
     run_fold,
     split_fold,
 )
-from itboost.boosting import logistic_gradient, loss_value
 from itboost.noise import NoiseSpec, inject
 from itboost.synth import make_gaussian_dataset
 from itboost.theory import (
@@ -68,7 +67,7 @@ BASE = dict(iterations=100, learning_rate=0.1, max_depth=3, min_samples_leaf=1,
 def robustness_study():
     t0 = time.perf_counter()
     enabled_acc, disabled_acc, clean_acc = [], [], []
-    trace = mask = sign_trace = None
+    model = trace = mask = sign_trace = noisy_train = None
     for seed in SEEDS:
         ds = make_gaussian_dataset(TASK["n"], TASK["d"], separation=TASK["sep"], seed=seed)
         folds = stratified_kfold(ds, TASK["k"], seed)
@@ -81,20 +80,21 @@ def robustness_study():
         disabled_acc.append(rep_d.mean("acc"))
         clean_acc.append(cross_validate(ds, cfg_disabled, folds).mean("acc"))
         if seed == SEEDS[0]:
-            _, _, trace, mask = run_fold(ds, cfg_enabled, folds, 0, spec)
-            cfg_sign = BoostConfig(trust="enabled", seed=seed, **{**BASE, "encoding": "binary-sign"})
-            _, _, sign_trace, _ = run_fold(ds, cfg_sign, folds, 0, spec)
-            # the corrupted training split itself (same derived seed as run_fold)
+            # fold 0's corrupted training split, as run_fold builds it (noise seed + fold index)
             fold_train, _ = split_fold(ds, folds, 0)
-            noisy_train, _ = inject(fold_train, NoiseSpec(spec.kind, spec.rate, spec.seed + 0))
+            noisy_train, mask = inject(fold_train, NoiseSpec(spec.kind, spec.rate, spec.seed + 0))
+            model, trace = train(noisy_train, cfg_enabled)
+            cfg_sign = BoostConfig(trust="enabled", seed=seed, **{**BASE, "encoding": "binary-sign"})
+            _, sign_trace = train(noisy_train, cfg_sign)
     return {
         "enabled_acc": np.array(enabled_acc),
         "disabled_acc": np.array(disabled_acc),
         "clean_acc": np.array(clean_acc),
+        "model": model,
         "trace": trace,
         "mask": mask,
         "sign_trace": sign_trace,
-        "train_labels": noisy_train.labels,
+        "noisy_train": noisy_train,
         "elapsed": time.perf_counter() - t0,
     }
 
@@ -213,7 +213,7 @@ def test_criterion_05_gradient_finite_differences():
     for y in (-1.0, 1.0):
         for F in np.linspace(-10.0, 10.0, 50):
             fd = (loss_value(y, F + h, "logistic") - loss_value(y, F - h, "logistic")) / (2 * h)
-            g = logistic_gradient(y, F)
+            g = gradient(y, F, "logistic")
             worst = max(worst, abs(g - (-fd)) / abs(g))
     ok = worst < 1e-8
     verdict(5, "logistic gradient vs central differences", ok, f"worst rel err={worst:.2e}")
@@ -245,7 +245,7 @@ def test_criterion_07_weight_trajectory_ordering(robustness_study):
     trace, mask = study["trace"], study["mask"]
     m_total = trace.n_iterations
     m_early = max(1, m_total // 10)
-    margins = initial_margins(trace, study["train_labels"], "squared", m_early)
+    margins = initial_margins(study["model"], study["noisy_train"], m_early)
     noisy_sel = mask.selects(trace.row_ids)
     easy_sel = ~noisy_sel & (margins >= np.percentile(margins[~noisy_sel], 75.0))
     tau = np.array([state.tau for state in trace.trust])

@@ -20,11 +20,9 @@ from itboost.boosting import (
     gradient,
     load_model,
     load_trace_csv,
-    logistic_gradient,
     loss_value,
     parse_config_file,
     save_model,
-    squared_gradient,
     train,
 )
 from itboost.complexity import encode_gradients, lz76_complexity
@@ -37,41 +35,41 @@ from reference import ReferenceGBDT, oracle_train, tree_depth
 
 class TestGradients:
     def test_logistic_at_zero(self):
-        assert logistic_gradient(1, 0.0) == pytest.approx(0.5, abs=1e-12)
-        assert logistic_gradient(-1, 0.0) == pytest.approx(-0.5, abs=1e-12)
+        assert gradient(1, 0.0, "logistic") == pytest.approx(0.5, abs=1e-12)
+        assert gradient(-1, 0.0, "logistic") == pytest.approx(-0.5, abs=1e-12)
 
     def test_logistic_known_value(self):
-        assert logistic_gradient(1, 2.0) == pytest.approx(1.0 / (1.0 + math.exp(2.0)), abs=1e-12)
-        assert logistic_gradient(1, 2.0) == pytest.approx(0.119203, abs=1e-6)
+        assert gradient(1, 2.0, "logistic") == pytest.approx(1.0 / (1.0 + math.exp(2.0)), abs=1e-12)
+        assert gradient(1, 2.0, "logistic") == pytest.approx(0.119203, abs=1e-6)
 
     def test_logistic_sign_matches_label(self):
         rng = np.random.default_rng(0)
         F = rng.normal(scale=3, size=100)
-        assert np.all(logistic_gradient(np.ones(100), F) > 0)
-        assert np.all(logistic_gradient(-np.ones(100), F) < 0)
-        assert np.all(np.abs(logistic_gradient(np.ones(100), F)) < 1)
+        assert np.all(gradient(np.ones(100), F, "logistic") > 0)
+        assert np.all(gradient(-np.ones(100), F, "logistic") < 0)
+        assert np.all(np.abs(gradient(np.ones(100), F, "logistic")) < 1)
 
     def test_logistic_extreme_scores_safe(self):
         with np.errstate(all="raise"):
-            g = logistic_gradient(np.array([1.0, -1.0]), np.array([1000.0, -1000.0]))
+            g = gradient(np.array([1.0, -1.0]), np.array([1000.0, -1000.0]), "logistic")
         assert np.all(np.isfinite(g))
         assert g[0] == pytest.approx(math.exp(-1000.0), abs=1e-300)
 
     def test_logistic_asymptote_at_500(self):
-        g = logistic_gradient(1.0, 600.0)
+        g = gradient(1.0, 600.0, "logistic")
         assert g == pytest.approx(math.exp(-600.0), rel=1e-12)
 
     def test_squared(self):
-        assert squared_gradient(1, 1.0) == 0.0
-        assert squared_gradient(1, 1.3) == pytest.approx(-0.3)
-        assert squared_gradient(-1, 0.2) == pytest.approx(-1.2)
+        assert gradient(1, 1.0, "squared") == 0.0
+        assert gradient(1, 1.3, "squared") == pytest.approx(-0.3)
+        assert gradient(-1, 0.2, "squared") == pytest.approx(-1.2)
 
     def test_logistic_matches_finite_differences(self):
         h = 1e-5
         for y in (-1.0, 1.0):
             for F in np.linspace(-10, 10, 25):
                 fd = (loss_value(y, F + h, "logistic") - loss_value(y, F - h, "logistic")) / (2 * h)
-                g = logistic_gradient(y, F)
+                g = gradient(y, F, "logistic")
                 assert abs(g - (-fd)) / abs(g) < 1e-8
 
 

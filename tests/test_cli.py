@@ -486,6 +486,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"data error: load_csv: cannot read {tmp_path}: Is a directory\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, flags, message", [
+        ("a,a,label\n1,2,1\n3,4,0\n", [], "{data} header names column 'a' 2 times"),
+        ("a,b,label\n1,2,1\n3,4,0\n", ["--label", "99"], "{data} has 3 columns, so label column index 99 is out of range"),
+        ("a,b,label\n1,2,1\n3,4,0\n", ["--label", "y"], "label column 'y' not in {data} header ['a', 'b', 'label']"),
+        ("label\n1\n0\n", [], "{data} has no feature columns besides the label"),
+        ("a,label\n1,1\n2,1\n", [], "{data} has fewer than 2 distinct labels (found ['1'])"),
+        ("a,label\n1,0\n2,2\n", [], "positive label '1' never occurs in {data} (labels: ['0', '2'])"),
+    ], ids=["repeated-header", "label-index", "label-name", "no-features", "one-label", "no-positive"])
+    def test_header_and_label_rejections_name_the_file(self, tmp_path, capsys, text, flags, message):
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        out = tmp_path / "model.txt"
+        assert run("train", "--data", str(data), *flags, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "data error: load_csv: " + message.format(data=data) + "\n"
+        assert not out.exists()
+
     def test_config_line_without_equals_is_a_data_error(self, small_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("iterations 5\n")

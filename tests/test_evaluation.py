@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from itboost import cli, evaluation
-from itboost.boosting import BoostConfig, train
+from itboost.boosting import ENCODINGS, LOSSES, TRUST_MODES, BoostConfig, gradient, train
 from itboost.data import FoldPlan, save_csv, stratified_kfold
 from itboost.evaluation import (
     METRIC_NAMES,
@@ -337,8 +337,8 @@ class TestTrajectory:
         ds = make_gaussian_dataset(120, 3, separation=4.0, seed=seed)
         noisy, mask = inject(ds, NoiseSpec("symmetric", rate, seed))
         cfg = BoostConfig(iterations=iterations, loss="squared", trust="enabled", seed=seed)
-        _, trace = train(noisy, cfg)
-        margins = initial_margins(trace, noisy.labels, "squared", max(1, iterations // 10))
+        model, trace = train(noisy, cfg)
+        margins = initial_margins(model, noisy, max(1, iterations // 10))
         return trace, mask, margins
 
     def test_empty_mask_emits_only_easy_and_hard(self):
@@ -351,8 +351,8 @@ class TestTrajectory:
         ds = make_gaussian_dataset(80, 3, separation=4.0, seed=10)
         noisy, mask = inject(ds, NoiseSpec("symmetric", 0.2, 10))
         cfg = BoostConfig(iterations=10, loss="squared", trust="disabled", seed=10)
-        _, trace = train(noisy, cfg)
-        margins = initial_margins(trace, noisy.labels, "squared", 1)
+        model, trace = train(noisy, cfg)
+        margins = initial_margins(model, noisy, 1)
         curves = trajectory_summary(trace, mask, margins)
         for curve in curves.values():
             assert np.all(curve == 1.0)
@@ -366,34 +366,40 @@ class TestTrajectory:
     def test_margin_recovery_squared(self):
         ds = make_gaussian_dataset(60, 2, separation=4.0, seed=11)
         cfg = BoostConfig(iterations=5, loss="squared", trust="disabled", seed=11)
-        model, trace = train(ds, cfg)
+        model, _ = train(ds, cfg)
         # at iteration 1 all scores equal the base score, so margin = y * F0
-        margins = initial_margins(trace, ds.labels, "squared", 1)
+        margins = initial_margins(model, ds, 1)
         expected = ds.labels.astype(float) * model.base_score
         np.testing.assert_allclose(margins, expected, atol=1e-12)
 
     def test_margin_recovery_logistic(self):
         ds = make_gaussian_dataset(60, 2, separation=4.0, seed=11)
         cfg = BoostConfig(iterations=5, loss="logistic", trust="disabled", seed=11)
-        model, trace = train(ds, cfg)
-        margins = initial_margins(trace, ds.labels, "logistic", 1)
+        model, _ = train(ds, cfg)
+        margins = initial_margins(model, ds, 1)
         expected = ds.labels.astype(float) * model.base_score
         np.testing.assert_allclose(margins, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("trust", TRUST_MODES)
+    def test_margins_are_the_scores_train_entered_each_round_with(self, loss, encoding, trust):
+        # y * (y * F) = F exactly, so the round's gradient recomputed from the margins is the traced one
+        ds = make_gaussian_dataset(60, 3, separation=2.0, seed=12)
+        noisy, _ = inject(ds, NoiseSpec("symmetric", 0.2, 12))
+        cfg = BoostConfig(iterations=12, loss=loss, encoding=encoding, trust=trust, seed=12)
+        model, trace = train(noisy, cfg)
+        y = noisy.labels.astype(np.float64)
+        for m in range(1, cfg.iterations + 1):
+            recomputed = gradient(y, y * initial_margins(model, noisy, m), loss)
+            assert recomputed.tobytes() == trace.gradients[m - 1].tobytes(), m
 
     @pytest.mark.parametrize("iteration", [0, -1, 6])
     def test_margin_iteration_outside_trace_rejected(self, iteration):
         ds = make_gaussian_dataset(60, 2, separation=4.0, seed=11)
-        _, trace = train(ds, BoostConfig(iterations=5, loss="squared", trust="disabled", seed=11))
+        model, _ = train(ds, BoostConfig(iterations=5, loss="squared", trust="disabled", seed=11))
         with pytest.raises(ValueError, match=r"iteration .* outside 1\.\.5"):
-            initial_margins(trace, ds.labels, "squared", iteration)
-
-    @pytest.mark.parametrize("n_labels", [1, 59, 61])
-    def test_margin_labels_length_mismatch_rejected(self, n_labels):
-        ds = make_gaussian_dataset(60, 2, separation=4.0, seed=11)
-        _, trace = train(ds, BoostConfig(iterations=5, loss="squared", trust="disabled", seed=11))
-        labels = np.resize(ds.labels, n_labels)
-        with pytest.raises(ValueError, match="labels for a trace of 60 rows"):
-            initial_margins(trace, labels, "squared", 1)
+            initial_margins(model, ds, iteration)
 
 
 class TestFriedman:

@@ -1,5 +1,5 @@
 """The package's public names: ``__all__`` and the imports of ``__init__.py`` agree, and a program
-uses each of them and each of the package's definitions."""
+uses each of them and each of the package's definitions, and only ``boosting`` names a loss."""
 
 import ast
 from pathlib import Path
@@ -80,3 +80,15 @@ def test_every_definition_is_used_by_a_program():
         if name.rpartition(".")[2] not in (attributes if is_method else bare | attributes)
     ]
     assert unused == []
+
+
+def test_only_boosting_names_a_loss():
+    # the losses are one module's decision: no other module branches on a loss or passes one by name
+    named = [
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "boosting.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in ("logistic", "squared")
+    ]
+    assert named == []

@@ -123,14 +123,15 @@ def loss_value(y, score, loss: str):
 
 
 def init_score(labels, loss: str) -> float:
-    """Constant score minimising the total loss over the training labels."""
+    """Constant score minimising the total loss over the training labels; a DataError if the
+    logistic loss sees one class (a training split that noise or folding left one-sided)."""
     labels = np.asarray(labels)
     if loss == "squared":
         return float(np.mean(labels))
     if loss == "logistic":
         p = float(np.mean(labels == 1))
         if p <= 0.0 or p >= 1.0:
-            raise ValueError("init_score: logistic loss needs both classes present")
+            raise DataError("init_score: logistic loss needs both classes present")
         return float(np.log(p / (1.0 - p)))
     raise ValueError(f"init_score: unknown loss {loss!r}")
 
@@ -143,10 +144,6 @@ class Model:
     n_features: int
     trees: list[RegressionTree]
     config: BoostConfig
-
-    @property
-    def learning_rate(self) -> float:
-        return self.config.learning_rate
 
     def predict_score(self, X):
         """Raw additive score of each row of X (n, d); a float for one row x (d,).
@@ -165,7 +162,7 @@ class Model:
             raise ValueError(f"Model.predict_score: expected 1-D or 2-D input, got shape {X.shape}")
         if X.shape[-1] != self.n_features:
             raise ValueError(f"Model.predict_score: expected {self.n_features} features, got {X.shape[-1]}")
-        lr = self.learning_rate
+        lr = self.config.learning_rate
         if X.ndim == 1:
             row = X.tolist()
             score = float(self.base_score)

@@ -11,14 +11,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, fields, replace
 
-from .boosting import (
-    TRUST_MODES,
-    BoostConfig,
-    load_trace_csv,
-    parse_config_file,
-    save_model,
-    train,
-)
+from .boosting import BoostConfig, load_trace_csv, parse_config_file, save_model, train
 from .data import DataError, load_csv, random_undersample, save_csv, stratified_kfold, write_rows
 from .evaluation import (
     METRIC_NAMES,
@@ -180,9 +173,10 @@ def cmd_noise_sweep(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad --rates value: {exc}") from None
     modes = [m.strip() for m in args.modes.split(",")]
-    for mode in modes:
-        if mode not in TRUST_MODES:
-            raise UsageError(f"bad --modes value {mode!r}: choose from {', '.join(TRUST_MODES)}")
+    try:
+        configs = [replace(config, trust=mode) for mode in modes]
+    except ValueError as exc:
+        raise UsageError(f"bad --modes value: {exc}") from None
     for flag, values in (("--rates", rates), ("--modes", modes)):
         for value, count in Counter(values).items():
             if count > 1:
@@ -190,9 +184,9 @@ def cmd_noise_sweep(args) -> int:
     dataset = _load(args)
     folds = stratified_kfold(dataset, args.k, config.seed)
     rows = [
-        (mode, args.kind, rate,
-         cross_validate(dataset, replace(config, trust=mode), folds, noise=spec, threads=args.threads))
-        for mode in modes
+        (mode_config.trust, args.kind, rate,
+         cross_validate(dataset, mode_config, folds, noise=spec, threads=args.threads))
+        for mode_config in configs
         for rate, spec in zip(rates, specs)
     ]
     write_sweep_csv(rows, args.out)
@@ -258,7 +252,7 @@ def cmd_verify_bounds(args) -> int:
     state = states[iteration]
     noisy = mask.selects(row_ids)
     if not noisy.any() or noisy.all():
-        raise DataError("verify-bounds: mask must mark some but not all trace rows")
+        raise DataError(f"verify-bounds: mask {args.mask} must mark some but not all rows of trace {args.trace}")
     clean_values, noisy_values = state.normalized[~noisy], state.normalized[noisy]
     reports = (
         trust_bound_check(state.normalized),

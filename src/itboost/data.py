@@ -189,21 +189,22 @@ def _raise_first_bad_record(path, header: list[str], label_idx: int) -> NoReturn
         for line_no, record in enumerate(reader, start=2):
             if not record:
                 continue
+            row = f"load_csv: {path} row {line_no}"
             if len(record) != len(header):
-                raise DataError(f"load_csv: row {line_no} has {len(record)} cells, expected {len(header)}")
+                raise DataError(f"{row} has {len(record)} cells, expected {len(header)}")
             for col, cell in enumerate(record):
                 token = cell.strip()
                 name = header[col]
                 if token == "":
-                    raise DataError(f"load_csv: missing value at row {line_no}, column {name!r}")
+                    raise DataError(f"{row}, column {name!r}: missing value")
                 if col == label_idx:
                     continue
                 try:
                     x = float(token)
                 except ValueError:
-                    raise DataError(f"load_csv: unparsable cell {token!r} at row {line_no}, column {name!r}") from None
+                    raise DataError(f"{row}, column {name!r}: unparsable cell {token!r}") from None
                 if not np.isfinite(x):
-                    raise DataError(f"load_csv: non-finite value {token!r} at row {line_no}, column {name!r}")
+                    raise DataError(f"{row}, column {name!r}: non-finite value {token!r}")
     raise DataError(f"load_csv: {path} changed while it was read")
 
 

@@ -119,8 +119,9 @@ def run_fold(
     fold: int,
     noise: NoiseSpec | None = None,
     undersample_train: bool = False,
-) -> tuple[dict, float, RunTrace]:
-    """Train on one (optionally corrupted) training split, evaluate on the clean test split."""
+) -> tuple[dict, float, float]:
+    """Train on one (optionally corrupted) training split, evaluate on the clean test split:
+    the fold's (metrics, train seconds, trust seconds), the fold job of :func:`cross_validate`."""
     train_ds, test_ds = split_fold(dataset, folds, fold)
     if undersample_train:
         train_ds = random_undersample(train_ds, seed=config.seed + fold)
@@ -130,13 +131,7 @@ def run_fold(
     model, trace = train(train_ds, config)
     train_dt = time.perf_counter() - t0
     probs = model.predict_proba(test_ds.features)
-    return compute_metrics(test_ds.labels, probs), train_dt, trace
-
-
-def _fold_job(dataset, config, folds, noise, undersample_train, fold) -> tuple[dict, float, float]:
-    """One fold's (metrics, train seconds, trust seconds); the trace stays where it was made."""
-    metrics, train_dt, trace = run_fold(dataset, config, folds, fold, noise, undersample_train)
-    return metrics, train_dt, trace.total_trust_seconds()
+    return compute_metrics(test_ds.labels, probs), train_dt, trace.total_trust_seconds()
 
 
 def cross_validate(
@@ -159,7 +154,7 @@ def cross_validate(
     if threads < 1:
         raise ValueError(f"cross_validate: threads must be at least 1, got {threads}")
     t0 = time.perf_counter()
-    job = partial(_fold_job, dataset, config, folds, noise, undersample_train)
+    job = partial(run_fold, dataset, config, folds, noise=noise, undersample_train=undersample_train)
     workers = min(threads, folds.k)
     if workers == 1:
         results = list(map(job, range(folds.k)))

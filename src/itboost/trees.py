@@ -10,7 +10,7 @@ import numpy as np
 
 @dataclass(slots=True)
 class TreeNode:
-    """Internal node (feature, threshold) or leaf (value).
+    """Internal node (feature, threshold) or leaf (value, no children; every walk tests ``left is None``).
 
     The fit and :meth:`RegressionTree.from_tokens` store a Python int feature
     and Python float threshold and value, so a single-row score summed from
@@ -23,10 +23,6 @@ class TreeNode:
     value: float = 0.0
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
 
 @dataclass(slots=True)
@@ -51,13 +47,13 @@ class RegressionTree:
         return out
 
     def n_leaves(self) -> int:
-        return sum(node.is_leaf for node in _preorder(self.root))
+        return sum(node.left is None for node in _preorder(self.root))
 
     def to_tokens(self) -> list[str]:
         """Preorder serialisation: 'I <feature> <threshold>' / 'L <value>' tokens."""
         tokens: list[str] = []
         for node in _preorder(self.root):
-            if node.is_leaf:
+            if node.left is None:
                 tokens += ("L", repr(float(node.value)))
             else:
                 tokens += ("I", str(int(node.feature)), repr(float(node.threshold)))
@@ -110,7 +106,7 @@ def _preorder(root: TreeNode):
     while stack:
         node = stack.pop()
         yield node
-        if not node.is_leaf:
+        if node.left is not None:
             stack += (node.right, node.left)
 
 
@@ -129,10 +125,6 @@ def _route(root: TreeNode, XT: np.ndarray, idx: np.ndarray, out: np.ndarray) -> 
             continue
         go_left = XT[node.feature].take(idx) <= node.threshold
         stack += ((node.right, idx.compress(~go_left)), (node.left, idx.compress(go_left)))
-
-
-def _weighted_mean(g: np.ndarray, w: np.ndarray) -> float:
-    return float((w * g).sum() / w.sum())
 
 
 def split_tolerance(g, w) -> float:
@@ -233,7 +225,7 @@ def _grow(XT, g, w, order, xs, rows, max_depth, min_samples_leaf, out) -> TreeNo
         if depth < max_depth and rows.shape[0] >= 2 * min_samples_leaf and not (gn == gn[0]).all():
             found = _best_split(xs, g, w, order, split_tolerance(gn, wn), min_samples_leaf)
         if found is None:
-            node.value = _weighted_mean(gn, wn)
+            node.value = float((wn * gn).sum() / wn.sum())
             out[rows] = node.value
             continue
         _, node.feature, node.threshold = found

@@ -457,8 +457,9 @@ def per_cell_load_csv(path, label_column, positive_label: str):
         for line_no, record in enumerate(reader, start=2):
             if not record:
                 continue
+            row = f"load_csv: {path} row {line_no}"
             if len(record) != len(header):
-                raise DataError(f"load_csv: row {line_no} has {len(record)} cells, expected {len(header)}")
+                raise DataError(f"{row} has {len(record)} cells, expected {len(header)}")
             values = []
             for col, cell in enumerate(record):
                 token = cell.strip()
@@ -467,13 +468,13 @@ def per_cell_load_csv(path, label_column, positive_label: str):
                     continue
                 name = header[col]
                 if token == "":
-                    raise DataError(f"load_csv: missing value at row {line_no}, column {name!r}")
+                    raise DataError(f"{row}, column {name!r}: missing value")
                 try:
                     x = float(token)
                 except ValueError:
-                    raise DataError(f"load_csv: unparsable cell {token!r} at row {line_no}, column {name!r}") from None
+                    raise DataError(f"{row}, column {name!r}: unparsable cell {token!r}") from None
                 if not np.isfinite(x):
-                    raise DataError(f"load_csv: non-finite value {token!r} at row {line_no}, column {name!r}")
+                    raise DataError(f"{row}, column {name!r}: non-finite value {token!r}")
                 values.append(x)
             rows.append(values)
     labels = np.array([1 if tok == positive_label else -1 for tok in raw_labels], dtype=np.int64)

@@ -152,7 +152,7 @@ class TestPredict:
             stack = [tree.root]
             while stack:
                 node = stack.pop()
-                if not node.is_leaf:
+                if node.left is not None:
                     splits.add((node.feature, node.threshold))
                     stack += (node.left, node.right)
         rows = []

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 import resource
 import sys
@@ -5,11 +7,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from itboost import cli
 from itboost.cli import _peak_memory_mb, build_parser, main
 from itboost.boosting import ENCODINGS, LOSSES, TRUST_MODES, BoostConfig, load_model
 from itboost.data import load_csv, save_csv
+from itboost.noise import NOISE_KINDS
 from itboost.synth import make_gaussian_dataset
 
 
@@ -171,7 +176,8 @@ class TestNoiseSweep:
                                 "got -0.2\n"),
         ("0.1,nan", "enabled", "usage error: bad --rates value: NoiseSpec: label noise rate must be in [0, 0.5), "
                                "got nan\n"),
-        ("0.1,0.3", "enabled,bogus", "usage error: bad --modes value 'bogus': choose from enabled, disabled,"),
+        ("0.1,0.3", "enabled,bogus", "usage error: bad --modes value: BoostConfig: trust must be one of "
+                                     "('enabled', 'disabled', 'magnitude-only'), got 'bogus'\n"),
         ("0.1,0.3,0.10", "enabled", "usage error: bad --rates value: 0.1 given 2 times\n"),
         ("0.1,0.3", "enabled,disabled,enabled", "usage error: bad --modes value: 'enabled' given 2 times\n"),
     ])
@@ -330,7 +336,8 @@ class TestTrajectoryAndBounds:
         capsys.readouterr()
         assert run("verify-bounds", "--trace", str(trace), "--mask", str(mask),
                    "--out", str(tmp_path / "bounds.csv")) == 2
-        assert capsys.readouterr().err == "data error: verify-bounds: mask must mark some but not all trace rows\n"
+        assert capsys.readouterr().err == (
+            f"data error: verify-bounds: mask {mask} must mark some but not all rows of trace {trace}\n")
 
 
 class TestVerifyBoundsReport:
@@ -493,13 +500,28 @@ class TestExitCodes:
         ("label\n1\n0\n", [], "{data} has no feature columns besides the label"),
         ("a,label\n1,1\n2,1\n", [], "{data} has fewer than 2 distinct labels (found ['1'])"),
         ("a,label\n1,0\n2,2\n", [], "positive label '1' never occurs in {data} (labels: ['0', '2'])"),
-    ], ids=["repeated-header", "label-index", "label-name", "no-features", "one-label", "no-positive"])
-    def test_header_and_label_rejections_name_the_file(self, tmp_path, capsys, text, flags, message):
+        ("a,label\n1,2,1\n2,0\n", [], "{data} row 2 has 3 cells, expected 2"),
+        ("a,label\n,1\n2,0\n", [], "{data} row 2, column 'a': missing value"),
+        ("a,label\nfoo,1\n2,0\n", [], "{data} row 2, column 'a': unparsable cell 'foo'"),
+        ("a,label\n1,1\ninf,0\n", [], "{data} row 3, column 'a': non-finite value 'inf'"),
+    ], ids=["repeated-header", "label-index", "label-name", "no-features", "one-label", "no-positive",
+            "width", "missing", "unparsable", "non-finite"])
+    def test_load_csv_rejections_name_the_file(self, tmp_path, capsys, text, flags, message):
         data = tmp_path / "d.csv"
         data.write_text(text)
         out = tmp_path / "model.txt"
         assert run("train", "--data", str(data), *flags, "--out", str(out)) == 2
         assert capsys.readouterr().err == "data error: load_csv: " + message.format(data=data) + "\n"
+        assert not out.exists()
+
+    def test_fold_that_loses_a_class_is_a_data_error(self, tmp_path, capsys):
+        data, out = tmp_path / "d.csv", tmp_path / "sweep.csv"
+        assert run("synth", "--n", "12", "--d", "2", "--sep", "1", "--seed", "3", "--out", str(data)) == 0
+        capsys.readouterr()
+        # asymmetric noise flips every positive row of one fold's training split
+        assert run("noise-sweep", "--data", str(data), "--kind", "asymmetric", "--rates", "0.49",
+                   "--modes", "enabled", "--k", "2", "--iterations", "3", "--seed", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "data error: init_score: logistic loss needs both classes present\n"
         assert not out.exists()
 
     def test_config_line_without_equals_is_a_data_error(self, small_csv, tmp_path, capsys):
@@ -664,3 +686,58 @@ class TestUndersampleFlag:
         code = run("evaluate", "--data", str(path), "--k", "3", "--iterations", "3",
                    "--loss", "squared", "--undersample", "after", "--out", str(out))
         assert code == 0
+
+
+class TestAnyRunExitsCleanly:
+    """Drawn CV and trajectory runs on small synthetic files: each one exits 0, or with a usage
+    error (exit 1) or a data error (exit 2), and never with a plain ``error:`` or an exception."""
+
+    @pytest.mark.filterwarnings("ignore:trajectory_summary")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        command=st.sampled_from(("evaluate", "noise-sweep", "ablate", "trajectory")),
+        n=st.integers(8, 40),
+        d=st.integers(1, 3),
+        sep=st.floats(0.0, 4.0),
+        data_seed=st.integers(0, 1000),
+        loss=st.sampled_from(LOSSES),
+        encoding=st.sampled_from(ENCODINGS),
+        trust=st.sampled_from(TRUST_MODES),
+        k=st.integers(2, 4),
+        kind=st.sampled_from(NOISE_KINDS),
+        rates=st.lists(st.floats(0.0, 0.49), min_size=1, max_size=3),
+        seed=st.integers(0, 1000),
+        iterations=st.integers(1, 3),
+        max_depth=st.integers(1, 4),
+        min_samples_leaf=st.integers(1, 4),
+    )
+    # one fold's training split loses its positive rows to asymmetric noise
+    @example(command="noise-sweep", n=12, d=2, sep=1.0, data_seed=3, loss="logistic", encoding="binary-sign",
+             trust="enabled", k=2, kind="asymmetric", rates=[0.49], seed=1, iterations=3, max_depth=3,
+             min_samples_leaf=1)
+    def test_exit_is_success_or_a_named_error(self, tmp_path_factory, command, n, d, sep, data_seed, loss, encoding,
+                                              trust, k, kind, rates, seed, iterations, max_depth, min_samples_leaf):
+        work = tmp_path_factory.mktemp("cli")
+        data = work / "d.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("synth", "--n", str(n), "--d", str(d), "--sep", repr(sep), "--seed", str(data_seed),
+                       "--out", str(data)) == 0
+        argv = [command, "--data", str(data), "--out", str(work / "out.csv"), "--loss", loss, "--seed", str(seed),
+                "--iterations", str(iterations), "--max-depth", str(max_depth),
+                "--min-samples-leaf", str(min_samples_leaf)]
+        if command != "ablate":  # ablate sets encoding and trust itself
+            argv += ["--encoding", encoding]
+        if command != "trajectory":
+            argv += ["--k", str(k), "--threads", "1"]
+        if command in ("evaluate", "trajectory"):
+            argv += ["--trust", trust]
+        if command == "noise-sweep":
+            argv += ["--modes", trust, "--kind", kind, "--rates", ",".join(map(repr, rates))]
+        if command == "trajectory":
+            argv += ["--noise-kind", kind, "--noise-rate", repr(rates[0])]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        prefix = {0: "", 1: "usage error: ", 2: "data error: "}
+        assert code in prefix
+        assert err.getvalue().startswith(prefix[code]), err.getvalue()

@@ -120,12 +120,13 @@ class TestLoadCsv:
 
     def test_empty_label_cell_rejected(self, tmp_path):
         path = write(tmp_path, "a,cls\n1,yes\n2,\n3,no\n")
-        with pytest.raises(DataError, match=r"^load_csv: missing value at row 3, column 'cls'$"):
+        message = f"load_csv: {path} row 3, column 'cls': missing value"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_csv(path, "cls", positive_label="yes")
 
     def test_space_only_label_cell_rejected(self, tmp_path):
         path = write(tmp_path, "cls,a\nyes,1\n  ,2\nno,3\n")
-        with pytest.raises(DataError, match=r"missing value at row 3, column 'cls'"):
+        with pytest.raises(DataError, match=r"row 3, column 'cls': missing value"):
             load_csv(path, 0, positive_label="yes")
 
     @pytest.mark.parametrize("label", ["label", 0])
@@ -166,13 +167,14 @@ class TestCsvParity:
     @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", " NaN "])
     def test_non_finite_parsed_then_rejected(self, tmp_path, cell):
         path = write(tmp_path, f"a,b,cls\n1,2,yes\n3,{cell},no\n")
-        with pytest.raises(DataError, match=rf"^load_csv: non-finite value '{cell.strip()}' at row 3, column 'b'$"):
+        message = f"load_csv: {path} row 3, column 'b': non-finite value '{cell.strip()}'"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_csv(path, "cls", positive_label="yes")
 
     @pytest.mark.parametrize("cell", ["1__0", "_1", "0x10", "1e", "1,5"])
     def test_float_grammar_rejections(self, tmp_path, cell):
         path = write(tmp_path, f'a,b,cls\n1,2,yes\n3,"{cell}",no\n')
-        with pytest.raises(DataError, match=r"unparsable cell .* at row 3, column 'b'"):
+        with pytest.raises(DataError, match=r"row 3, column 'b': unparsable cell "):
             load_csv(path, "cls", positive_label="yes")
 
     @settings(max_examples=150, deadline=None)
@@ -218,10 +220,10 @@ class TestCsvParity:
 
 BAD_RECORDS = {
     "width": ("1,2", "row {r} has 2 cells, expected 3"),
-    "missing": ("1,,no", "missing value at row {r}, column 'b'"),
-    "unparsable": ("foo,2,no", "unparsable cell 'foo' at row {r}, column 'a'"),
-    "non-finite": ("1,inf,no", "non-finite value 'inf' at row {r}, column 'b'"),
-    "missing-label": ("1,2,", "missing value at row {r}, column 'cls'"),
+    "missing": ("1,,no", "row {r}, column 'b': missing value"),
+    "unparsable": ("foo,2,no", "row {r}, column 'a': unparsable cell 'foo'"),
+    "non-finite": ("1,inf,no", "row {r}, column 'b': non-finite value 'inf'"),
+    "missing-label": ("1,2,", "row {r}, column 'cls': missing value"),
 }
 
 
@@ -230,14 +232,15 @@ class TestFirstErrorWins:
     def test_earlier_bad_record_is_named(self, tmp_path, first, second):
         text = "a,b,cls\n1,2,yes\n{}\n3,4,no\n{}\n5,6,yes\n".format(BAD_RECORDS[first][0], BAD_RECORDS[second][0])
         path = write(tmp_path, text)
-        message = "load_csv: " + BAD_RECORDS[first][1].format(r=3)
+        message = f"load_csv: {path} " + BAD_RECORDS[first][1].format(r=3)
         with pytest.raises(DataError) as exc:
             load_csv(path, "cls", positive_label="yes")
         assert str(exc.value) == message
 
     def test_earlier_column_of_one_record_is_named(self, tmp_path):
         path = write(tmp_path, "a,b,cls\n1,2,yes\ninf,foo,no\n")
-        with pytest.raises(DataError, match=r"^load_csv: non-finite value 'inf' at row 3, column 'a'$"):
+        message = f"load_csv: {path} row 3, column 'a': non-finite value 'inf'"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_csv(path, "cls", positive_label="yes")
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from itboost import cli, evaluation
 from itboost.boosting import ENCODINGS, LOSSES, TRUST_MODES, BoostConfig, gradient, train
-from itboost.data import FoldPlan, save_csv, stratified_kfold
+from itboost.data import DataError, FoldPlan, save_csv, stratified_kfold
 from itboost.evaluation import (
     METRIC_NAMES,
     MetricReport,
@@ -145,10 +145,10 @@ class TestCrossValidate:
         cfg = BoostConfig(iterations=3, loss="logistic", trust="disabled", seed=0)
         errors = []
         for threads in (1, 2):
-            with pytest.raises(ValueError) as info:
+            with pytest.raises(DataError) as info:
                 cross_validate(ds, cfg, folds, threads=threads)
             errors.append((type(info.value), str(info.value)))
-        assert errors[0] == errors[1] == (ValueError, "init_score: logistic loss needs both classes present")
+        assert errors[0] == errors[1] == (DataError, "init_score: logistic loss needs both classes present")
 
     def test_no_worker_outlives_the_call(self):
         ds, folds = self._task()

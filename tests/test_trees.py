@@ -16,7 +16,7 @@ class TestFitBasics:
         g = np.array([-1.0, -1.0, 1.0, 1.0])
         w = np.ones(4)
         tree = fit_tree_weighted(presort(X), g, w, max_depth=1)
-        assert not tree.root.is_leaf
+        assert tree.root.left is not None
         assert tree.root.feature == 0
         assert tree.root.threshold == 1.5
         assert tree.root.left.value == -1.0
@@ -25,7 +25,7 @@ class TestFitBasics:
     def test_constant_targets_give_single_leaf(self):
         X = np.arange(6.0)[:, None]
         tree = fit_tree_weighted(presort(X), np.full(6, 0.3), np.ones(6), max_depth=3)
-        assert tree.root.is_leaf
+        assert tree.root.left is None
         assert tree.root.value == pytest.approx(0.3)
 
     def test_leaf_value_is_weighted_mean(self):
@@ -33,7 +33,7 @@ class TestFitBasics:
         g = np.array([1.0, 2.0, 4.0])
         w = np.array([1.0, 1.0, 2.0])
         tree = fit_tree_weighted(presort(X), g, w, max_depth=2)
-        assert tree.root.is_leaf
+        assert tree.root.left is None
         assert tree.root.value == pytest.approx((1 + 2 + 8) / 4.0)
 
     def test_min_samples_leaf_respected(self):
@@ -43,7 +43,7 @@ class TestFitBasics:
         tree = fit_tree_weighted(presort(X), g, np.ones(20), max_depth=4, min_samples_leaf=5)
 
         def leaf_counts(node, idx):
-            if node.is_leaf:
+            if node.left is None:
                 yield idx.size
                 return
             mask = X[idx, node.feature] <= node.threshold

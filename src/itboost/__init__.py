@@ -42,18 +42,13 @@ from .evaluation import (
 )
 from .noise import NoiseMask, NoiseSpec, inject
 from .synth import make_gaussian_dataset
-from .theory import (
-    BoundReport,
-    ratio_bound_check,
-    trust_bound_check,
-)
+from .theory import ratio_bound_check, trust_bound_check
 from .trees import RegressionTree, fit_tree_weighted, presort
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoostConfig",
-    "BoundReport",
     "DataError",
     "Dataset",
     "FoldPlan",

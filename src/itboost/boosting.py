@@ -74,7 +74,10 @@ class BoostConfig:
         for key, value in mapping.items():
             if key not in casts:
                 raise ValueError(f"BoostConfig: unknown field {key!r}")
-            kwargs[key] = casts[key](value)
+            try:
+                kwargs[key] = casts[key](value)
+            except ValueError:
+                raise ValueError(f"BoostConfig: {key} must be {casts[key].__name__}, got {value!r}") from None
         return cls(**kwargs)
 
 
@@ -295,10 +298,11 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     block must list iteration 1's row ids in iteration 1's order (as
     :meth:`RunTrace.to_csv` writes them).  A reordered, truncated or
     concatenated trace is rejected rather than read with its rows misaligned.
-    Blank lines are skipped; a record that is not six cells, or whose cells
-    are not three integers and three finite floats, is rejected naming the
-    line, as the file is read; an integer outside int64 is rejected naming
-    its column.  Every rejection is a :class:`DataError`.
+    Blank lines are skipped; a record that is not six cells, whose cells are
+    not three integers and three finite floats, or whose normalized_C is
+    outside [0, 1] (the range :func:`trust_weights` requires) is rejected
+    naming the line, as the file is read; an integer outside int64 is
+    rejected naming its column.  Every rejection is a :class:`DataError`.
     """
     blocks: list[list] = []  # per iteration, row_id, raw_C, normalized_C, tau and weight of each record in turn
     with open_input("load_trace_csv", path) as fh:
@@ -322,6 +326,8 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
                     ) from None
                 if not (math.isfinite(norm) and math.isfinite(tau) and math.isfinite(w)):
                     raise ValueError(f"normalized_C, tau and weight must be finite, got {line.strip()!r}")
+                if not 0.0 <= norm <= 1.0:
+                    raise ValueError(f"normalized_C must be in [0, 1], got {line.strip()!r}")
                 if not blocks or m != len(blocks):
                     if m != len(blocks) + 1:
                         raise ValueError(

@@ -9,7 +9,7 @@ import argparse
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
 from .boosting import BoostConfig, load_trace_csv, parse_config_file, save_model, train
 from .data import DataError, load_csv, random_undersample, save_csv, stratified_kfold, write_rows
@@ -254,17 +254,15 @@ def cmd_verify_bounds(args) -> int:
     if not noisy.any() or noisy.all():
         raise DataError(f"verify-bounds: mask {args.mask} must mark some but not all rows of trace {args.trace}")
     clean_values, noisy_values = state.normalized[~noisy], state.normalized[noisy]
-    reports = (
-        trust_bound_check(state.normalized),
-        ratio_bound_check(clean_values, noisy_values),
-        separability_from_groups(clean_values, noisy_values, args.eps, args.delta),
+    report = (
+        {"iteration": iteration}
+        | trust_bound_check(state.normalized)
+        | ratio_bound_check(clean_values, noisy_values)
+        | separability_from_groups(clean_values, noisy_values, args.eps, args.delta)
     )
-    pairs = [("iteration", iteration)]
-    for report in reports:
-        pairs += asdict(report).items()
-    for key, value in pairs:
+    for key, value in report.items():
         print(f"{key}={value}")
-    write_rows(args.out, ["key", "value"], pairs)
+    write_rows(args.out, ["key", "value"], report.items())
     print(f"report written to {args.out}")
     return 0
 

@@ -3,14 +3,13 @@
 The statements are evaluated against empirical distributions (sample means),
 where the convexity and bounded-range inequalities hold exactly, so the
 checks are deterministic rather than asymptotic.  Every check takes plain
-arrays of complexities and returns a frozen report; the report fields, in
-order, are the keys that ``itboost verify-bounds`` prints.
+arrays of complexities and returns a dict; its keys, in order, are the keys
+that ``itboost verify-bounds`` prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +26,7 @@ def _complexities(values, name: str) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    empirical_tau: float
-    mean_complexity: float
-    jensen_lower: float
-    hoeffding_upper: float
-    jensen_satisfied: bool
-    hoeffding_satisfied: bool
-
-
-def trust_bound_check(values) -> BoundReport:
+def trust_bound_check(values) -> dict:
     """Check exp(-mean) <= mean(exp(-C)) <= exp(-mean + range^2 / 8) over complexities C.
 
     The lower bound is convexity of exp(-x); the upper bound is the
@@ -51,29 +40,17 @@ def trust_bound_check(values) -> BoundReport:
     value_range = float(v.max() - v.min())
     jensen = math.exp(-mu_hat)
     hoeffding = math.exp(-mu_hat + value_range**2 / 8.0)
-    return BoundReport(
-        empirical_tau=tau_hat,
-        mean_complexity=mu_hat,
-        jensen_lower=jensen,
-        hoeffding_upper=hoeffding,
-        jensen_satisfied=tau_hat >= jensen - COMPARISON_TOL,
-        hoeffding_satisfied=tau_hat <= hoeffding + COMPARISON_TOL,
-    )
+    return {
+        "empirical_tau": tau_hat,
+        "mean_complexity": mu_hat,
+        "jensen_lower": jensen,
+        "hoeffding_upper": hoeffding,
+        "jensen_satisfied": tau_hat >= jensen - COMPARISON_TOL,
+        "hoeffding_satisfied": tau_hat <= hoeffding + COMPARISON_TOL,
+    }
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    tau_clean: float
-    tau_noisy: float
-    tau_ratio: float
-    complexity_gap: float
-    correction: float
-    ratio_bound: float
-    ratio_bound_satisfied: bool
-    gap_exceeds_correction: bool
-
-
-def ratio_bound_check(clean, noisy) -> RatioReport:
+def ratio_bound_check(clean, noisy) -> dict:
     """Check tau_noisy / tau_clean <= exp(-(gap) + noisy_range^2 / 8) for two complexity vectors.
 
     The upper bound uses the bounded-range bound on the noisy group (the
@@ -91,28 +68,16 @@ def ratio_bound_check(clean, noisy) -> RatioReport:
     correction = float((noisy.max() - noisy.min()) ** 2 / 8.0)
     bound = math.exp(-gap + correction)
     ratio = tau_noisy / tau_clean
-    return RatioReport(
-        tau_clean=tau_clean,
-        tau_noisy=tau_noisy,
-        tau_ratio=ratio,
-        complexity_gap=gap,
-        correction=correction,
-        ratio_bound=bound,
-        ratio_bound_satisfied=ratio <= bound + COMPARISON_TOL,
-        gap_exceeds_correction=gap > correction,
-    )
-
-
-@dataclass(frozen=True)
-class SeparabilityReport:
-    n_clean: int
-    n_noisy: int
-    mean_clean: float
-    mean_noisy: float
-    epsilon: float
-    delta: float
-    required_group_size: int
-    separable: bool
+    return {
+        "tau_clean": tau_clean,
+        "tau_noisy": tau_noisy,
+        "tau_ratio": ratio,
+        "complexity_gap": gap,
+        "correction": correction,
+        "ratio_bound": bound,
+        "ratio_bound_satisfied": ratio <= bound + COMPARISON_TOL,
+        "gap_exceeds_correction": gap > correction,
+    }
 
 
 def required_group_size(epsilon: float, delta: float) -> int:
@@ -137,7 +102,7 @@ def required_group_size(epsilon: float, delta: float) -> int:
     return math.ceil(size)
 
 
-def separability_from_groups(clean_values, noisy_values, epsilon: float, delta: float) -> SeparabilityReport:
+def separability_from_groups(clean_values, noisy_values, epsilon: float, delta: float) -> dict:
     """Empirical separability of mean complexities at tolerance (epsilon, delta).
 
     Verdict: separable iff the observed gap exceeds 2*epsilon and both groups
@@ -149,13 +114,13 @@ def separability_from_groups(clean_values, noisy_values, epsilon: float, delta: 
     mean_clean = float(clean.mean())
     mean_noisy = float(noisy.mean())
     gap = mean_noisy - mean_clean
-    return SeparabilityReport(
-        n_clean=clean.size,
-        n_noisy=noisy.size,
-        mean_clean=mean_clean,
-        mean_noisy=mean_noisy,
-        epsilon=epsilon,
-        delta=delta,
-        required_group_size=n_req,
-        separable=(gap > 2.0 * epsilon) and clean.size >= n_req and noisy.size >= n_req,
-    )
+    return {
+        "n_clean": clean.size,
+        "n_noisy": noisy.size,
+        "mean_clean": mean_clean,
+        "mean_noisy": mean_noisy,
+        "epsilon": epsilon,
+        "delta": delta,
+        "required_group_size": n_req,
+        "separable": (gap > 2.0 * epsilon) and clean.size >= n_req and noisy.size >= n_req,
+    }

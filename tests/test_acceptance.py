@@ -270,16 +270,16 @@ def test_criterion_08_separability_check(robustness_study):
         return separability_from_groups(final[~flipped], final[flipped], epsilon=0.1, delta=0.05)
 
     report = final_separability(study["trace"])
-    gap = report.mean_noisy - report.mean_clean
-    n_req_ok = report.required_group_size == 185
+    gap = report["mean_noisy"] - report["mean_clean"]
+    n_req_ok = report["required_group_size"] == 185
     gap_ok = gap > 0.0
     ok = bool(n_req_ok and gap_ok)
     # the binary-sign gap on the same fold is printed for comparison only
     sign_report = final_separability(study["sign_trace"])
     verdict(8, "complexity gap positive and sample-size formula exact", ok,
-            f"gap={gap:+.4f}, n_req={report.required_group_size}, "
-            f"mean_clean={report.mean_clean:.4f}, mean_noisy={report.mean_noisy:.4f}, "
-            f"binary-sign gap={sign_report.mean_noisy - sign_report.mean_clean:+.4f}")
+            f"gap={gap:+.4f}, n_req={report['required_group_size']}, "
+            f"mean_clean={report['mean_clean']:.4f}, mean_noisy={report['mean_noisy']:.4f}, "
+            f"binary-sign gap={sign_report['mean_noisy'] - sign_report['mean_clean']:+.4f}")
     assert n_req_ok, "required group size at (0.1, 0.05) must be exactly 185"
     assert gap_ok, "noisy-minus-clean complexity gap must be positive at the final iteration"
 
@@ -290,11 +290,11 @@ def test_criterion_09_bound_checks(robustness_study):
     for _ in range(1000):
         values = rng.random(int(rng.integers(2, 200)))
         report = trust_bound_check(values)
-        if not (report.jensen_satisfied and report.hoeffding_satisfied):
+        if not (report["jensen_satisfied"] and report["hoeffding_satisfied"]):
             failures += 1
         clean = rng.random(int(rng.integers(1, 100)))
         noisy = rng.random(int(rng.integers(1, 100)))
-        if not ratio_bound_check(clean, noisy).ratio_bound_satisfied:
+        if not ratio_bound_check(clean, noisy)["ratio_bound_satisfied"]:
             failures += 1
 
     # real traces from the robustness study
@@ -303,16 +303,16 @@ def test_criterion_09_bound_checks(robustness_study):
     for m in (1, trace.n_iterations // 2, trace.n_iterations):
         state = trace.trust[m - 1]
         report = trust_bound_check(state.normalized)
-        if not (report.jensen_satisfied and report.hoeffding_satisfied):
+        if not (report["jensen_satisfied"] and report["hoeffding_satisfied"]):
             failures += 1
-        if not ratio_bound_check(state.normalized[~noisy_sel], state.normalized[noisy_sel]).ratio_bound_satisfied:
+        if not ratio_bound_check(state.normalized[~noisy_sel], state.normalized[noisy_sel])["ratio_bound_satisfied"]:
             failures += 1
 
     two_point = trust_bound_check(np.array([0.0, 1.0]))
     closed_form_ok = (
-        abs(two_point.empirical_tau - (1 + math.exp(-1)) / 2) <= 1e-9
-        and abs(two_point.jensen_lower - math.exp(-0.5)) <= 1e-9
-        and abs(two_point.hoeffding_upper - math.exp(-0.375)) <= 1e-9
+        abs(two_point["empirical_tau"] - (1 + math.exp(-1)) / 2) <= 1e-9
+        and abs(two_point["jensen_lower"] - math.exp(-0.5)) <= 1e-9
+        and abs(two_point["hoeffding_upper"] - math.exp(-0.375)) <= 1e-9
     )
     ok = failures == 0 and closed_form_ok
     verdict(9, "trust bounds hold on random and real samples", ok,

@@ -786,6 +786,15 @@ class TestTraceCsv:
         with pytest.raises(DataError, match=f"{re.escape(str(path))} line 11: normalized_C, tau and weight must be finite"):
             load_trace_csv(path)
 
+    @pytest.mark.parametrize("text", ["1.5", "1.0000000000000002", "-0.5", "1e10", "-800.0"])
+    def test_normalized_complexity_outside_unit_interval_rejected(self, tmp_path, text):
+        path, header, rows = self._written(tmp_path)
+        cells = rows[8].split(",")
+        cells[3] = text
+        rows[8] = ",".join(cells)
+        self._rejects(path, header, rows, f"^load_trace_csv: {re.escape(str(path))} line 10: normalized_C must be in "
+                                          r"\[0, 1\], got ")
+
     def test_blank_lines_skipped(self, tmp_path):
         path, header, rows = self._written(tmp_path)
         clean_ids, clean_states = load_trace_csv(path)

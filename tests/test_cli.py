@@ -432,7 +432,9 @@ class TestVerifyBoundsReport:
         (lambda cells: cells[:3] + ["nan"] + cells[4:], "line 4: normalized_C, tau and weight must be finite"),
         (lambda cells: cells[:5] + ["inf"], "line 4: normalized_C, tau and weight must be finite"),
         (lambda cells: cells[:2] + ["99999999999999999999"] + cells[3:], "column raw_C holds an integer outside int64"),
-    ], ids=["short-record", "nan-cell", "inf-cell", "int64-overflow"])
+        (lambda cells: cells[:3] + ["1e10"] + cells[4:], "line 4: normalized_C must be in [0, 1]"),
+        (lambda cells: cells[:3] + ["-800"] + cells[4:], "line 4: normalized_C must be in [0, 1]"),
+    ], ids=["short-record", "nan-cell", "inf-cell", "int64-overflow", "complexity-above-1", "complexity-below-0"])
     def test_malformed_trace_is_a_data_error(self, trace_and_mask, tmp_path, capsys, edit, message):
         trace, mask = trace_and_mask
         lines = trace.read_text().splitlines()
@@ -530,6 +532,20 @@ class TestExitCodes:
         out = tmp_path / "model.txt"
         assert run("train", "--data", str(small_csv), "--config", str(cfg), "--out", str(out)) == 2
         assert capsys.readouterr().err == f"data error: parse_config_file: {cfg} line 1: expected 'key = value'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("iterations = abc", "iterations must be int, got 'abc'"),
+        ("max_depth = 2.5", "max_depth must be int, got '2.5'"),
+        ("learning_rate = fast", "learning_rate must be float, got 'fast'"),
+    ], ids=["int-word", "int-decimal", "float-word"])
+    def test_config_value_that_does_not_parse_names_its_key(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "model.txt"
+        missing = tmp_path / "absent.csv"  # a data error (exit 2) if the file were read first
+        assert run("train", "--data", str(missing), "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"usage error: BoostConfig: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("present", [True, False], ids=["data-present", "data-absent"])
@@ -735,6 +751,56 @@ class TestAnyRunExitsCleanly:
             argv += ["--modes", trust, "--kind", kind, "--rates", ",".join(map(repr, rates))]
         if command == "trajectory":
             argv += ["--noise-kind", kind, "--noise-rate", repr(rates[0])]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        prefix = {0: "", 1: "usage error: ", 2: "data error: "}
+        assert code in prefix
+        assert err.getvalue().startswith(prefix[code]), err.getvalue()
+
+
+class TestAnyVerifyBoundsExitsCleanly:
+    """verify-bounds on one trajectory trace and mask with a drawn iteration, --eps and --delta, and at
+    most one float cell of the checked iteration replaced by a drawn float: each run exits 0, or with a
+    usage error (exit 1) or a data error (exit 2), and never with a plain ``error:`` or an exception."""
+
+    N_ROWS, ITERATIONS = 20, 3
+
+    @pytest.fixture(scope="class")
+    def trace_lines_and_mask(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("trajectory")
+        data, trace, mask = work / "d.csv", work / "t.csv", work / "m.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("synth", "--n", str(self.N_ROWS), "--d", "2", "--seed", "4", "--out", str(data)) == 0
+            assert run("trajectory", "--data", str(data), "--noise-rate", "0.25",
+                       "--iterations", str(self.ITERATIONS), "--out", str(work / "c.csv"),
+                       "--mask-out", str(mask), "--trace-out", str(trace)) == 0
+        return trace.read_text().splitlines(), mask
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        iteration=st.none() | st.integers(1, ITERATIONS + 1),
+        eps=st.floats(0.0, 1.0) | st.floats(),
+        delta=st.floats(0.0, 1.0) | st.floats(),
+        cell=st.none() | st.tuples(st.integers(0, N_ROWS - 1), st.integers(3, 5), st.floats()),
+    )
+    def test_exit_is_success_or_a_named_error(self, trace_lines_and_mask, tmp_path_factory, iteration, eps, delta,
+                                              cell):
+        lines, mask = trace_lines_and_mask
+        lines = list(lines)
+        if cell is not None:  # a normalized_C, tau or weight cell of the iteration verify-bounds checks
+            row, column, value = cell
+            line = 1 + (min(iteration or self.ITERATIONS, self.ITERATIONS) - 1) * self.N_ROWS + row
+            cells = lines[line].split(",")
+            cells[column] = repr(value)
+            lines[line] = ",".join(cells)
+        work = tmp_path_factory.mktemp("bounds")
+        trace = work / "t.csv"
+        trace.write_text("\n".join(lines) + "\n")
+        argv = ["verify-bounds", "--trace", str(trace), "--mask", str(mask), f"--eps={eps!r}",
+                f"--delta={delta!r}", "--out", str(work / "bounds.csv")]
+        if iteration is not None:
+            argv += ["--iteration", str(iteration)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)

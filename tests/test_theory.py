@@ -48,39 +48,39 @@ class TestComplexitySample:
 class TestTrustBounds:
     def test_constant_sample_jensen_is_tight(self):
         report = trust_bound_check(np.full(10, 0.4))
-        assert report.empirical_tau == pytest.approx(math.exp(-0.4), abs=1e-15)
-        assert report.jensen_lower == pytest.approx(report.empirical_tau, abs=1e-15)
-        assert report.jensen_satisfied and report.hoeffding_satisfied
+        assert report["empirical_tau"] == pytest.approx(math.exp(-0.4), abs=1e-15)
+        assert report["jensen_lower"] == pytest.approx(report["empirical_tau"], abs=1e-15)
+        assert report["jensen_satisfied"] and report["hoeffding_satisfied"]
 
     def test_two_point_closed_form(self):
         report = trust_bound_check(np.array([0.0, 1.0]))
-        assert report.empirical_tau == pytest.approx((1 + math.exp(-1)) / 2, abs=1e-9)
-        assert report.empirical_tau == pytest.approx(0.683940, abs=1e-6)
-        assert report.jensen_lower == pytest.approx(math.exp(-0.5), abs=1e-9)
-        assert report.jensen_lower == pytest.approx(0.606531, abs=1e-6)
-        assert report.hoeffding_upper == pytest.approx(math.exp(-0.5 + 1.0 / 8.0), abs=1e-9)
-        assert report.hoeffding_upper == pytest.approx(0.687289, abs=1e-6)
-        assert report.jensen_satisfied and report.hoeffding_satisfied
+        assert report["empirical_tau"] == pytest.approx((1 + math.exp(-1)) / 2, abs=1e-9)
+        assert report["empirical_tau"] == pytest.approx(0.683940, abs=1e-6)
+        assert report["jensen_lower"] == pytest.approx(math.exp(-0.5), abs=1e-9)
+        assert report["jensen_lower"] == pytest.approx(0.606531, abs=1e-6)
+        assert report["hoeffding_upper"] == pytest.approx(math.exp(-0.5 + 1.0 / 8.0), abs=1e-9)
+        assert report["hoeffding_upper"] == pytest.approx(0.687289, abs=1e-6)
+        assert report["jensen_satisfied"] and report["hoeffding_satisfied"]
 
     def test_uniform_draws_always_satisfy_both_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             values = rng.random(int(rng.integers(2, 500)))
             report = trust_bound_check(values)
-            assert report.jensen_satisfied
-            assert report.hoeffding_satisfied
-            assert report.jensen_lower <= report.hoeffding_upper
+            assert report["jensen_satisfied"]
+            assert report["hoeffding_satisfied"]
+            assert report["jensen_lower"] <= report["hoeffding_upper"]
 
 
 class TestRatioBound:
     def test_constant_groups_equality(self):
         report = ratio_bound_check(np.full(5, 0.2), np.full(5, 0.8))
-        assert report.tau_ratio == pytest.approx(math.exp(-0.6), abs=1e-9)
-        assert report.tau_ratio == pytest.approx(0.548812, abs=1e-6)
-        assert report.correction == 0.0
-        assert report.ratio_bound == pytest.approx(report.tau_ratio, abs=1e-12)
-        assert report.ratio_bound_satisfied
-        assert report.gap_exceeds_correction
+        assert report["tau_ratio"] == pytest.approx(math.exp(-0.6), abs=1e-9)
+        assert report["tau_ratio"] == pytest.approx(0.548812, abs=1e-6)
+        assert report["correction"] == 0.0
+        assert report["ratio_bound"] == pytest.approx(report["tau_ratio"], abs=1e-12)
+        assert report["ratio_bound_satisfied"]
+        assert report["gap_exceeds_correction"]
 
     def test_separated_uniform_groups(self):
         rng = np.random.default_rng(1)
@@ -88,14 +88,14 @@ class TestRatioBound:
             clean = rng.uniform(0.0, 0.3, size=80)
             noisy = rng.uniform(0.7, 1.0, size=60)
             report = ratio_bound_check(clean, noisy)
-            assert report.tau_ratio < 1.0
-            assert report.ratio_bound_satisfied
+            assert report["tau_ratio"] < 1.0
+            assert report["ratio_bound_satisfied"]
 
     def test_identical_distributions_report_no_gap(self):
         values = np.linspace(0, 1, 50)
         report = ratio_bound_check(values, values.copy())
-        assert report.complexity_gap == pytest.approx(0.0, abs=1e-12)
-        assert not report.gap_exceeds_correction
+        assert report["complexity_gap"] == pytest.approx(0.0, abs=1e-12)
+        assert not report["gap_exceeds_correction"]
 
     def test_bound_holds_for_arbitrary_groups(self):
         rng = np.random.default_rng(2)
@@ -103,7 +103,7 @@ class TestRatioBound:
             clean = rng.random(int(rng.integers(1, 60)))
             noisy = rng.random(int(rng.integers(1, 60)))
             report = ratio_bound_check(clean, noisy)
-            assert report.ratio_bound_satisfied
+            assert report["ratio_bound_satisfied"]
 
 
 class TestSeparability:
@@ -132,18 +132,18 @@ class TestSeparability:
     def test_identical_groups_not_separable(self):
         values = np.linspace(0, 1, 300)
         report = separability_from_groups(values, values.copy(), 0.1, 0.05)
-        assert report.mean_noisy - report.mean_clean == pytest.approx(0.0, abs=1e-12)
-        assert not report.separable
+        assert report["mean_noisy"] - report["mean_clean"] == pytest.approx(0.0, abs=1e-12)
+        assert not report["separable"]
 
     def test_wide_gap_with_big_groups_is_separable(self):
         clean = np.full(200, 0.1)
         noisy = np.full(200, 0.9)
         report = separability_from_groups(clean, noisy, 0.1, 0.05)
-        assert report.separable
+        assert report["separable"]
 
     def test_small_groups_not_separable_even_with_gap(self):
         report = separability_from_groups(np.full(10, 0.1), np.full(10, 0.9), 0.1, 0.05)
-        assert not report.separable
+        assert not report["separable"]
 
 
 def test_imports_nothing_from_the_package():

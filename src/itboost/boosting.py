@@ -69,15 +69,14 @@ class BoostConfig:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "BoostConfig":
         """Build a config from string-valued keys (config files, CLI overrides)."""
-        casts = {f.name: type(f.default) for f in fields(cls)}
         kwargs = {}
         for key, value in mapping.items():
-            if key not in casts:
+            if key not in CONFIG_TYPES:
                 raise ValueError(f"BoostConfig: unknown field {key!r}")
             try:
-                kwargs[key] = casts[key](value)
+                kwargs[key] = CONFIG_TYPES[key](value)
             except ValueError:
-                raise ValueError(f"BoostConfig: {key} must be {casts[key].__name__}, got {value!r}") from None
+                raise ValueError(f"BoostConfig: {key} must be {CONFIG_TYPES[key].__name__}, got {value!r}") from None
         return cls(**kwargs)
 
 
@@ -193,8 +192,8 @@ class Model:
 
 
 MODEL_FORMAT_VERSION = "itboost-model v1"
-_HEADER_TYPES = {f.name: type(f.default) for f in fields(BoostConfig)}  # each header key, in order, and its type
-_HEADER_TYPES |= {"base_score": float, "n_features": int, "n_trees": int}
+CONFIG_TYPES = {f.name: type(f.default) for f in fields(BoostConfig)}  # each config field, in order, and its type
+_HEADER_TYPES = CONFIG_TYPES | {"base_score": float, "n_features": int, "n_trees": int}  # each header key, in order
 MODEL_HEADER_KEYS = tuple(_HEADER_TYPES)
 
 
@@ -276,9 +275,6 @@ class RunTrace:
 
     def total_trust_seconds(self) -> float:
         return float(sum(self.trust_seconds))
-
-    def total_fit_seconds(self) -> float:
-        return float(sum(self.fit_seconds))
 
     def to_csv(self, path) -> None:
         """One :data:`TRACE_HEADER` record per row per iteration, iteration by iteration."""

@@ -6,12 +6,13 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from collections import Counter
 from dataclasses import fields, replace
 
-from .boosting import BoostConfig, load_trace_csv, parse_config_file, save_model, train
+from .boosting import CONFIG_TYPES, BoostConfig, load_trace_csv, parse_config_file, save_model, train
 from .data import DataError, load_csv, random_undersample, save_csv, stratified_kfold, write_rows
 from .evaluation import (
     METRIC_NAMES,
@@ -31,6 +32,11 @@ class UsageError(Exception):
 
 
 class CliParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse knows only -1 and -0.5 as negative numbers, and would read -1e-3 or -inf as a flag
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -45,7 +51,7 @@ def _add_run_flags(p: argparse.ArgumentParser, sets_itself: tuple[str, ...] = ()
     for f in fields(BoostConfig):
         if f.name not in sets_itself:
             flag = "--" + f.name.replace("_", "-")
-            p.add_argument(flag, type=type(f.default), choices=f.metadata.get("choices"), default=None,
+            p.add_argument(flag, type=CONFIG_TYPES[f.name], choices=f.metadata.get("choices"), default=None,
                            help=f"default {f.default}")
     p.set_defaults(sets_itself=sets_itself)
 
@@ -118,7 +124,7 @@ def cmd_train(args) -> int:
         trace.to_csv(args.trace)
     print(
         f"trained {len(model.trees)} trees in {dt:.3f}s (trust step: {trace.total_trust_seconds():.3f}s, "
-        f"tree fit: {trace.total_fit_seconds():.3f}s)"
+        f"tree fit: {sum(trace.fit_seconds):.3f}s)"
     )
     print(f"model written to {args.out}" + (f", trace to {args.trace}" if args.trace else ""))
     return 0

@@ -107,14 +107,23 @@ def normalize_complexities(raw) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
+def check_normalized(values, caller: str, nonempty: bool = True) -> np.ndarray:
+    """``values`` as a float vector; ValueError naming ``caller`` unless it is 1-D, nonempty if ``nonempty``
+    (a caller that takes its mean) and within [0, 1], the range the bounds on exp(-C) rest on; NaN fails too."""
+    c = np.asarray(values, dtype=np.float64)
+    if c.ndim != 1 or (nonempty and c.size == 0):
+        raise ValueError(f"{caller}: normalized complexities must be a {'nonempty ' if nonempty else ''}1-D vector")
+    if c.size and not (0.0 <= c.min() and c.max() <= 1.0):
+        raise ValueError(f"{caller}: normalized complexities must be finite and lie in [0, 1]")
+    return c
+
+
 def trust_weights(gradients, normalized) -> tuple[np.ndarray, np.ndarray]:
     """Trust terms tau = exp(-normalized complexity) and weights w = |g| * tau."""
     g = np.asarray(gradients, dtype=np.float64)
-    c = np.asarray(normalized, dtype=np.float64)
+    c = check_normalized(normalized, "trust_weights", nonempty=False)
     if g.shape != c.shape:
         raise ValueError(f"trust_weights: length mismatch {g.shape} vs {c.shape}")
-    if c.size and (c.min() < 0.0 or c.max() > 1.0):
-        raise ValueError("trust_weights: normalized complexities must lie in [0, 1]")
     tau = np.exp(-c)
     return tau, np.abs(g) * tau
 

@@ -16,8 +16,6 @@ from .boosting import BoostConfig, Model, RunTrace, train
 from .data import Dataset, FoldPlan, random_undersample, write_rows
 from .noise import NoiseMask, NoiseSpec, inject
 
-METRIC_NAMES = ("acc", "f1", "auc", "log_loss")
-
 PROB_CLIP = 1e-15
 
 
@@ -71,13 +69,12 @@ def log_loss(labels, probabilities) -> float:
     return float(-np.mean(y01 * np.log(q) + (1.0 - y01) * np.log(1.0 - q)))
 
 
+METRICS = {"acc": accuracy, "f1": f1, "auc": auc, "log_loss": log_loss}  # each metric's name, in report order
+METRIC_NAMES = tuple(METRICS)
+
+
 def compute_metrics(labels, probabilities) -> dict:
-    return {
-        "acc": accuracy(labels, probabilities),
-        "f1": f1(labels, probabilities),
-        "auc": auc(labels, probabilities),
-        "log_loss": log_loss(labels, probabilities),
-    }
+    return {name: metric(labels, probabilities) for name, metric in METRICS.items()}
 
 
 @dataclass
@@ -211,9 +208,7 @@ def trajectory_summary(trace: RunTrace, mask: NoiseMask, margins) -> dict:
     noisy = mask.selects(trace.row_ids)
     clean = ~noisy
     curves: dict = {}
-    members: dict = {}
-    if np.any(noisy):
-        members["noisy"] = noisy
+    members = {"noisy": noisy}
     if np.any(clean):
         clean_margins = margins[clean]
         q25, q75 = np.percentile(clean_margins, [25.0, 75.0])

@@ -2,9 +2,9 @@
 
 The statements are evaluated against empirical distributions (sample means),
 where the convexity and bounded-range inequalities hold exactly, so the
-checks are deterministic rather than asymptotic.  Every check takes plain
-arrays of complexities and returns a dict; its keys, in order, are the keys
-that ``itboost verify-bounds`` prints.
+checks are deterministic rather than asymptotic.  Every check takes plain arrays
+of normalized complexities in [0, 1] (``check_normalized``) and returns a dict;
+its keys, in order, are the keys that ``itboost verify-bounds`` prints.
 """
 
 from __future__ import annotations
@@ -13,17 +13,9 @@ import math
 
 import numpy as np
 
+from .complexity import check_normalized
+
 COMPARISON_TOL = 1e-12
-
-
-def _complexities(values, name: str) -> np.ndarray:
-    """``values`` as a float vector; ValueError unless it is nonempty, 1-D and finite."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"{name}: values must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name}: values must be finite")
-    return v
 
 
 def trust_bound_check(values) -> dict:
@@ -31,10 +23,10 @@ def trust_bound_check(values) -> dict:
 
     The lower bound is convexity of exp(-x); the upper bound is the
     bounded-range moment bound applied to the centred values.  Both hold for
-    every finite sample, so the satisfied flags failing indicates a bug, not
-    an unlucky draw.
+    every sample, so the satisfied flags failing indicates a bug, not an
+    unlucky draw.
     """
-    v = _complexities(values, "trust_bound_check")
+    v = check_normalized(values, "trust_bound_check")
     tau_hat = float(np.mean(np.exp(-v)))
     mu_hat = float(np.mean(v))
     value_range = float(v.max() - v.min())
@@ -60,8 +52,8 @@ def ratio_bound_check(clean, noisy) -> dict:
     condition under which noisy samples are guaranteed a down-weighting ratio
     below 1.
     """
-    clean = _complexities(clean, "ratio_bound_check")
-    noisy = _complexities(noisy, "ratio_bound_check")
+    clean = check_normalized(clean, "ratio_bound_check")
+    noisy = check_normalized(noisy, "ratio_bound_check")
     tau_clean = float(np.mean(np.exp(-clean)))
     tau_noisy = float(np.mean(np.exp(-noisy)))
     gap = float(np.mean(noisy) - np.mean(clean))
@@ -108,8 +100,8 @@ def separability_from_groups(clean_values, noisy_values, epsilon: float, delta: 
     Verdict: separable iff the observed gap exceeds 2*epsilon and both groups
     are at least the required size.
     """
-    clean = _complexities(clean_values, "separability_from_groups")
-    noisy = _complexities(noisy_values, "separability_from_groups")
+    clean = check_normalized(clean_values, "separability_from_groups")
+    noisy = check_normalized(noisy_values, "separability_from_groups")
     n_req = required_group_size(epsilon, delta)
     mean_clean = float(clean.mean())
     mean_noisy = float(noisy.mean())

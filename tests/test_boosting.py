@@ -294,7 +294,6 @@ class TestTrain:
         _, trace = train(ds, BoostConfig(iterations=7, loss="squared", trust="enabled"))
         assert len(trace.fit_seconds) == len(trace.trust_seconds) == 7
         assert all(t >= 0.0 for t in trace.fit_seconds)
-        assert trace.total_fit_seconds() == pytest.approx(sum(trace.fit_seconds))
 
     def test_disabled_skips_history_bookkeeping(self):
         ds = random_dataset(30, 2, seed=10)

@@ -16,6 +16,7 @@ from itboost.boosting import ENCODINGS, LOSSES, TRUST_MODES, BoostConfig, load_m
 from itboost.data import load_csv, save_csv
 from itboost.noise import NOISE_KINDS
 from itboost.synth import make_gaussian_dataset
+from itboost.theory import required_group_size
 
 
 def run(*argv):
@@ -705,13 +706,13 @@ class TestUndersampleFlag:
 
 
 class TestAnyRunExitsCleanly:
-    """Drawn CV and trajectory runs on small synthetic files: each one exits 0, or with a usage
+    """Drawn train, CV and trajectory runs on small synthetic files: each one exits 0, or with a usage
     error (exit 1) or a data error (exit 2), and never with a plain ``error:`` or an exception."""
 
     @pytest.mark.filterwarnings("ignore:trajectory_summary")
     @settings(max_examples=100, deadline=None)
     @given(
-        command=st.sampled_from(("evaluate", "noise-sweep", "ablate", "trajectory")),
+        command=st.sampled_from(("train", "evaluate", "noise-sweep", "ablate", "trajectory")),
         n=st.integers(8, 40),
         d=st.integers(1, 3),
         sep=st.floats(0.0, 4.0),
@@ -743,9 +744,9 @@ class TestAnyRunExitsCleanly:
                 "--min-samples-leaf", str(min_samples_leaf)]
         if command != "ablate":  # ablate sets encoding and trust itself
             argv += ["--encoding", encoding]
-        if command != "trajectory":
+        if command in ("evaluate", "noise-sweep", "ablate"):
             argv += ["--k", str(k), "--threads", "1"]
-        if command in ("evaluate", "trajectory"):
+        if command in ("train", "evaluate", "trajectory"):
             argv += ["--trust", trust]
         if command == "noise-sweep":
             argv += ["--modes", trust, "--kind", kind, "--rates", ",".join(map(repr, rates))]
@@ -762,7 +763,8 @@ class TestAnyRunExitsCleanly:
 class TestAnyVerifyBoundsExitsCleanly:
     """verify-bounds on one trajectory trace and mask with a drawn iteration, --eps and --delta, and at
     most one float cell of the checked iteration replaced by a drawn float: each run exits 0, or with a
-    usage error (exit 1) or a data error (exit 2), and never with a plain ``error:`` or an exception."""
+    usage error (exit 1) or a data error (exit 2), and never with a plain ``error:`` or an exception.
+    An --eps or --delta out of range is a usage error that names it, whatever float form it takes."""
 
     N_ROWS, ITERATIONS = 20, 3
 
@@ -784,6 +786,10 @@ class TestAnyVerifyBoundsExitsCleanly:
         delta=st.floats(0.0, 1.0) | st.floats(),
         cell=st.none() | st.tuples(st.integers(0, N_ROWS - 1), st.integers(3, 5), st.floats()),
     )
+    # argparse's own negative-number pattern reads neither exponent forms nor -inf as a value
+    @example(iteration=None, eps=-1e-3, delta=0.05, cell=None)
+    @example(iteration=None, eps=0.1, delta=-1e-3, cell=None)
+    @example(iteration=None, eps=-float("inf"), delta=0.05, cell=None)
     def test_exit_is_success_or_a_named_error(self, trace_lines_and_mask, tmp_path_factory, iteration, eps, delta,
                                               cell):
         lines, mask = trace_lines_and_mask
@@ -797,8 +803,8 @@ class TestAnyVerifyBoundsExitsCleanly:
         work = tmp_path_factory.mktemp("bounds")
         trace = work / "t.csv"
         trace.write_text("\n".join(lines) + "\n")
-        argv = ["verify-bounds", "--trace", str(trace), "--mask", str(mask), f"--eps={eps!r}",
-                f"--delta={delta!r}", "--out", str(work / "bounds.csv")]
+        argv = ["verify-bounds", "--trace", str(trace), "--mask", str(mask), "--eps", repr(eps),
+                "--delta", repr(delta), "--out", str(work / "bounds.csv")]
         if iteration is not None:
             argv += ["--iteration", str(iteration)]
         err = io.StringIO()
@@ -807,3 +813,7 @@ class TestAnyVerifyBoundsExitsCleanly:
         prefix = {0: "", 1: "usage error: ", 2: "data error: "}
         assert code in prefix
         assert err.getvalue().startswith(prefix[code]), err.getvalue()
+        try:
+            required_group_size(eps, delta)
+        except ValueError as exc:  # checked before any file is read
+            assert (code, err.getvalue()) == (1, f"usage error: {exc}\n")

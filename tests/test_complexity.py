@@ -259,9 +259,10 @@ class TestTrustWeights:
         with pytest.raises(ValueError):
             trust_weights([0.5, 0.2], [0.0])
 
-    def test_out_of_range_complexity_rejected(self):
-        with pytest.raises(ValueError):
-            trust_weights([0.5], [1.5])
+    @pytest.mark.parametrize("complexity", [1.5, -0.5, math.nan, math.inf, -math.inf])
+    def test_out_of_range_complexity_rejected(self, complexity):
+        with pytest.raises(ValueError, match=r"^trust_weights: .* must be finite and lie in \[0, 1\]$"):
+            trust_weights([0.5, 0.2], [complexity, 0.3])
 
     def test_tau_bounds(self):
         rng = np.random.default_rng(9)

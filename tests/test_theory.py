@@ -44,6 +44,17 @@ class TestComplexitySample:
         with pytest.raises(ValueError, match="separability_from_groups: .*finite"):
             separability_from_groups(np.array([0.1, np.nan]), self.GOOD, 0.1, 0.05)
 
+    def test_rejects_values_outside_the_unit_interval(self):
+        # outside [0, 1] the bounds' exp overflowed and tau_clean underflowed to 0
+        with pytest.raises(ValueError, match=r"^trust_bound_check: .*\[0, 1\]"):
+            trust_bound_check([0.0, 100.0])
+        with pytest.raises(ValueError, match=r"^ratio_bound_check: .*\[0, 1\]"):
+            ratio_bound_check([0.0], [-800.0])
+        with pytest.raises(ValueError, match=r"^ratio_bound_check: .*\[0, 1\]"):
+            ratio_bound_check([800.0], [799.0])
+        with pytest.raises(ValueError, match=r"^separability_from_groups: .*\[0, 1\]"):
+            separability_from_groups(self.GOOD, [1.5], 0.1, 0.05)
+
 
 class TestTrustBounds:
     def test_constant_sample_jensen_is_tight(self):
@@ -146,12 +157,13 @@ class TestSeparability:
         assert not report["separable"]
 
 
-def test_imports_nothing_from_the_package():
-    """The checks take plain arrays: theory.py imports only the standard library and numpy."""
+def test_imports_only_the_complexity_rule_from_the_package():
+    """The checks take plain arrays: theory.py imports the standard library, numpy, and from the
+    package only ``complexity``, whose ``check_normalized`` states the range the checks rest on."""
     tree = ast.parse(Path(theory.__file__).read_text(encoding="utf-8"))
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     modules += ["." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert [m for m in modules if m.startswith(".") or m.split(".")[0] == "itboost"] == []
+    assert [m for m in modules if m.startswith(".") or m.split(".")[0] == "itboost"] == [".complexity"]
 
 
 def test_only_open_input_opens_a_file_for_reading():

@@ -40,6 +40,12 @@ class CliParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        # argparse drops a "--" value (--data=--) and would hand a single-value option an empty list
+        if action.nargs is None and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _add_run_flags(p: argparse.ArgumentParser, sets_itself: tuple[str, ...] = ()) -> None:
     """Input data, a config file, and one --dashed-name flag per BoostConfig field, except the
@@ -75,7 +81,8 @@ def _add_cv_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_label(label: str):
-    return int(label) if label.lstrip("-").isdigit() else label
+    """A zero-based column index if ``label`` is ASCII ``-?[0-9]+``, else a header name."""
+    return int(label) if re.fullmatch(r"-?[0-9]+", label) else label
 
 
 def _build_config(args) -> BoostConfig:

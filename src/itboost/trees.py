@@ -7,6 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Deepest tree RegressionTree.predict scores by full-batch comparisons (see
+# _levelwise); deeper trees partition row indices (see _route).  It is the
+# deepest complete tree the comparisons scored no slower than the partition at
+# 80, 200 and 100k rows (README "Prediction").  The path code is uint8, so <= 8.
+LEVELWISE_MAX_DEPTH = 6
+
 
 @dataclass(slots=True)
 class TreeNode:
@@ -34,16 +40,22 @@ class RegressionTree:
         """Leaf value of each row of the (n, d) batch X.
 
         A row goes left when ``x[feature] <= threshold`` and right otherwise,
-        so NaN goes right.  The batch partitions its row indices down the tree
-        (see :func:`_route`); one row is scored by :meth:`Model.predict_score`.
+        so NaN goes right.  A tree at most :data:`LEVELWISE_MAX_DEPTH` deep is
+        scored level by level over the whole batch (see :func:`_levelwise`);
+        a deeper one partitions the row indices down the tree (see
+        :func:`_route`).  Both make the same comparisons, so a row gets the
+        same leaf either way.  One row is scored by :meth:`Model.predict_score`.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"RegressionTree.predict: expected a 2-D batch, got shape {X.shape}")
         if X.shape[1] != self.n_features:
             raise ValueError(f"RegressionTree.predict: expected {self.n_features} features, got {X.shape[1]}")
-        out = np.empty(X.shape[0], dtype=np.float64)
-        _route(self.root, np.ascontiguousarray(X.T), np.arange(X.shape[0]), out)
+        XT = np.ascontiguousarray(X.T)
+        out = _levelwise(self.root, XT)
+        if out is None:
+            out = np.empty(X.shape[0], dtype=np.float64)
+            _route(self.root, XT, np.arange(X.shape[0]), out)
         return out
 
     def n_leaves(self) -> int:
@@ -115,7 +127,10 @@ def _route(root: TreeNode, XT: np.ndarray, idx: np.ndarray, out: np.ndarray) -> 
 
     ``XT`` is the (d, n) transposed batch, so a split reads one contiguous
     feature row with ``take``; ``compress`` splits the index without a
-    boolean-mask gather.
+    boolean-mask gather.  A node touches only the rows that reach it, so a
+    tree costs about its depth in gathers per row however many nodes it has:
+    the path for trees deeper than :data:`LEVELWISE_MAX_DEPTH`, and for the
+    fit's zero-weight rows.
     """
     stack = [(root, idx)]
     while stack:
@@ -125,6 +140,60 @@ def _route(root: TreeNode, XT: np.ndarray, idx: np.ndarray, out: np.ndarray) -> 
             continue
         go_left = XT[node.feature].take(idx) <= node.threshold
         stack += ((node.right, idx.compress(~go_left)), (node.left, idx.compress(go_left)))
+
+
+def _levelwise(root: TreeNode, XT: np.ndarray) -> np.ndarray | None:
+    """Leaf value of each column of the (d, n) batch ``XT``, scored by
+    full-batch comparisons; None for a tree deeper than
+    :data:`LEVELWISE_MAX_DEPTH`.
+
+    One breadth-first walk gives each node a path code, one bit per step from
+    the root (1 for left, 0 for right, the first step highest), lists each
+    level's internal nodes and fills a table with a leaf value for each code
+    of the deepest level D: a leaf at depth k fills the block of 2^(D-k)
+    codes that begin with its own.
+
+    Each row then carries a uint8 path code down the levels.  At each level
+    every internal node compares its whole feature row, ``XT[f] <= t`` (false
+    for NaN, so NaN goes right), and each row keeps the bit of the node at
+    its code; then the code doubles and takes that bit.  A level with one
+    internal node needs no selection: any other row is at a leaf, and
+    whatever bits it picks up keep its code inside its leaf's block.  One
+    ``take`` from the table ends the walk.
+    """
+    levels, leaves, level = [], [], [(root, 0)]
+    while level:
+        nodes, deeper = [], []
+        for node, code in level:
+            if node.left is None:
+                leaves.append((len(levels), code, node.value))
+            else:
+                nodes.append((code, node.feature, node.threshold))
+                deeper += ((node.left, 2 * code + 1), (node.right, 2 * code))
+        if nodes:
+            if len(levels) == LEVELWISE_MAX_DEPTH:
+                return None
+            levels.append(nodes)
+        level = deeper
+    table = [0.0] * (1 << len(levels))
+    for depth, code, value in leaves:
+        below = len(levels) - depth
+        table[code << below : (code + 1) << below] = [value] * (1 << below)
+    if not levels:  # the root is a leaf
+        return np.full(XT.shape[1], table[0], dtype=np.float64)
+    (_, f, t), = levels[0]
+    code = np.less_equal(XT[f], t).view(np.uint8)
+    for (first, f, t), *rest in levels[1:]:
+        bit = np.less_equal(XT[f], t)
+        if rest:
+            bit &= np.equal(code, first)
+        for node, f, t in rest:
+            here = np.equal(code, node)
+            here &= np.less_equal(XT[f], t)
+            bit |= here
+        code += code
+        code |= bit
+    return np.array(table, dtype=np.float64).take(code)
 
 
 def split_tolerance(g, w) -> float:

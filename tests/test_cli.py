@@ -517,6 +517,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == "data error: load_csv: " + message.format(data=data) + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data=--", "--out", "{out}"],
+        ["train", "--data", "{data}", "--label=--", "--out", "{out}"],
+        ["train", "--data", "{data}", "--seed=--", "--out", "{out}"],
+        ["evaluate", "--data", "{data}", "--k=--", "--out", "{out}"],
+        ["verify-bounds", "--trace=--", "--mask", "{data}", "--out", "{out}"],
+        ["synth", "--out=--"],
+    ], ids=["data", "label", "config-field", "k", "trace", "out"])
+    def test_dash_dash_value_is_a_usage_error(self, small_csv, tmp_path, capsys, argv):
+        """argparse drops a ``--`` value and leaves an empty list, which reached the command as the flag's value."""
+        out = tmp_path / "out.csv"
+        assert run(*(arg.format(data=small_csv, out=out) for arg in argv)) == 1
+        flag = next(arg for arg in argv if arg.endswith("=--"))[:-3]
+        assert capsys.readouterr().err == f"usage error: argument {flag}: expected one argument\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["--3", "²", "٣", "+1", "1 "])
+    def test_label_other_than_ascii_digits_is_a_column_name(self, small_csv, tmp_path, capsys, label):
+        """Only ASCII ``-?[0-9]+`` is a column index; ``--3`` and ``²`` once failed in ``int()`` as a plain error."""
+        out = tmp_path / "model.txt"
+        assert run("train", "--data", str(small_csv), f"--label={label}", "--out", str(out)) == 2
+        header = small_csv.read_text().split("\n", 1)[0].split(",")
+        assert capsys.readouterr().err == f"data error: load_csv: label column {label!r} not in {small_csv} header {header}\n"
+        assert not out.exists()
+
     def test_fold_that_loses_a_class_is_a_data_error(self, tmp_path, capsys):
         data, out = tmp_path / "d.csv", tmp_path / "sweep.csv"
         assert run("synth", "--n", "12", "--d", "2", "--sep", "1", "--seed", "3", "--out", str(data)) == 0
@@ -707,7 +732,8 @@ class TestUndersampleFlag:
 
 class TestAnyRunExitsCleanly:
     """Drawn train, CV and trajectory runs on small synthetic files: each one exits 0, or with a usage
-    error (exit 1) or a data error (exit 2), and never with a plain ``error:`` or an exception."""
+    error (exit 1) or a data error (exit 2), and never with a plain ``error:`` or an exception.  A drawn
+    flag may be given the value ``--`` (``--data=--``), which must be a usage error."""
 
     @pytest.mark.filterwarnings("ignore:trajectory_summary")
     @settings(max_examples=100, deadline=None)
@@ -727,13 +753,15 @@ class TestAnyRunExitsCleanly:
         iterations=st.integers(1, 3),
         max_depth=st.integers(1, 4),
         min_samples_leaf=st.integers(1, 4),
+        dashed=st.sampled_from((None, "--data", "--label", "--positive", "--config", "--out", "--seed", "--loss")),
     )
     # one fold's training split loses its positive rows to asymmetric noise
     @example(command="noise-sweep", n=12, d=2, sep=1.0, data_seed=3, loss="logistic", encoding="binary-sign",
              trust="enabled", k=2, kind="asymmetric", rates=[0.49], seed=1, iterations=3, max_depth=3,
-             min_samples_leaf=1)
+             min_samples_leaf=1, dashed=None)
     def test_exit_is_success_or_a_named_error(self, tmp_path_factory, command, n, d, sep, data_seed, loss, encoding,
-                                              trust, k, kind, rates, seed, iterations, max_depth, min_samples_leaf):
+                                              trust, k, kind, rates, seed, iterations, max_depth, min_samples_leaf,
+                                              dashed):
         work = tmp_path_factory.mktemp("cli")
         data = work / "d.csv"
         with contextlib.redirect_stdout(io.StringIO()):
@@ -752,11 +780,15 @@ class TestAnyRunExitsCleanly:
             argv += ["--modes", trust, "--kind", kind, "--rates", ",".join(map(repr, rates))]
         if command == "trajectory":
             argv += ["--noise-kind", kind, "--noise-rate", repr(rates[0])]
+        if dashed:
+            argv.append(f"{dashed}=--")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
         prefix = {0: "", 1: "usage error: ", 2: "data error: "}
         assert code in prefix
+        if dashed:
+            assert err.getvalue() == f"usage error: argument {dashed}: expected one argument\n"
         assert err.getvalue().startswith(prefix[code]), err.getvalue()
 
 

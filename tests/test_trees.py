@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itboost.boosting import BoostConfig, Model
-from itboost.trees import RegressionTree, fit_tree_weighted, presort
+from itboost.trees import LEVELWISE_MAX_DEPTH, RegressionTree, fit_tree_weighted, presort
 from reference import ReferenceGBDT, brute_force_tree, per_feature_tree, tree_depth, tree_weighted_sse
 
 
@@ -133,6 +133,24 @@ class TestZeroWeightInvariance:
         w = np.array([1.0, 1.0, 1.0, 0.0])
         tree = fit_tree_weighted(presort(X), g, w, max_depth=1)
         assert tree.predict(np.array([[3.0]])).tolist() == [tree.root.right.value]
+
+    def test_zero_weight_rows_in_leaves_below_the_levelwise_depth(self):
+        """A tree deeper than ``LEVELWISE_MAX_DEPTH``, whose zero-weight rows reach its deepest leaves: they
+        leave the tree as it is, and the fit scores them as ``predict`` and the reference walker do."""
+        depth = LEVELWISE_MAX_DEPTH + 2
+        x = np.arange(2.0**depth)
+        extra = x[::7] + 0.25  # each just above a weighted row, so it shares that row's one-row leaf
+        X = np.concatenate([x, extra])[:, None]
+        g = np.concatenate([x, -extra])
+        w = np.concatenate([np.ones_like(x), np.zeros_like(extra)])
+        base = fit_tree_weighted(presort(x[:, None]), x, np.ones_like(x), depth)
+        out = np.full(X.shape[0], np.nan)
+        padded = fit_tree_weighted(presort(X), g, w, depth, out=out)
+        assert tree_depth(padded) == depth
+        assert padded.to_tokens() == base.to_tokens()
+        assert out.tobytes() == padded.predict(X).tobytes()
+        assert out.tobytes() == ReferenceGBDT(1, 0.1, 1, 1, "squared")._predict_tree(padded.root, X).tobytes()
+        assert out[x.shape[0]:].tolist() == x[::7].tolist()  # a one-row leaf's value is its row's target
 
 
 @st.composite
@@ -303,7 +321,7 @@ def fitted_trees(draw):
     first), plus query rows that hit its thresholds exactly and hold NaN."""
     n = draw(st.integers(2, 30))
     d = draw(st.integers(1, 4))
-    depth = draw(st.sampled_from([1, 3, 8]))
+    depth = draw(st.sampled_from([1, 3, LEVELWISE_MAX_DEPTH, LEVELWISE_MAX_DEPTH + 1, 8]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.integers(0, 4, size=(n, d)).astype(float)
     if d > 1 and draw(st.booleans()):
@@ -316,11 +334,61 @@ def fitted_trees(draw):
     return tree, Q
 
 
+@st.composite
+def token_trees(draw):
+    """A tree built with ``RegressionTree.from_tokens``, of a drawn depth from 0 to
+    ``LEVELWISE_MAX_DEPTH + 3``, so on both sides of the depth where batch scoring changes
+    regime, plus query rows that hit its thresholds exactly, hold NaN or fall between.
+
+    One drawn spine runs to the full depth; every other node above it is a leaf with a
+    drawn probability: 0 gives a complete (bushy) tree, higher ones a lopsided tree with
+    leaves above its last level.
+    """
+    depth = draw(st.integers(0, LEVELWISE_MAX_DEPTH + 3))
+    d = draw(st.integers(1, 3))
+    leaf_share = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    tokens, todo = [], [(0, True)]  # (level, on the spine), preorder
+    while todo:
+        level, spine = todo.pop()
+        if level == depth or (not spine and rng.random() < leaf_share):
+            tokens += ("L", repr(float(rng.normal())))
+            continue
+        tokens += ("I", str(int(rng.integers(d))), repr(float(rng.choice(pool))))
+        spine_left = bool(rng.integers(2))
+        todo += ((level + 1, spine and not spine_left), (level + 1, spine and spine_left))
+    tree = RegressionTree.from_tokens(tokens, n_features=d)
+    Q = rng.choice(np.append(pool, [np.nan, -0.25, 0.75]), size=(draw(st.integers(0, 30)), d))
+    return tree, depth, Q
+
+
 class TestPredictPaths:
-    """A batch partitions its row indices down the tree, and each row must
-    reach the leaf the reference GBDT's independent tree walker reaches,
-    whatever the batch's memory layout.  One row alone is walked by
+    """A batch is scored by full-batch comparisons, level by level, when the
+    tree is at most ``LEVELWISE_MAX_DEPTH`` deep, and by partitioning its row
+    indices down the tree when it is deeper.  Either way each row must reach
+    the leaf the reference GBDT's independent tree walker reaches, whatever
+    the batch's memory layout.  One row alone is walked by
     ``Model.predict_score``, so a one-tree ``Model`` scores each row alone."""
+
+    @given(case=token_trees())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_oracle_and_single_rows_on_both_sides_of_the_levelwise_depth(self, case):
+        tree, depth, Q = case
+        assert tree_depth(tree) == depth
+        batch = tree.predict(Q)
+        oracle = ReferenceGBDT(1, 0.1, 1, 1, "squared")._predict_tree(tree.root, Q)
+        assert batch.tobytes() == oracle.tobytes()
+        # base 0 and rate 1 make a row's score 0.0 + 1.0 * leaf, which is the leaf exactly
+        model = Model(base_score=0.0, n_features=tree.n_features, trees=[tree],
+                      config=BoostConfig(learning_rate=1.0))
+        assert [model.predict_score(q) for q in Q] == batch.tolist()
+        assert model.predict_score(Q).tobytes() == batch.tobytes()
+        for layout in (np.asfortranarray(Q), np.hstack([Q, Q])[:, : Q.shape[1]]):  # F-order, column-strided
+            assert tree.predict(layout).tobytes() == batch.tobytes()
+        assert tree.predict(Q[::2]).tobytes() == batch[::2].tobytes()
+        assert tree.predict(Q[:1]).tobytes() == batch[:1].tobytes()
+        assert tree.predict(Q[:0]).shape == (0,)
 
     @given(case=fitted_trees())
     @settings(max_examples=150, deadline=None)

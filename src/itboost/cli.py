@@ -134,6 +134,8 @@ def cmd_train(args) -> int:
         f"tree fit: {sum(trace.fit_seconds):.3f}s)"
     )
     print(f"model written to {args.out}" + (f", trace to {args.trace}" if args.trace else ""))
+    print(f"final_train_loss={trace.train_loss[-1]:.6f}")
+    print(f"mean_distinct_histories={sum(trace.distinct_histories) / len(trace.distinct_histories):.1f}")
     return 0
 
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .boosting import BoostConfig, Model, RunTrace, train
 from .data import Dataset, FoldPlan, random_undersample, write_rows
@@ -50,15 +49,24 @@ def f1(labels, probabilities) -> float:
 
 
 def auc(labels, probabilities) -> float:
-    """Rank-based ROC AUC with half credit for tied probabilities."""
+    """Rank-based ROC AUC with half credit for tied probabilities; a NaN probability gives NaN.
+
+    The Mann-Whitney count U (negatives below each positive, plus half of those tied with it)
+    equals the positives' tie-averaged rank sum less ``n_pos * (n_pos + 1) / 2``. It is a sum
+    of halves, counted here in integers, so the value is exact.
+    """
     y, q = _check_pair(labels, probabilities)
-    n_pos = int(np.sum(y == 1))
+    positive = y == 1
+    n_pos = int(np.sum(positive))
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc: both classes must be present")
-    ranks = rankdata(q)  # average ranks on ties
-    u = float(np.sum(ranks[y == 1])) - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    if np.isnan(q).any():
+        return float("nan")
+    negatives, positives = np.sort(q[~positive]), q[positive]
+    below = np.searchsorted(negatives, positives, "left")
+    not_above = np.searchsorted(negatives, positives, "right")
+    return int(np.sum(below + not_above)) / 2 / (n_pos * n_neg)  # 2U / 2 / pair count
 
 
 def log_loss(labels, probabilities) -> float:

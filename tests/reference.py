@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import chi2
+from scipy.stats import chi2, rankdata
 
 from itboost.boosting import Model
 from itboost.data import DataError
@@ -87,6 +87,17 @@ def pairwise_auc(labels, probabilities) -> float:
             elif qp == qn:
                 total += 0.5
     return total / (pos.size * neg.size)
+
+
+def rank_auc(labels, probabilities) -> float:
+    """AUC from scipy's tie-averaged ranks: the positives' rank sum less its least possible
+    value, over the pair count (NaN ranks, and so a NaN AUC, for any NaN probability)."""
+    y = np.asarray(labels)
+    n_pos = int(np.sum(y == 1))
+    n_neg = y.size - n_pos
+    ranks = rankdata(np.asarray(probabilities, dtype=float))
+    u = float(np.sum(ranks[y == 1])) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
 
 
 def _direct_weighted_sse(g, w) -> float:

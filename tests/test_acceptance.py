@@ -6,6 +6,7 @@ lines and measured values.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ def robustness_study():
         "noisy_train": noisy_train,
         "elapsed": time.perf_counter() - t0,
     }
+
+
+def robustness_gap(study) -> float:
+    """Criterion 6's mean trust-enabled minus disabled accuracy."""
+    return float(np.mean(study["enabled_acc"] - study["disabled_acc"]))
+
+
+def final_separability(study, trace):
+    """Criterion 8's separability report on the final round of a trace of the study's fold."""
+    flipped = study["mask"].selects(trace.row_ids)
+    final = trace.trust[-1].normalized
+    return separability_from_groups(final[~flipped], final[flipped], epsilon=0.1, delta=0.05)
 
 
 def test_criterion_01_lz_incremental_equals_from_scratch():
@@ -222,7 +235,7 @@ def test_criterion_05_gradient_finite_differences():
 
 def test_criterion_06_robustness_accuracy_gap(robustness_study):
     study = robustness_study
-    gap = float(np.mean(study["enabled_acc"] - study["disabled_acc"]))
+    gap = robustness_gap(study)
     clean_ok = bool(np.all(study["clean_acc"] >= 0.95))
     time_ok = study["elapsed"] < 300.0
     ok = clean_ok and time_ok and gap >= 0.03
@@ -263,19 +276,13 @@ def test_criterion_07_weight_trajectory_ordering(robustness_study):
 
 def test_criterion_08_separability_check(robustness_study):
     study = robustness_study
-
-    def final_separability(trace):
-        flipped = study["mask"].selects(trace.row_ids)
-        final = trace.trust[-1].normalized
-        return separability_from_groups(final[~flipped], final[flipped], epsilon=0.1, delta=0.05)
-
-    report = final_separability(study["trace"])
+    report = final_separability(study, study["trace"])
     gap = report["mean_noisy"] - report["mean_clean"]
     n_req_ok = report["required_group_size"] == 185
     gap_ok = gap > 0.0
     ok = bool(n_req_ok and gap_ok)
     # the binary-sign gap on the same fold is printed for comparison only
-    sign_report = final_separability(study["sign_trace"])
+    sign_report = final_separability(study, study["sign_trace"])
     verdict(8, "complexity gap positive and sample-size formula exact", ok,
             f"gap={gap:+.4f}, n_req={report['required_group_size']}, "
             f"mean_clean={report['mean_clean']:.4f}, mean_noisy={report['mean_noisy']:.4f}, "
@@ -372,3 +379,21 @@ def test_criterion_12_binary_encoding_faster_than_quantized():
     verdict(12, "binary encoding trains faster than quantized", ok,
             f"binary={binary_t:.2f}s, quantized={quant_t:.2f}s")
     assert ok
+
+
+def test_readme_acceptance_status_quotes_the_printed_values(robustness_study):
+    # the deterministic values of criteria 6 and 8, formatted as their verdict lines print them;
+    # the README writes U+2212 for minus, and its timings are dated, so they stay out
+    study = robustness_study
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Acceptance status\n", 1)[1].split("\n## ", 1)[0].replace("\u2212", "-")
+    delta, sign = (final_separability(study, study[key]) for key in ("trace", "sign_trace"))
+    printed = [
+        f"{robustness_gap(study):+.4f}",
+        f"{study['enabled_acc'].mean():.4f}",
+        f"{study['disabled_acc'].mean():.4f}",
+        f"{delta['mean_noisy'] - delta['mean_clean']:+.4f}",
+        f"{sign['mean_noisy'] - sign['mean_clean']:+.4f}",
+    ]
+    assert "Eleven of twelve pass" in section
+    assert [value for value in printed if value not in section] == []

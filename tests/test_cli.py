@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from itboost import cli
 from itboost.cli import _peak_memory_mb, build_parser, main
-from itboost.boosting import ENCODINGS, LOSSES, TRUST_MODES, BoostConfig, load_model
+from itboost.boosting import ENCODINGS, LOSSES, TRUST_MODES, BoostConfig, load_model, train
 from itboost.data import load_csv, save_csv
 from itboost.noise import NOISE_KINDS
 from itboost.synth import make_gaussian_dataset
@@ -76,8 +76,14 @@ class TestTrain:
         model = load_model(model_path)
         assert len(model.trees) == 5
         assert trace_path.read_text().startswith("iteration,row_id,raw_C")
-        printed = capsys.readouterr().out
-        assert "(trust step: " in printed and ", tree fit: " in printed
+        printed = capsys.readouterr().out.splitlines()
+        assert "(trust step: " in printed[0] and ", tree fit: " in printed[0]
+        _, trace = train(load_csv(small_csv, "label", "1"),
+                         BoostConfig(iterations=5, loss="squared"))
+        assert printed[2:] == [
+            f"final_train_loss={trace.train_loss[-1]:.6f}",
+            f"mean_distinct_histories={np.mean(trace.distinct_histories):.1f}",
+        ]
 
     def test_config_file_with_flag_override(self, small_csv, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itboost import cli, evaluation
 from itboost.boosting import ENCODINGS, LOSSES, TRUST_MODES, BoostConfig, gradient, train
@@ -26,7 +28,7 @@ from itboost.evaluation import (
 )
 from itboost.noise import NoiseSpec, inject
 from itboost.synth import make_gaussian_dataset
-from reference import friedman_from_mean_ranks, pairwise_auc
+from reference import friedman_from_mean_ranks, pairwise_auc, rank_auc
 
 
 class TestMetrics:
@@ -63,7 +65,24 @@ class TestMetrics:
             y = np.where(rng.random(n) < 0.5, 1, -1)
             y[0], y[1] = 1, -1
             q = np.round(rng.random(n), 2)  # rounding forces ties
-            assert auc(y, q) == pytest.approx(pairwise_auc(y, q), abs=1e-12)
+            assert auc(y, q) == pairwise_auc(y, q)  # both count halves exactly
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        cells=st.lists(st.tuples(st.booleans(), st.integers(0, 5)), min_size=2, max_size=400),
+        nan_at=st.none() | st.integers(0, 399),
+    )
+    def test_auc_is_rank_auc_bit_for_bit(self, levels, cells, nan_at):
+        # a handful of distinct values, 0.0 and -0.0 among them, so that ties are heavy
+        levels = levels + [0.0, -0.0]
+        y = np.array([1 if positive else -1 for positive, _ in cells])
+        y[0], y[1] = 1, -1
+        q = np.array([levels[i % len(levels)] for _, i in cells])
+        if nan_at is not None:
+            q[nan_at % q.size] = math.nan
+        got, want = auc(y, q), rank_auc(y, q)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
     def test_log_loss_minimised_by_base_rate(self):
         rng = np.random.default_rng(1)

@@ -1,7 +1,11 @@
 """The package's public names: ``__all__`` and the imports of ``__init__.py`` agree, and a program
-uses each of them and each of the package's definitions, and only ``boosting`` names a loss."""
+uses each of them and each of the package's definitions, only ``boosting`` names a loss, and
+importing the package loads no ``scipy.stats`` module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import itboost
@@ -92,3 +96,12 @@ def test_only_boosting_names_a_loss():
         if isinstance(node, ast.Constant) and node.value in ("logistic", "squared")
     ]
     assert named == []
+
+
+def test_importing_the_package_loads_no_scipy_stats():
+    # scipy.stats would load over 400 more modules into every process that imports
+    # the package; a fresh interpreter sees a transitive import as well as a direct one
+    code = "import sys, itboost, itboost.cli; print(*sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, repeat, zip_longest
 
 import numpy as np
-from scipy.special import expit
 
 from .complexity import (
     TrustState,
@@ -97,17 +96,54 @@ def parse_config_file(path) -> dict:
     return mapping
 
 
+def _exp(x: float) -> float:
+    """The C library's ``exp(x)``: ``math.exp``, with the ``inf`` it returns
+    where ``math.exp`` raises OverflowError instead (x above about 709.78)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _expit(z):
+    """The logistic sigmoid ``1 / (1 + exp(-z))``: a float for a float, a
+    float64 array for a float64 array.
+
+    These are the IEEE operations of scipy's ``expit``, and ``math.exp`` is
+    the C library's ``exp`` that ``expit`` calls, so both agree bit for bit
+    (numpy's SIMD ``exp`` rounds some results differently).  A batch makes
+    one ``math.exp`` pass over its elements, which a memoryview of the
+    contiguous ``-z`` yields as Python floats; only a batch that overflows
+    ``math.exp`` takes a second pass through :func:`_exp`, whose ``inf``
+    gives the sigmoid's 0.0.
+    """
+    if isinstance(z, float):
+        return 1.0 / (1.0 + _exp(-z))
+    neg = np.negative(z).ravel()
+    try:
+        e = np.fromiter(map(math.exp, memoryview(neg)), dtype=np.float64, count=neg.size)
+    except OverflowError:
+        e = np.fromiter(map(_exp, memoryview(neg)), dtype=np.float64, count=neg.size)
+    e += 1.0
+    with np.errstate(under="ignore"):  # a subnormal result, as expit gives it, whatever the caller's errstate
+        np.divide(1.0, e, out=e)
+    return e.reshape(np.shape(z))
+
+
 def gradient(y, score, loss: str):
     """Negative gradient of the loss w.r.t. the score F, elementwise.
 
-    Logistic, log(1 + exp(-y*F)): y / (1 + exp(y*F)), computed through the
-    stable logistic sigmoid, so large |F| decays to the exp(-y*F) asymptote
-    instead of overflowing.  Squared, 0.5*(y - F)^2: the plain residual y - F.
+    Logistic, log(1 + exp(-y*F)): y / (1 + exp(y*F)), computed as
+    ``y * _expit(-y*F)``.  Large |F| never overflows: exp(y*F) up to about
+    exp(709.78) decays to the exp(-y*F) asymptote, and beyond that C's
+    ``exp`` returns inf, which :func:`_expit` keeps, so the gradient is
+    exactly 0.0 with no exception or warning.  Squared, 0.5*(y - F)^2: the
+    plain residual y - F.
     """
     y = np.asarray(y, dtype=np.float64)
     score = np.asarray(score, dtype=np.float64)
     if loss == "logistic":
-        return y * expit(-y * score)
+        return y * _expit(-y * score)
     if loss == "squared":
         return y - score
     raise ValueError(f"gradient: unknown loss {loss!r}")
@@ -181,14 +217,14 @@ class Model:
         return scores
 
     def predict_proba(self, X):
-        """Positive-class probability: ``expit`` of the score clamped to
-        ``[-SCORE_CLAMP, SCORE_CLAMP]``.  One row's float score is clamped in
-        Python floats; ``min(max(s, lo), hi)`` keeps NaN as ``np.clip`` does,
-        so a row alone equals its row of the batch."""
+        """Positive-class probability: the logistic sigmoid (:func:`_expit`)
+        of the score clamped to ``[-SCORE_CLAMP, SCORE_CLAMP]``.  One row's
+        float score is clamped in Python floats; ``min(max(s, lo), hi)`` keeps
+        NaN as ``np.clip`` does, so a row alone equals its row of the batch."""
         score = self.predict_score(X)
         if isinstance(score, float):
-            return float(expit(min(max(score, -SCORE_CLAMP), SCORE_CLAMP)))
-        return expit(np.clip(score, -SCORE_CLAMP, SCORE_CLAMP))
+            return _expit(min(max(score, -SCORE_CLAMP), SCORE_CLAMP))
+        return _expit(np.clip(score, -SCORE_CLAMP, SCORE_CLAMP))
 
 
 MODEL_FORMAT_VERSION = "itboost-model v1"

@@ -207,7 +207,7 @@ def split_tolerance(g, w) -> float:
     return 1e-12 * max(scale, 1e-300)
 
 
-def _best_split(xs, g, w, order, tol, min_samples_leaf):
+def _best_split(xs, g, w, order, tol, min_samples_leaf, work):
     """Smallest total weighted SSE over all (feature, midpoint-threshold) candidates.
 
     ``order`` is a (d, n) array whose row f lists the node's samples (indices
@@ -220,35 +220,48 @@ def _best_split(xs, g, w, order, tol, min_samples_leaf):
     break toward the lowest feature index, then the lowest threshold.  Returns
     (sse, feature, threshold) or None if no candidate leaves at least
     ``min_samples_leaf`` samples on each side.
+
+    The six float temporaries, three (d, n) and three (d, n - 1), are views
+    of the front of ``work``, a 1-D float64 block of at least 6 * d * n
+    entries that the caller allocates once per fit.  So a tree's nodes reuse
+    one buffer instead of each allocating and freeing their own, which at a
+    wide root (128 KB and more per temporary) made glibc return the heap top
+    to the kernel between nodes and fault it back in.
     """
     d, n = order.shape
+    running = work[: 3 * d * n].reshape(3, d, n)
+    gs, cw, cwg = running[0], running[1], running[2]
+    cuts = work[3 * d * n : 3 * d * (2 * n - 1)].reshape(3, d, n - 1)
+    rw, right, sse = cuts[0], cuts[1], cuts[2]
     # split after sorted position i is valid only between distinct values
     valid = xs[:, :-1] < xs[:, 1:]
     valid[:, : min_samples_leaf - 1] = False
     valid[:, n - min_samples_leaf :] = False
     # Running sums of w, w*g and w*g*g along each feature's order, computed in
-    # place: the same float operations as one feature at a time, in the same
-    # order, with fewer (d, n) temporaries alive.
-    gs = g.take(order)
-    cw = w.take(order)
-    cwg = cw * gs
+    # place by one accumulate over the three stacked blocks: the same float
+    # operations as one feature at a time, in the same order.  The indices
+    # come from an argsort, so mode="clip" changes none of them; it lets take
+    # write into out without a buffered copy.
+    g.take(order, out=gs, mode="clip")
+    w.take(order, out=cw, mode="clip")
+    np.multiply(cw, gs, out=cwg)
     cwgg = gs
     cwgg *= cwg
-    for running in (cw, cwg, cwgg):
-        np.add.accumulate(running, axis=1, out=running)
+    np.add.accumulate(running, axis=2, out=running)
     lw, lwg, lwgg = cw[:, :-1], cwg[:, :-1], cwgg[:, :-1]
-    rw = cw[:, -1:] - lw
+    np.subtract(cw[:, -1:], lw, out=rw)
     # rw can cancel to exactly 0 when the right side's weights are absorbed
     # by the cumsum; a side with (numerically) zero total weight has zero
     # weighted SSE.
     right_empty = ~(rw > 0)
     rw[right_empty] = 1.0
-    right = cwg[:, -1:] - lwg
+    np.subtract(cwg[:, -1:], lwg, out=right)
     right *= right
     right /= rw
-    np.subtract(cwgg[:, -1:] - lwgg, right, out=right)
+    right_gg = np.subtract(cwgg[:, -1:], lwgg, out=rw)  # rw is spent
+    np.subtract(right_gg, right, out=right)
     right[right_empty] = 0.0
-    sse = lwg * lwg
+    np.multiply(lwg, lwg, out=sse)
     sse /= lw
     np.subtract(lwgg, sse, out=sse)
     sse += right
@@ -273,7 +286,8 @@ def _best_split(xs, g, w, order, tol, min_samples_leaf):
 def _grow(XT, g, w, order, xs, rows, max_depth, min_samples_leaf, out) -> TreeNode:
     """Tree for the samples ``rows`` (ascending), whose per-feature sorted
     order and values are ``order`` and ``xs`` (see :func:`_best_split`); each
-    leaf writes its value into ``out`` at its rows.
+    leaf writes its value into ``out`` at its rows.  Every split search
+    writes its temporaries into one workspace sized for the root.
 
     Nodes are grown from an explicit stack, so a tree as deep as its sample
     count needs no recursion.  A split makes one stable filter of the node's
@@ -286,13 +300,14 @@ def _grow(XT, g, w, order, xs, rows, max_depth, min_samples_leaf, out) -> TreeNo
     root = TreeNode()
     go_left = np.zeros(g.shape[0], dtype=bool)
     d = order.shape[0]
+    work = np.empty(6 * order.size)
     stack = [(root, order, xs, rows, 0)]
     while stack:
         node, order, xs, rows, depth = stack.pop()
         gn, wn = g.take(rows), w.take(rows)
         found = None
         if depth < max_depth and rows.shape[0] >= 2 * min_samples_leaf and not (gn == gn[0]).all():
-            found = _best_split(xs, g, w, order, split_tolerance(gn, wn), min_samples_leaf)
+            found = _best_split(xs, g, w, order, split_tolerance(gn, wn), min_samples_leaf, work)
         if found is None:
             node.value = float((wn * gn).sum() / wn.sum())
             out[rows] = node.value

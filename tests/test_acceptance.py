@@ -112,6 +112,26 @@ def final_separability(study, trace):
     return separability_from_groups(final[~flipped], final[flipped], epsilon=0.1, delta=0.05)
 
 
+def trust_term_trajectory(study):
+    """Criterion 7's mean trust terms per round of the study's fold trace: ``(noisy, easy,
+    m_early, m_total)``, the noisy and easy rows' means and the rounds M/10 and M.
+
+    The trust term tau is compared, not the weight |g| * tau: tau can divide
+    a weight by at most e, while at M the |g| of noisy rows is several times
+    that of easy rows, so the weight ordering would measure |g| alone.
+    Categories are those of trajectory_summary: noisy rows from the mask,
+    easy rows = clean rows in the top quartile of the M/10 margins.
+    """
+    trace, mask = study["trace"], study["mask"]
+    m_total = trace.n_iterations
+    m_early = max(1, m_total // 10)
+    margins = initial_margins(study["model"], study["noisy_train"], m_early)
+    noisy_sel = mask.selects(trace.row_ids)
+    easy_sel = ~noisy_sel & (margins >= np.percentile(margins[~noisy_sel], 75.0))
+    tau = np.array([state.tau for state in trace.trust])
+    return tau[:, noisy_sel].mean(axis=1), tau[:, easy_sel].mean(axis=1), m_early, m_total
+
+
 def test_criterion_01_lz_incremental_equals_from_scratch():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -249,21 +269,7 @@ def test_criterion_06_robustness_accuracy_gap(robustness_study):
 
 
 def test_criterion_07_weight_trajectory_ordering(robustness_study):
-    # The trust term tau is compared, not the weight |g| * tau: tau can divide
-    # a weight by at most e, while at M the |g| of noisy rows is several times
-    # that of easy rows, so the weight ordering would measure |g| alone.
-    # Categories are those of trajectory_summary: noisy rows from the mask,
-    # easy rows = clean rows in the top quartile of the M/10 margins.
-    study = robustness_study
-    trace, mask = study["trace"], study["mask"]
-    m_total = trace.n_iterations
-    m_early = max(1, m_total // 10)
-    margins = initial_margins(study["model"], study["noisy_train"], m_early)
-    noisy_sel = mask.selects(trace.row_ids)
-    easy_sel = ~noisy_sel & (margins >= np.percentile(margins[~noisy_sel], 75.0))
-    tau = np.array([state.tau for state in trace.trust])
-    noisy = tau[:, noisy_sel].mean(axis=1)
-    easy = tau[:, easy_sel].mean(axis=1)
+    noisy, easy, m_early, m_total = trust_term_trajectory(robustness_study)
     declined = noisy[m_total - 1] < noisy[m_early - 1]
     below_easy = noisy[-1] < easy[-1]
     ok = bool(declined and below_easy)
@@ -382,18 +388,22 @@ def test_criterion_12_binary_encoding_faster_than_quantized():
 
 
 def test_readme_acceptance_status_quotes_the_printed_values(robustness_study):
-    # the deterministic values of criteria 6 and 8, formatted as their verdict lines print them;
-    # the README writes U+2212 for minus, and its timings are dated, so they stay out
+    # the deterministic values of criteria 6, 7 and 8, formatted as their verdict lines print
+    # them; the README writes U+2212 for minus, and its timings are dated, so they stay out
     study = robustness_study
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Acceptance status\n", 1)[1].split("\n## ", 1)[0].replace("\u2212", "-")
     delta, sign = (final_separability(study, study[key]) for key in ("trace", "sign_trace"))
+    noisy, easy, m_early, _ = trust_term_trajectory(study)
     printed = [
         f"{robustness_gap(study):+.4f}",
         f"{study['enabled_acc'].mean():.4f}",
         f"{study['disabled_acc'].mean():.4f}",
         f"{delta['mean_noisy'] - delta['mean_clean']:+.4f}",
         f"{sign['mean_noisy'] - sign['mean_clean']:+.4f}",
+        f"{noisy[m_early - 1]:.4f}",
+        f"{noisy[-1]:.4f}",
+        f"{easy[-1]:.4f}",
     ]
     assert "Eleven of twelve pass" in section
     assert [value for value in printed if value not in section] == []

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -71,6 +72,57 @@ class TestGradients:
                 fd = (loss_value(y, F + h, "logistic") - loss_value(y, F - h, "logistic")) / (2 * h)
                 g = gradient(y, F, "logistic")
                 assert abs(g - (-fd)) / abs(g) < 1e-8
+
+
+def same_bits(a, b) -> bool:
+    """Equal float64 bit patterns elementwise, or NaN on both sides."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and bool(np.all((a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))))
+
+
+# any double, with the edges drawn often: ±inf, NaN, ±0.0, subnormals, and the bands
+# where exp(-z) overflows (|z| near 709.78) and where it underflows to 0 (|z| near 745.13)
+LINK_INPUTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     -2.2250738585072009e-308, 709.78, -709.78, 709.79, -709.79, 1000.0, -1000.0]),
+    *(st.floats(centre - 1.0, centre + 1.0) for centre in (709.78, -709.78, 745.13, -745.13)),
+)
+
+
+class TestExpit:
+    """``boosting._expit`` against scipy's ``expit``, the oracle: the same bits, or
+    both NaN, on arrays and on Python floats, with no exception or warning."""
+
+    @staticmethod
+    def strict(fn, *args):
+        """``fn(*args)`` with every warning an error and every numpy floating-point error raised."""
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            return fn(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(LINK_INPUTS, max_size=40))
+    def test_array_matches_scipy(self, values):
+        z = np.array(values, dtype=np.float64)
+        got = self.strict(boosting._expit, z)
+        assert got.dtype == np.float64
+        assert same_bits(got, expit(z))
+        assert same_bits(self.strict(boosting._expit, z[None, :]), expit(z[None, :]))  # shape kept
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=LINK_INPUTS)
+    def test_float_matches_scipy(self, x):
+        got = self.strict(boosting._expit, x)
+        assert type(got) is float
+        assert same_bits(got, expit(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-1e4, 1e4)), min_size=1, max_size=40))
+    def test_logistic_gradient_is_y_times_expit(self, pairs):
+        # beyond |F| = 709.78 exp(y*F) overflows, and the gradient must be 0.0 with y's sign
+        y, score = (np.array(column) for column in zip(*pairs))
+        assert same_bits(self.strict(gradient, y, score, "logistic"), y * expit(-y * score))
 
 
 class TestInitScore:

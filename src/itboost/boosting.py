@@ -291,14 +291,13 @@ TRACE_HEADER = "iteration,row_id,raw_C,normalized_C,tau,weight"
 
 @dataclass
 class RunTrace:
-    """Per-iteration training record: residuals, trust state, loss, the
+    """Per-iteration training record: trust state, loss, the
     seconds spent per round in the trust step and in the tree fit (the fit,
     which also scores the training rows, plus the score update), and the
     number of distinct histories the round parsed from scratch (0 unless
-    trust is enabled)."""
+    trust is enabled).  Residuals are not kept: see :func:`evaluation.initial_margins`."""
 
     row_ids: np.ndarray
-    gradients: list[np.ndarray] = field(default_factory=list)
     trust: list[TrustState] = field(default_factory=list)
     train_loss: list[float] = field(default_factory=list)
     trust_seconds: list[float] = field(default_factory=list)
@@ -328,15 +327,45 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
 
     The data rows must form one block per iteration, in order 1..M, and every
     block must list iteration 1's row ids in iteration 1's order (as
-    :meth:`RunTrace.to_csv` writes them).  A reordered, truncated or
+    :meth:`RunTrace.to_csv` writes them), so a reordered, truncated or
     concatenated trace is rejected rather than read with its rows misaligned.
-    Blank lines are skipped; a record that is not six cells, whose cells are
-    not three integers and three finite floats, or whose normalized_C is
-    outside [0, 1] (the range :func:`trust_weights` requires) is rejected
-    naming the line, as the file is read; an integer outside int64 is
-    rejected naming its column.  Every rejection is a :class:`DataError`.
+    The file is opened and read once.  Blank lines are skipped; a record that
+    is not six cells of three integers and three finite floats, whose
+    normalized_C is outside [0, 1] (the range :func:`trust_weights` requires)
+    or whose iteration breaks the order is rejected naming its line as it is
+    read.  A block becomes its :class:`TrustState`'s arrays as the next one
+    starts, so beside the arrays the reader holds one block's records as
+    Python objects, and iteration 1's row ids.  Faults a block shows as it
+    closes are raised once every line has read cleanly, the first in this
+    order: a row id twice in iteration 1; per iteration, row ids other than
+    iteration 1's and then a raw_C outside int64; a row_id outside int64.
+    Every rejection is a :class:`DataError`.
     """
-    blocks: list[list] = []  # per iteration, row_id, raw_C, normalized_C, tau and weight of each record in turn
+    states: dict[int, TrustState] = {}
+    row_ids: list[int] = []  # iteration 1's, in order
+    fault = None  # the first fault a closed block showed
+    iteration, block = 0, []  # the open block: its iteration, and each record's five values after the first
+
+    def close_block(iteration, block):
+        """The block's fault, or None once its TrustState is in ``states``."""
+        nonlocal row_ids
+        ids = block[0::5]
+        if iteration == 1:
+            row_ids = ids
+            if len(set(ids)) != len(ids):
+                return "lists a row id twice in iteration 1"
+        elif ids != row_ids:
+            return f"iteration {iteration} does not list iteration 1's row ids in order"
+        try:
+            raw = np.asarray(block[1::5], dtype=np.int64)
+        except OverflowError:
+            return "column raw_C holds an integer outside int64"
+        states[iteration] = TrustState(iteration=iteration, raw_complexity=raw,
+                                       normalized=np.asarray(block[2::5], dtype=np.float64),
+                                       tau=np.asarray(block[3::5], dtype=np.float64),
+                                       weights=np.asarray(block[4::5], dtype=np.float64))
+        return None
+
     with open_input("load_trace_csv", path) as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
@@ -360,40 +389,27 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
                     raise ValueError(f"normalized_C, tau and weight must be finite, got {line.strip()!r}")
                 if not 0.0 <= norm <= 1.0:
                     raise ValueError(f"normalized_C must be in [0, 1], got {line.strip()!r}")
-                if not blocks or m != len(blocks):
-                    if m != len(blocks) + 1:
+                if not iteration or m != iteration:
+                    if m != iteration + 1:
                         raise ValueError(
-                            f"iteration {m} after iteration {len(blocks)}; iterations must run 1..M in order, "
+                            f"iteration {m} after iteration {iteration}; iterations must run 1..M in order, "
                             "one block each"
                         )
-                    blocks.append([])
-                blocks[-1] += row_id, raw, norm, tau, w
+                    if iteration:
+                        fault = fault or close_block(iteration, block)
+                    iteration, block = m, []
+                block += row_id, raw, norm, tau, w
             except ValueError as exc:
                 raise DataError(f"load_trace_csv: {path} line {line_no}: {exc}") from None
-    if not blocks:
+    if not iteration:
         raise DataError(f"load_trace_csv: {path} has no data rows")
-    row_ids = blocks[0][0::5]
-    if len(set(row_ids)) != len(row_ids):
-        raise DataError(f"load_trace_csv: {path} lists a row id twice in iteration 1")
-
-    def int64s(values, column):
+    fault = fault or close_block(iteration, block)
+    if fault is None:
         try:
-            return np.asarray(values, dtype=np.int64)
+            return np.asarray(row_ids, dtype=np.int64), states
         except OverflowError:
-            raise DataError(f"load_trace_csv: {path} column {column} holds an integer outside int64") from None
-
-    states: dict[int, TrustState] = {}
-    for m, block in enumerate(blocks, start=1):
-        if block[0::5] != row_ids:
-            raise DataError(f"load_trace_csv: {path} iteration {m} does not list iteration 1's row ids in order")
-        states[m] = TrustState(
-            iteration=m,
-            raw_complexity=int64s(block[1::5], "raw_C"),
-            normalized=np.asarray(block[2::5], dtype=np.float64),
-            tau=np.asarray(block[3::5], dtype=np.float64),
-            weights=np.asarray(block[4::5], dtype=np.float64),
-        )
-    return int64s(row_ids, "row_id"), states
+            fault = "column row_id holds an integer outside int64"
+    raise DataError(f"load_trace_csv: {path} {fault}")
 
 
 def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
@@ -455,7 +471,6 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
         t2 = time.perf_counter()
         trees.append(tree)
 
-        trace.gradients.append(g)
         trace.trust.append(
             TrustState(iteration=m, raw_complexity=raw, normalized=normalized, tau=tau, weights=weights)
         )

@@ -14,8 +14,9 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import chi2, rankdata
 
-from itboost.boosting import Model
+from itboost.boosting import Model, gradient
 from itboost.data import DataError
+from itboost.evaluation import initial_margins
 from itboost.trees import RegressionTree, TreeNode, split_tolerance
 
 
@@ -415,6 +416,15 @@ def oracle_train(dataset, config):
         losses.append(float(np.mean(loss)))
         prev_g = g
     return Model(base_score=base, n_features=dataset.n_features, trees=trees, config=config), round_weights, losses
+
+
+def round_gradients(model: Model, dataset) -> list[np.ndarray]:
+    """Each round's pseudo-residuals as ``train`` computed them on ``dataset``, its training
+    set: the gradient at the scores F the round entered with.  The margins are y * F, and
+    y * (y * F) = F exactly for y = +-1, so the gradient is recomputed bit for bit."""
+    y = dataset.labels.astype(np.float64)
+    return [gradient(y, y * initial_margins(model, dataset, m), model.config.loss)
+            for m in range(1, len(model.trees) + 1)]
 
 
 def tree_depth(tree: RegressionTree) -> int:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -31,7 +32,7 @@ from itboost.data import DataError, Dataset
 from itboost.synth import make_gaussian_dataset
 from itboost.trees import RegressionTree, TreeNode
 from conftest import random_dataset
-from reference import ReferenceGBDT, oracle_train, tree_depth
+from reference import ReferenceGBDT, oracle_train, round_gradients, tree_depth
 
 
 class TestGradients:
@@ -282,7 +283,7 @@ class TestTrain:
         ds = random_dataset(60, 3, seed=15)
         m_enabled, tr = train(ds, cfg)
         m_mag, _ = train(ds, BoostConfig(iterations=30, trust="magnitude-only"))
-        for m, (g, state) in enumerate(zip(tr.gradients, tr.trust), start=1):
+        for m, (g, state) in enumerate(zip(round_gradients(m_enabled, ds), tr.trust), start=1):
             assert np.array_equal(np.sign(g), ds.labels)
             assert np.all(state.raw_complexity == min(m, 2))
             assert np.all(state.tau == 1.0)
@@ -313,11 +314,12 @@ class TestTrain:
         # have larger weighted SSE than the pre-update residuals (the zero
         # tree is always available)
         ds = random_dataset(45, 2, seed=6)
-        _, trace = train(ds, BoostConfig(iterations=20, loss="squared", trust="enabled", seed=6))
-        for m in range(len(trace.gradients) - 1):
+        model, trace = train(ds, BoostConfig(iterations=20, loss="squared", trust="enabled", seed=6))
+        gradients = round_gradients(model, ds)
+        for m in range(len(gradients) - 1):
             w = trace.trust[m].weights
-            before = float(np.sum(w * trace.gradients[m] ** 2))
-            after = float(np.sum(w * trace.gradients[m + 1] ** 2))
+            before = float(np.sum(w * gradients[m] ** 2))
+            after = float(np.sum(w * gradients[m + 1] ** 2))
             assert after <= before + 1e-12 * max(1.0, before)
 
     def test_determinism_bytes(self, tmp_path):
@@ -382,7 +384,7 @@ class TestTrain:
                           encoding=encoding, trust=trust)
         model, trace = train(ds, cfg)
         assert len(model.trees) == trace.n_iterations == 5
-        for tree, g, state in list(zip(model.trees, trace.gradients, trace.trust))[1:]:
+        for tree, g, state in list(zip(model.trees, round_gradients(model, ds), trace.trust))[1:]:
             assert not np.any(g)
             assert tree.to_tokens() == ["L", "0.0"]
             assert np.all(state.normalized == 0.0) and np.all(state.tau == 1.0)
@@ -403,8 +405,8 @@ class TestTrain:
                 return _inner(*args, **kwargs)
             monkeypatch.setattr(boosting, name, counted)
         ds = random_dataset(20, 2, seed=18)
-        _, trace = train(ds, BoostConfig(iterations=4, loss="squared", trust="enabled"))
-        distinct = sum(len(set(h)) for h in replayed_histories(trace, "binary-sign"))
+        model, trace = train(ds, BoostConfig(iterations=4, loss="squared", trust="enabled"))
+        distinct = sum(len(set(h)) for h in replayed_histories(model, ds))
         assert calls == {"encode_gradients": 4, "lz76_complexity": distinct, "normalize_complexities": 4,
                          "trust_weights": 4, "fit_tree_weighted": 4, "presort": 1}
         assert sum(trace.distinct_histories) == distinct
@@ -490,7 +492,7 @@ class TestTrain:
         model, trace = train(ds, BoostConfig(iterations=8, loss=loss, encoding=encoding, trust="enabled"))
         assert len(per_round) == 8 and max(per_round) <= ds.n_rows // 2
         assert trace.distinct_histories == per_round
-        for histories, state in zip(replayed_histories(trace, encoding), trace.trust):
+        for histories, state in zip(replayed_histories(model, ds), trace.trust):
             assert state.raw_complexity.tolist() == [lz76_complexity(h) for h in histories]
         model_path, trace_path = tmp_path / "model.txt", tmp_path / "trace.csv"
         save_model(model, model_path)
@@ -564,14 +566,15 @@ class TestTrainMatchesOracle:
         assert trace.train_loss == oracle_losses
 
 
-def replayed_histories(trace, encoding):
-    """Each round's row histories, rebuilt by re-encoding ``trace.gradients``."""
-    histories = [""] * len(trace.row_ids)
+def replayed_histories(model, dataset):
+    """Each round's row histories, rebuilt by re-encoding the model's :func:`round_gradients`."""
+    gradients = round_gradients(model, dataset)
+    histories = [""] * dataset.n_rows
     rounds = []
-    for m, g in enumerate(trace.gradients):
+    for m, g in enumerate(gradients):
         if np.any(g):
-            g_prev = trace.gradients[m - 1] if m else None
-            symbols = encode_gradients(g, encoding, g_prev=g_prev)
+            g_prev = gradients[m - 1] if m else None
+            symbols = encode_gradients(g, model.config.encoding, g_prev=g_prev)
             histories = [h + s for h, s in zip(histories, symbols)]
         rounds.append(histories)
     return rounds
@@ -845,6 +848,64 @@ class TestTraceCsv:
         rows[8] = ",".join(cells)
         self._rejects(path, header, rows, f"^load_trace_csv: {re.escape(str(path))} line 10: normalized_C must be in "
                                           r"\[0, 1\], got ")
+
+    @staticmethod
+    def _set_cell(rows, indices, column, text):
+        for i in indices:
+            cells = rows[i].split(",")
+            cells[column] = text
+            rows[i] = ",".join(cells)
+
+    # Two faults per file: the reader reports the first in its order (a bad line, then a
+    # duplicate row id in iteration 1, then per iteration a row-id mismatch and then raw_C
+    # outside int64, and row_id outside int64 last), whatever else the file holds.
+    def test_bad_line_wins_over_a_duplicate_row_id(self, tmp_path):
+        path, header, rows = self._written(tmp_path)
+        self._set_cell(rows, [1], 1, rows[0].split(",")[1])  # iteration 1 lists its first row id twice
+        self._set_cell(rows, [14], 4, "inf")  # a non-finite tau in the last iteration
+        self._rejects(path, header, rows, f"^load_trace_csv: {re.escape(str(path))} line 16: normalized_C, tau and "
+                                          "weight must be finite")
+
+    def test_duplicate_row_id_wins_over_raw_c_outside_int64(self, tmp_path):
+        path, header, rows = self._written(tmp_path)
+        self._set_cell(rows, [1, 7, 13], 1, rows[0].split(",")[1])  # every block lists the same ids, one twice
+        self._set_cell(rows, [2], 2, "99999999999999999999")
+        self._rejects(path, header, rows, f"^load_trace_csv: {re.escape(str(path))} lists a row id twice in "
+                                          "iteration 1$")
+
+    @pytest.mark.parametrize("swapped, overflowing, message", [
+        (2, 3, "iteration 2 does not list iteration 1's row ids in order"),
+        (3, 2, "column raw_C holds an integer outside int64"),
+    ])
+    def test_earlier_iteration_fault_wins(self, tmp_path, swapped, overflowing, message):
+        path, header, rows = self._written(tmp_path)
+        first = 6 * (swapped - 1)
+        rows[first + 1], rows[first + 2] = rows[first + 2], rows[first + 1]
+        self._set_cell(rows, [6 * (overflowing - 1) + 3], 2, "99999999999999999999")
+        self._rejects(path, header, rows, f"^load_trace_csv: {re.escape(str(path))} {message}$")
+
+    def test_row_id_mismatch_wins_over_row_id_outside_int64(self, tmp_path):
+        path, header, rows = self._written(tmp_path)
+        self._set_cell(rows, [1, 7, 13], 1, "9223372036854775808")  # the same row id in every block
+        rows[13], rows[14] = rows[14], rows[13]
+        self._rejects(path, header, rows, f"^load_trace_csv: {re.escape(str(path))} iteration 3 does not list "
+                                          "iteration 1's row ids in order$")
+
+    def test_reader_peak_memory_is_near_the_arrays_it_returns(self, tmp_path):
+        ds = make_gaussian_dataset(n_rows=400, n_informative=10, separation=5.5, seed=0)
+        _, trace = train(ds, BoostConfig(iterations=100))
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        tracemalloc.start()
+        try:
+            row_ids, states = load_trace_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = row_ids.nbytes + sum(a.nbytes for s in states.values()
+                                      for a in (s.raw_complexity, s.normalized, s.tau, s.weights))
+        assert arrays == 400 * 8 * (1 + 4 * 100)
+        assert peak <= 2 * arrays, f"peak {peak} bytes against {arrays} bytes of arrays"
 
     def test_blank_lines_skipped(self, tmp_path):
         path, header, rows = self._written(tmp_path)

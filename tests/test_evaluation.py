@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itboost import cli, evaluation
-from itboost.boosting import ENCODINGS, LOSSES, TRUST_MODES, BoostConfig, gradient, train
+from itboost import boosting, cli, evaluation
+from itboost.boosting import ENCODINGS, LOSSES, TRUST_MODES, BoostConfig, train
 from itboost.data import DataError, FoldPlan, save_csv, stratified_kfold
 from itboost.evaluation import (
     METRIC_NAMES,
@@ -28,7 +28,7 @@ from itboost.evaluation import (
 )
 from itboost.noise import NoiseSpec, inject
 from itboost.synth import make_gaussian_dataset
-from reference import friedman_from_mean_ranks, pairwise_auc, rank_auc
+from reference import friedman_from_mean_ranks, pairwise_auc, rank_auc, round_gradients
 
 
 class TestMetrics:
@@ -402,16 +402,21 @@ class TestTrajectory:
     @pytest.mark.parametrize("loss", LOSSES)
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("trust", TRUST_MODES)
-    def test_margins_are_the_scores_train_entered_each_round_with(self, loss, encoding, trust):
-        # y * (y * F) = F exactly, so the round's gradient recomputed from the margins is the traced one
+    def test_margins_are_the_scores_train_entered_each_round_with(self, monkeypatch, loss, encoding, trust):
+        # the gradients recomputed from the margins are the ones train's own gradient calls returned
         ds = make_gaussian_dataset(60, 3, separation=2.0, seed=12)
         noisy, _ = inject(ds, NoiseSpec("symmetric", 0.2, 12))
         cfg = BoostConfig(iterations=12, loss=loss, encoding=encoding, trust=trust, seed=12)
-        model, trace = train(noisy, cfg)
-        y = noisy.labels.astype(np.float64)
-        for m in range(1, cfg.iterations + 1):
-            recomputed = gradient(y, y * initial_margins(model, noisy, m), loss)
-            assert recomputed.tobytes() == trace.gradients[m - 1].tobytes(), m
+        seen = []
+
+        def recorded(*args, _inner=boosting.gradient):
+            seen.append(_inner(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(boosting, "gradient", recorded)
+        model, _ = train(noisy, cfg)
+        monkeypatch.undo()
+        assert [g.tobytes() for g in round_gradients(model, noisy)] == [g.tobytes() for g in seen]
 
     @pytest.mark.parametrize("iteration", [0, -1, 6])
     def test_margin_iteration_outside_trace_rejected(self, iteration):

@@ -10,7 +10,8 @@ import numpy as np
 # Deepest tree RegressionTree.predict scores by full-batch comparisons (see
 # _levelwise); deeper trees partition row indices (see _route).  It is the
 # deepest complete tree the comparisons scored no slower than the partition at
-# 80, 200 and 100k rows (README "Prediction").  The path code is uint8, so <= 8.
+# 80, 200 and 100k rows (the depth sweep is in the CHANGES.md entry for batch
+# prediction by full-batch comparisons).  The path code is uint8, so <= 8.
 LEVELWISE_MAX_DEPTH = 6
 
 

@@ -1,6 +1,6 @@
 """The package's public names: ``__all__`` and the imports of ``__init__.py`` agree, and a program
-uses each of them and each of the package's definitions, only ``boosting`` names a loss, and
-importing the package loads no scipy module."""
+uses each of them, each of the package's definitions and each dataclass field, only ``boosting``
+names a loss, and importing the package loads no scipy module."""
 
 import ast
 import os
@@ -84,6 +84,31 @@ def test_every_definition_is_used_by_a_program():
         if name.rpartition(".")[2] not in (attributes if is_method else bare | attributes)
     ]
     assert unused == []
+
+
+def dataclass_fields(path: Path):
+    """``(class name, field name)`` for each annotated field in the body of each ``@dataclass`` of a
+    module, whether the decorator is bare or called."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_dataclass_field_is_read_by_a_program():
+    """Every annotated field of every ``@dataclass`` in ``src/itboost`` is read as an attribute by a
+    module of the package or by ``perfbench``, with no exception list.  It matches by attribute name
+    only, so a field that shares its name with another attribute a program reads (``seed``,
+    ``kind``, ``k``) passes either way."""
+    _, attributes = programs_read()
+    fields = [(path.name, cls, name) for path in MODULES for cls, name in dataclass_fields(path)]
+    assert fields
+    unread = [f"{module}:{cls}.{name}" for module, cls, name in fields if name not in attributes]
+    assert unread == []
 
 
 def test_only_boosting_names_a_loss():

@@ -1,4 +1,5 @@
-"""The README's code runs as written, and its flag table matches the parser."""
+"""The README's code runs as written, its flag table matches the parser, and its prose quotes no
+host measurement."""
 
 import contextlib
 import io
@@ -80,3 +81,19 @@ def test_every_option_is_in_the_flag_table():
             named |= field_flags
         defined = {option for action in parser._actions for option in action.option_strings} - {"-h", "--help"}
         assert defined <= named, (name, sorted(defined - named))
+
+
+HOST_MEASUREMENT = re.compile(r"20\d\d-\d\d-\d\d|vCPU|alternating|\d\s*(?:s|ms|µs|ns|MB)\b")
+
+
+def test_readme_quotes_no_host_measurement():
+    """Outside fenced code blocks the README holds no ISO date, no ``vCPU`` or ``alternating``, and
+    no number followed by ``s``, ``ms``, ``µs``, ``ns`` or ``MB``: timings, memory and their dates
+    depend on the host, so they live in CHANGES.md and the benchmark's metrics, not in the guide."""
+    found, fenced = [], False
+    for number, line in enumerate(README.read_text(encoding="utf-8").splitlines(), 1):
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            found += [f"line {number}: {match.group()!r}" for match in HOST_MEASUREMENT.finditer(line)]
+    assert found == []

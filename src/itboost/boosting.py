@@ -431,7 +431,12 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
     appends no symbol and fits with uniform weights, giving a single 0.0 leaf
     in every mode.  Every round parses each history from scratch with
     :func:`lz76_complexity`; the phrase count depends on the history string
-    alone, so rows that share a history share one parse per round.
+    alone, so rows that share a history share one parse per round.  Each row
+    carries an index into the round's distinct histories: one ``np.unique``
+    over (index, symbol) gives the next round's indices and its distinct
+    histories, only those are built as strings and parsed, and one ``take``
+    gives every row its count.  The Python work of a round follows the
+    number of distinct histories, not of rows.
     """
     sorted_X = presort(dataset.features)  # the features never change, so every round's fit shares one sort
     y = dataset.labels.astype(np.float64)
@@ -441,7 +446,8 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
     fitted = np.empty(n, dtype=np.float64)  # each round's tree(x) per row, written by the fit
 
     track_history = config.trust == "enabled"
-    histories: list[str] = [""] * n
+    histories = [""]  # the round's distinct histories
+    history_ids = np.zeros(n, dtype=np.int64)  # each row's index into ``histories``
 
     trees: list[RegressionTree] = []
     trace = RunTrace(row_ids=dataset.row_ids.copy())
@@ -457,10 +463,12 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
         moved = bool(np.any(g))
         if track_history and moved:
             symbols = encode_gradients(g, config.encoding, g_prev=prev_g)
-            histories = [h + s for h, s in zip(histories, symbols)]
-            parsed = {h: lz76_complexity(h) for h in set(histories)}
-            raw = np.fromiter((parsed[h] for h in histories), dtype=np.int64, count=n)
-            distinct = len(parsed)
+            # (index, symbol) as one int64 key: a symbol's code point fits in 21 bits
+            code_points = np.frombuffer("".join(symbols).encode("utf-32-le"), dtype="<u4")
+            keys, history_ids = np.unique((history_ids << 21) | code_points, return_inverse=True)
+            histories = [histories[key >> 21] + chr(key & 0x1FFFFF) for key in keys.tolist()]
+            distinct = len(histories)
+            raw = np.fromiter(map(lz76_complexity, histories), dtype=np.int64, count=distinct).take(history_ids)
             normalized = normalize_complexities(raw)
         tau, weights = trust_weights(g, normalized)
         if config.trust == "disabled" or not moved:

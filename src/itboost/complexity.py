@@ -63,18 +63,23 @@ def lz76_complexity(s: str) -> int:
     complexity 0.
 
     The count is the literal parse's, from scratch, computed by tracking the
-    open phrase's first occurrence q in s[0..p-1].  While s[q+(j-p)] equals
-    s[j] the phrase extends by one compare; on a mismatch the next occurrence
-    of the longer phrase is searched after q (any occurrence of it starts at
-    an occurrence of the shorter phrase, and q was the first of those).  A
-    start q <= p-1 is exactly what containment in s[0..j-1] admits, so the
-    phrases are the ones the definition gives.
+    open phrase's first occurrence q in s[0..p-1].  The phrase extends
+    symbol by symbol while the item at j-(p-q) equals the item at j in a
+    list of the symbols that ends in None; None equals no symbol, so the
+    extension stops at the end of ``s`` with no separate end test (an end
+    character would not do, since any character may be a symbol).  On a
+    mismatch inside ``s`` the next occurrence of the longer phrase is
+    searched after q (any occurrence of it starts at an occurrence of the
+    shorter phrase, and q was the first of those).  A start q <= p-1 is
+    exactly what containment in s[0..j-1] admits, so the phrases are the
+    ones the definition gives.
 
     ``s`` is a string, one symbol per character; anything else raises TypeError.
     """
     if not isinstance(s, str):
         raise TypeError(f"lz76_complexity: expected a str history, got {type(s).__name__}")
     n = len(s)
+    items = [*s, None]  # the end marker, equal to no symbol
     count = 0
     p = 0  # start of the current (open) phrase
     while p < n:
@@ -82,10 +87,12 @@ def lz76_complexity(s: str) -> int:
         j = p
         while q >= 0:
             j += 1
+            back = p - q
+            while items[j - back] == items[j]:
+                j += 1
             if j == n:
                 return count + 1  # reproducible suffix
-            if s[j + q - p] != s[j]:
-                q = s.find(s[p : j + 1], q + 1, j)
+            q = s.find(s[p : j + 1], q + 1, j)
         count += 1
         p = j + 1
     return count

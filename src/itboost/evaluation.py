@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -164,6 +162,12 @@ def cross_validate(
     if workers == 1:
         results = list(map(job, range(folds.k)))
     else:
+        # imported here, not at the top: a process that never starts a pool
+        # (every serial run, and a CLI command that forks none) loads none of
+        # the pool's modules
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork")) as pool:
             results = list(pool.map(job, range(folds.k)))
     per_fold = {m: np.array([r[0][m] for r in results]) for m in METRIC_NAMES}

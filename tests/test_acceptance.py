@@ -389,7 +389,8 @@ def test_criterion_12_binary_encoding_faster_than_quantized():
 
 def test_readme_acceptance_status_quotes_the_printed_values(robustness_study):
     # the deterministic values of criteria 6, 7 and 8, formatted as their verdict lines print
-    # them; the README writes U+2212 for minus, and its timings are dated, so they stay out
+    # them; the README writes U+2212 for minus, and quotes no timing at all
+    # (test_readme_quotes_no_host_measurement keeps it so), so none is checked here
     study = robustness_study
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Acceptance status\n", 1)[1].split("\n## ", 1)[0].replace("\u2212", "-")

@@ -17,6 +17,9 @@ from reference import SymbolSequence, naive_lz76
 
 
 ENCODINGS = ("binary-sign", "binary-delta", "quantized")
+# any character is a symbol: NUL and the last code point too, so a parse that
+# marks the end of a history with a character fails on this alphabet
+EDGE_ALPHABET = "\x00a\U0010ffff"
 
 
 class TestBinarize:
@@ -180,13 +183,13 @@ class TestLZ76AgainstOracles:
             seq.append(ch)
         assert lz76_complexity(s) == naive_lz76(s) == seq.complexity
 
-    @pytest.mark.parametrize("alphabet", [BINARY_ALPHABET, QUATERNARY_ALPHABET])
+    @pytest.mark.parametrize("alphabet", [BINARY_ALPHABET, QUATERNARY_ALPHABET, EDGE_ALPHABET])
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_random_text(self, alphabet, data):
         self._check(data.draw(st.text(alphabet=alphabet, max_size=256)))
 
-    @pytest.mark.parametrize("alphabet", [BINARY_ALPHABET, QUATERNARY_ALPHABET])
+    @pytest.mark.parametrize("alphabet", [BINARY_ALPHABET, QUATERNARY_ALPHABET, EDGE_ALPHABET])
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_periodic_text(self, alphabet, data):

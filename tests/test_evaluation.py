@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import math
 import multiprocessing
@@ -195,7 +196,7 @@ class TestCrossValidate:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         report = cross_validate(ds, cfg, folds, threads=10**6)
         assert requested == [folds.k]
         assert len(report.per_fold["acc"]) == folds.k

@@ -1,6 +1,6 @@
 """The package's public names: ``__all__`` and the imports of ``__init__.py`` agree, and a program
 uses each of them, each of the package's definitions and each dataclass field, only ``boosting``
-names a loss, and importing the package loads no scipy module."""
+names a loss, and importing the package loads no scipy module and no process-pool module."""
 
 import ast
 import os
@@ -123,12 +123,24 @@ def test_only_boosting_names_a_loss():
     assert named == []
 
 
-def test_importing_the_package_loads_no_scipy():
-    # the package's one dependency is numpy: scipy would load about 290 more modules
-    # (24 MB) into every process that imports it; a fresh interpreter sees a
-    # transitive import as well as a direct one
+def modules_loaded_on_import(*packages) -> list:
+    """The loaded modules that are one of ``packages`` or inside one, after a fresh
+    interpreter imports ``itboost`` and ``itboost.cli``; a fresh interpreter sees a
+    transitive import as well as a direct one."""
     code = ("import sys, itboost, itboost.cli; "
-            "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            f"print(*sorted(m for m in sys.modules if m.partition('.')[0] in {packages!r}))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.split() == []
+    return run.stdout.split()
+
+
+def test_importing_the_package_loads_no_scipy():
+    # the package's one dependency is numpy: scipy would load about 290 more modules
+    # (24 MB) into every process that imports it
+    assert modules_loaded_on_import("scipy") == []
+
+
+def test_importing_the_package_loads_no_pool_module():
+    # cross_validate imports the fork pool when it starts one, so a serial run
+    # or a CLI command that forks no worker never loads its modules
+    assert modules_loaded_on_import("multiprocessing", "concurrent") == []

@@ -17,6 +17,7 @@ from itertools import chain, repeat, zip_longest
 import numpy as np
 
 from .complexity import (
+    SYMBOLS,
     TrustState,
     encode_gradients,
     lz76_complexity,
@@ -433,10 +434,12 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
     :func:`lz76_complexity`; the phrase count depends on the history string
     alone, so rows that share a history share one parse per round.  Each row
     carries an index into the round's distinct histories: one ``np.unique``
-    over (index, symbol) gives the next round's indices and its distinct
-    histories, only those are built as strings and parsed, and one ``take``
-    gives every row its count.  The Python work of a round follows the
-    number of distinct histories, not of rows.
+    over the keys (index << 2) | code, with the row's symbol code from
+    :func:`encode_gradients`, gives the next round's indices and its distinct
+    histories; only those are built as strings (code c appended as
+    ``SYMBOLS[c]``) and parsed, and one ``take`` gives every row its count.
+    The Python work of a round follows the number of distinct histories, not
+    of rows.
     """
     sorted_X = presort(dataset.features)  # the features never change, so every round's fit shares one sort
     y = dataset.labels.astype(np.float64)
@@ -462,11 +465,9 @@ def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:
         distinct = 0
         moved = bool(np.any(g))
         if track_history and moved:
-            symbols = encode_gradients(g, config.encoding, g_prev=prev_g)
-            # (index, symbol) as one int64 key: a symbol's code point fits in 21 bits
-            code_points = np.frombuffer("".join(symbols).encode("utf-32-le"), dtype="<u4")
-            keys, history_ids = np.unique((history_ids << 21) | code_points, return_inverse=True)
-            histories = [histories[key >> 21] + chr(key & 0x1FFFFF) for key in keys.tolist()]
+            codes = encode_gradients(g, config.encoding, g_prev=prev_g)
+            keys, history_ids = np.unique((history_ids << 2) | codes, return_inverse=True)
+            histories = [histories[key >> 2] + SYMBOLS[key & 3] for key in keys.tolist()]
             distinct = len(histories)
             raw = np.fromiter(map(lz76_complexity, histories), dtype=np.int64, count=distinct).take(history_ids)
             normalized = normalize_complexities(raw)

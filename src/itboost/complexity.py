@@ -13,31 +13,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BINARY_ALPHABET = "01"
-QUATERNARY_ALPHABET = "0123"
+SYMBOLS = "0123"  # code c is the history character SYMBOLS[c]
 
-def encode_gradients(g: np.ndarray, encoding: str, g_prev: np.ndarray | None = None) -> list[str]:
-    """Vectorised symbol encoding for one boosting round.
+
+def encode_gradients(g: np.ndarray, encoding: str, g_prev: np.ndarray | None = None) -> np.ndarray:
+    """One round's symbol codes, an int64 array: code c is the character ``SYMBOLS[c]``.
 
     ``encoding`` is one of ``binary-sign``, ``binary-delta`` or ``quantized``.
-    Binary-delta encodes whether g rose since ``g_prev``; with no ``g_prev``
-    (the first round) it encodes the sign, as binary-sign does.
-    The quantized magnitude threshold is the median |g|, or the median of the
-    nonzero |g| when more than half of the residuals are exactly 0.
+    Binary-sign is [g > 0].  Binary-delta is [g rose since ``g_prev``]; with no
+    ``g_prev`` (the first round) it is the sign, as binary-sign is.  Quantized
+    is 2*[g > 0] + [|g| >= threshold], where the threshold is the median |g|,
+    or the median of the nonzero |g| when more than half of the residuals are
+    exactly 0.
     """
     g = np.asarray(g, dtype=np.float64)
     if not np.all(np.isfinite(g)):
         raise ValueError("encode_gradients: non-finite gradients")
     if encoding == "binary-sign" or (encoding == "binary-delta" and g_prev is None):
-        codes = (g > 0).astype(np.int64)
-        alphabet = BINARY_ALPHABET
-    elif encoding == "binary-delta":
+        return (g > 0).astype(np.int64)
+    if encoding == "binary-delta":
         g_prev = np.asarray(g_prev, dtype=np.float64)
         if not np.all(np.isfinite(g_prev)):
             raise ValueError("encode_gradients: non-finite previous gradients")
-        codes = (g - g_prev > 0).astype(np.int64)
-        alphabet = BINARY_ALPHABET
-    elif encoding == "quantized":
+        return (g - g_prev > 0).astype(np.int64)
+    if encoding == "quantized":
         magnitude = np.abs(g)
         threshold = float(np.median(magnitude))
         if threshold <= 0:
@@ -46,11 +45,8 @@ def encode_gradients(g: np.ndarray, encoding: str, g_prev: np.ndarray | None = N
             if nonzero.size == 0:
                 raise ValueError("encode_gradients: every residual is zero, quantized encoding undefined")
             threshold = float(np.median(nonzero))
-        codes = 2 * (g > 0).astype(np.int64) + (magnitude >= threshold).astype(np.int64)
-        alphabet = QUATERNARY_ALPHABET
-    else:
-        raise ValueError(f"encode_gradients: unknown encoding {encoding!r}")
-    return [alphabet[c] for c in codes]
+        return 2 * (g > 0).astype(np.int64) + (magnitude >= threshold)
+    raise ValueError(f"encode_gradients: unknown encoding {encoding!r}")
 
 
 def lz76_complexity(s: str) -> int:
@@ -114,21 +110,22 @@ def normalize_complexities(raw) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def check_normalized(values, caller: str, nonempty: bool = True) -> np.ndarray:
-    """``values`` as a float vector; ValueError naming ``caller`` unless it is 1-D, nonempty if ``nonempty``
-    (a caller that takes its mean) and within [0, 1], the range the bounds on exp(-C) rest on; NaN fails too."""
+def check_normalized(values, caller: str) -> np.ndarray:
+    """``values`` as a float vector; ValueError naming ``caller`` unless it is 1-D, nonempty and
+    within [0, 1], the range the bounds on exp(-C) rest on; NaN fails too."""
     c = np.asarray(values, dtype=np.float64)
-    if c.ndim != 1 or (nonempty and c.size == 0):
-        raise ValueError(f"{caller}: normalized complexities must be a {'nonempty ' if nonempty else ''}1-D vector")
-    if c.size and not (0.0 <= c.min() and c.max() <= 1.0):
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError(f"{caller}: normalized complexities must be a nonempty 1-D vector")
+    if not (0.0 <= c.min() and c.max() <= 1.0):
         raise ValueError(f"{caller}: normalized complexities must be finite and lie in [0, 1]")
     return c
 
 
 def trust_weights(gradients, normalized) -> tuple[np.ndarray, np.ndarray]:
-    """Trust terms tau = exp(-normalized complexity) and weights w = |g| * tau."""
+    """Trust terms tau = exp(-normalized complexity) and weights w = |g| * tau, for a ``normalized``
+    that passes :func:`check_normalized` (an empty one does not) and has the shape of ``gradients``."""
     g = np.asarray(gradients, dtype=np.float64)
-    c = check_normalized(normalized, "trust_weights", nonempty=False)
+    c = check_normalized(normalized, "trust_weights")
     if g.shape != c.shape:
         raise ValueError(f"trust_weights: length mismatch {g.shape} vs {c.shape}")
     tau = np.exp(-c)

@@ -68,11 +68,11 @@ def auc(labels, probabilities) -> float:
 
 
 def log_loss(labels, probabilities) -> float:
-    """Mean negative log-likelihood with probabilities clipped away from 0 and 1."""
+    """Mean negative log-likelihood, one log per row: -log q for a +1 row, -log(1 - q) for a -1
+    row, with probabilities clipped away from 0 and 1."""
     y, q = _check_pair(labels, probabilities)
     q = np.clip(q, PROB_CLIP, 1.0 - PROB_CLIP)
-    y01 = (y + 1) / 2.0
-    return float(-np.mean(y01 * np.log(q) + (1.0 - y01) * np.log(1.0 - q)))
+    return float(-np.mean(np.log(np.where(y == 1, q, 1.0 - q))))
 
 
 METRICS = {"acc": accuracy, "f1": f1, "auc": auc, "log_loss": log_loss}  # each metric's name, in report order

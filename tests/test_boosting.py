@@ -27,7 +27,7 @@ from itboost.boosting import (
     save_model,
     train,
 )
-from itboost.complexity import encode_gradients, lz76_complexity
+from itboost.complexity import SYMBOLS, encode_gradients, lz76_complexity
 from itboost.data import DataError, Dataset
 from itboost.synth import make_gaussian_dataset
 from itboost.trees import RegressionTree, TreeNode
@@ -574,8 +574,8 @@ def replayed_histories(model, dataset):
     for m, g in enumerate(gradients):
         if np.any(g):
             g_prev = gradients[m - 1] if m else None
-            symbols = encode_gradients(g, model.config.encoding, g_prev=g_prev)
-            histories = [h + s for h, s in zip(histories, symbols)]
+            codes = encode_gradients(g, model.config.encoding, g_prev=g_prev)
+            histories = [h + SYMBOLS[c] for h, c in zip(histories, codes)]
         rounds.append(histories)
     return rounds
 

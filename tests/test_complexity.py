@@ -2,21 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from itboost.boosting import ENCODINGS
 from itboost.complexity import (
-    BINARY_ALPHABET,
-    QUATERNARY_ALPHABET,
+    SYMBOLS,
     encode_gradients,
     lz76_complexity,
     normalize_complexities,
     trust_weights,
 )
-from reference import SymbolSequence, naive_lz76
+from reference import SymbolSequence, _oracle_symbols, naive_lz76
 
 
-ENCODINGS = ("binary-sign", "binary-delta", "quantized")
 # any character is a symbol: NUL and the last code point too, so a parse that
 # marks the end of a history with a character fails on this alphabet
 EDGE_ALPHABET = "\x00a\U0010ffff"
@@ -24,24 +23,24 @@ EDGE_ALPHABET = "\x00a\U0010ffff"
 
 class TestBinarize:
     def test_positive_gradient_is_one(self):
-        assert encode_gradients([0.7], "binary-sign") == ["1"]
+        assert encode_gradients([0.7], "binary-sign").tolist() == [1]
 
     def test_zero_ties_to_zero(self):
-        assert encode_gradients([0.0, -0.0], "binary-sign") == ["0", "0"]
-        assert encode_gradients([0.0, 0.5], "binary-delta") == ["0", "1"]
-        assert encode_gradients([0.0, 0.5], "quantized") == ["0", "3"]
+        assert encode_gradients([0.0, -0.0], "binary-sign").tolist() == [0, 0]
+        assert encode_gradients([0.0, 0.5], "binary-delta").tolist() == [0, 1]
+        assert encode_gradients([0.0, 0.5], "quantized").tolist() == [0, 3]
 
     def test_negative_is_zero(self):
-        assert encode_gradients([-0.3], "binary-sign") == ["0"]
+        assert encode_gradients([-0.3], "binary-sign").tolist() == [0]
 
     def test_delta_sign_decrease(self):
-        assert encode_gradients([0.3, -0.6], "binary-delta", g_prev=[0.5, -0.1]) == ["0", "0"]
+        assert encode_gradients([0.3, -0.6], "binary-delta", g_prev=[0.5, -0.1]).tolist() == [0, 0]
 
     def test_delta_sign_increase(self):
-        assert encode_gradients([0.9, -0.1], "binary-delta", g_prev=[0.5, -0.6]) == ["1", "1"]
+        assert encode_gradients([0.9, -0.1], "binary-delta", g_prev=[0.5, -0.6]).tolist() == [1, 1]
 
     def test_delta_sign_first_round_falls_back_to_sign(self):
-        assert encode_gradients([0.3, -0.3], "binary-delta", g_prev=None) == ["1", "0"]
+        assert encode_gradients([0.3, -0.3], "binary-delta", g_prev=None).tolist() == [1, 0]
 
     def test_non_finite_rejected(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -62,35 +61,65 @@ class TestQuantize:
         return encode_gradients(self.G, "quantized")[self.G.index(g)]
 
     def test_positive_large(self):
-        assert self._code(0.9) == "3"
+        assert self._code(0.9) == 3
 
     def test_negative_small(self):
-        assert self._code(-0.1) == "0"
+        assert self._code(-0.1) == 0
 
     def test_positive_small(self):
-        assert self._code(0.1) == "2"
+        assert self._code(0.1) == 2
 
     def test_negative_large(self):
-        assert self._code(-0.9) == "1"
+        assert self._code(-0.9) == 1
 
     def test_threshold_counts_as_large(self):
-        assert (self._code(0.4), self._code(-0.4)) == ("3", "1")
+        assert (self._code(0.4), self._code(-0.4)) == (3, 1)
 
     def test_zero_median_uses_median_of_nonzero(self):
         # median |g| is 0; the nonzero |g| (0.2, 0.6, 0.9) give the threshold 0.6
         g = [0.0, 0.0, 0.0, 0.0, 0.2, -0.6, 0.9]
-        assert encode_gradients(g, "quantized") == ["0", "0", "0", "0", "2", "1", "3"]
+        assert encode_gradients(g, "quantized").tolist() == [0, 0, 0, 0, 2, 1, 3]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             encode_gradients([float("nan"), 0.4], "quantized")
 
 
+@st.composite
+def gradient_rounds(draw):
+    """One round's residuals and, or None, the previous round's: values drawn from ±0.0 and a few
+    magnitudes that repeat (so the median |g| is often tied), and in some rounds more than half
+    of the residuals exactly 0."""
+    value = st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0, -2.0]) | st.floats(-1e6, 1e6)
+    g = draw(st.lists(value, min_size=1, max_size=40))
+    g += draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=2 * len(g)))
+    g = draw(st.permutations(g))
+    g_prev = draw(st.none() | st.lists(value, min_size=len(g), max_size=len(g)))
+    return np.array(g), None if g_prev is None else np.array(g_prev)
+
+
 class TestEncodeGradients:
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @given(rounds=gradient_rounds())
+    @example(rounds=(np.array([0.0, -0.0, 0.5, -0.0]), np.array([-0.0, 0.0, 0.5, 0.0])))  # ±0.0
+    @example(rounds=(np.array([0.5, -0.5, 0.5, -2.0, 0.1]), None))  # ties at the median |g|
+    @example(rounds=(np.array([0.0, -0.0, 0.0, 0.5, -0.5, 2.0]), None))  # exactly half 0: median (0 + 0.5) / 2
+    @example(rounds=(np.array([0.0, -0.0, 0.0, 0.0, -0.5, 2.0]), np.zeros(6)))  # more than half 0
+    @settings(max_examples=200, deadline=None)
+    def test_codes_spell_the_oracle_symbols(self, encoding, rounds):
+        g, g_prev = rounds
+        if encoding == "quantized" and not np.any(g):
+            with pytest.raises(ValueError, match="every residual is zero"):
+                encode_gradients(g, encoding, g_prev=g_prev)
+            return
+        codes = encode_gradients(g, encoding, g_prev=g_prev)
+        assert codes.dtype == np.int64
+        assert [SYMBOLS[c] for c in codes] == _oracle_symbols(g, encoding, g_prev)
+
     def test_quantized_uses_median_threshold(self):
         g = np.array([0.9, -0.1, 0.1, -0.9])
         # median |g| = 0.5; codes: 3, 0, 2, 1
-        assert encode_gradients(g, "quantized") == ["3", "0", "2", "1"]
+        assert encode_gradients(g, "quantized").tolist() == [3, 0, 2, 1]
 
     def test_quantized_zero_median_rejected(self):
         with pytest.raises(ValueError):
@@ -129,7 +158,7 @@ class TestLZ76:
         rng = np.random.default_rng(42)
         for _ in range(300):
             n = int(rng.integers(0, 64))
-            alphabet = BINARY_ALPHABET if rng.random() < 0.5 else QUATERNARY_ALPHABET
+            alphabet = SYMBOLS[:2] if rng.random() < 0.5 else SYMBOLS
             s = "".join(rng.choice(list(alphabet), size=n))
             assert lz76_complexity(s) == naive_lz76(s)
 
@@ -183,13 +212,13 @@ class TestLZ76AgainstOracles:
             seq.append(ch)
         assert lz76_complexity(s) == naive_lz76(s) == seq.complexity
 
-    @pytest.mark.parametrize("alphabet", [BINARY_ALPHABET, QUATERNARY_ALPHABET, EDGE_ALPHABET])
+    @pytest.mark.parametrize("alphabet", [SYMBOLS[:2], SYMBOLS, EDGE_ALPHABET])
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_random_text(self, alphabet, data):
         self._check(data.draw(st.text(alphabet=alphabet, max_size=256)))
 
-    @pytest.mark.parametrize("alphabet", [BINARY_ALPHABET, QUATERNARY_ALPHABET, EDGE_ALPHABET])
+    @pytest.mark.parametrize("alphabet", [SYMBOLS[:2], SYMBOLS, EDGE_ALPHABET])
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_periodic_text(self, alphabet, data):
@@ -200,7 +229,7 @@ class TestSymbolSequence:
     def test_matches_from_scratch_on_every_prefix(self):
         rng = np.random.default_rng(11)
         for trial in range(200):
-            alphabet = BINARY_ALPHABET if trial % 2 == 0 else QUATERNARY_ALPHABET
+            alphabet = SYMBOLS[:2] if trial % 2 == 0 else SYMBOLS
             n = int(rng.integers(1, 128))
             symbols = "".join(rng.choice(list(alphabet), size=n))
             seq = SymbolSequence()
@@ -258,9 +287,10 @@ class TestTrustWeights:
         assert abs(w[0] - 0.8 * math.exp(-0.5)) < 1e-9
         assert abs(w[0] - 0.485225) < 1e-6
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            trust_weights([0.5, 0.2], [0.0])
+    @pytest.mark.parametrize("gradients,normalized", [([0.5, 0.2], [0.0]), ([], [])], ids=["mismatch", "empty"])
+    def test_bad_lengths_rejected(self, gradients, normalized):
+        with pytest.raises(ValueError, match="^trust_weights: "):
+            trust_weights(gradients, normalized)
 
     @pytest.mark.parametrize("complexity", [1.5, -0.5, math.nan, math.inf, -math.inf])
     def test_out_of_range_complexity_rejected(self, complexity):

@@ -4,6 +4,7 @@ names a loss, and importing the package loads no scipy module and no process-poo
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,12 +56,16 @@ def programs_read() -> tuple[set, set]:
 
 
 def definitions(path: Path):
-    """``(qualified name, is_method)`` for each top-level function and class of a module and each
-    non-dunder function in those classes' bodies."""
+    """``(qualified name, is_method)`` for each top-level function, class and UPPER_CASE constant
+    of a module and each non-dunder function in those classes' bodies."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, (*defs, ast.ClassDef)):
             yield node.name, False
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id):
+                yield target.id, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs) and not (item.name.startswith("__") and item.name.endswith("__")):

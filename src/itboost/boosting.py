@@ -10,6 +10,7 @@ trust term to 1 (ablation arm).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, repeat, zip_longest
@@ -33,6 +34,9 @@ TRUST_MODES = ("enabled", "disabled", "magnitude-only")
 
 SCORE_CLAMP = 50.0  # overflow guard ahead of the logistic link
 
+# the numbers a config field takes, by the type of its default; a bool is neither
+_NUMBER_KINDS = {int: numbers.Integral, float: numbers.Real}
+
 
 @dataclass(frozen=True)
 class BoostConfig:
@@ -50,6 +54,12 @@ class BoostConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, choices, value = _NUMBER_KINDS.get(type(f.default)), f.metadata.get("choices"), getattr(self, f.name)
+            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ValueError(f"BoostConfig: {f.name} must be {type(f.default).__name__}, got {value!r}")
+            if choices is not None and value not in choices:
+                raise ValueError(f"BoostConfig: {f.name} must be one of {choices}, got {value!r}")
         if self.iterations < 1:
             raise ValueError("BoostConfig: iterations must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -60,11 +70,6 @@ class BoostConfig:
             raise ValueError("BoostConfig: min_samples_leaf must be >= 1")
         if self.seed < 0:
             raise ValueError("BoostConfig: seed must be >= 0")
-        for f in fields(self):
-            choices = f.metadata.get("choices")
-            value = getattr(self, f.name)
-            if choices is not None and value not in choices:
-                raise ValueError(f"BoostConfig: {f.name} must be one of {choices}, got {value!r}")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "BoostConfig":
@@ -323,6 +328,9 @@ class RunTrace:
         write_rows(path, TRACE_HEADER.split(","), chain.from_iterable(blocks))
 
 
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1  # the integers a row_id or raw_C cell may hold
+
+
 def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     """Read a trace CSV back into per-iteration trust states keyed by iteration.
 
@@ -330,46 +338,32 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
     block must list iteration 1's row ids in iteration 1's order (as
     :meth:`RunTrace.to_csv` writes them), so a reordered, truncated or
     concatenated trace is rejected rather than read with its rows misaligned.
-    The file is opened and read once.  Blank lines are skipped; a record that
-    is not six cells of three integers and three finite floats, whose
-    normalized_C is outside [0, 1] (the range :func:`trust_weights` requires)
-    or whose iteration breaks the order is rejected naming its line as it is
-    read.  A block becomes its :class:`TrustState`'s arrays as the next one
-    starts, so beside the arrays the reader holds one block's records as
-    Python objects, and iteration 1's row ids.  Faults a block shows as it
-    closes are raised once every line has read cleanly, the first in this
-    order: a row id twice in iteration 1; per iteration, row ids other than
-    iteration 1's and then a raw_C outside int64; a row_id outside int64.
-    Every rejection is a :class:`DataError`.
+    The file is opened and read once, and the first bad record is rejected
+    as it is read, naming its line; blank lines are skipped.  A record is bad
+    if it is not six cells of three integers and three finite floats, if its
+    row_id or raw_C is outside int64 or its normalized_C outside [0, 1] (the
+    range :func:`trust_weights` requires), if its iteration breaks the order,
+    or if its row id repeats one of iteration 1's or, later, is not the one
+    iteration 1 lists at its position.  A block shorter than iteration 1 is
+    rejected at the line that starts the next, or at the end of the file.  A
+    block becomes its :class:`TrustState`'s arrays as the next one starts, so
+    beside them the reader holds one block's records as Python objects and
+    iteration 1's row ids (and their set while iteration 1 is read).  Every
+    rejection is a :class:`DataError`.
     """
     states: dict[int, TrustState] = {}
-    row_ids: list[int] = []  # iteration 1's, in order
-    fault = None  # the first fault a closed block showed
-    iteration, block = 0, []  # the open block: its iteration, and each record's five values after the first
+    row_ids, seen = [], set()  # iteration 1's row ids, in order and as a set until its block closes
+    expected = None  # past iteration 1, the open block's iterator over iteration 1's row ids
+    iteration, block = 0, []  # the open block: its iteration, and each record's four values after the row id
 
     def close_block(iteration, block):
-        """The block's fault, or None once its TrustState is in ``states``."""
-        nonlocal row_ids
-        ids = block[0::5]
-        if iteration == 1:
-            row_ids = ids
-            if len(set(ids)) != len(ids):
-                return "lists a row id twice in iteration 1"
-        elif ids != row_ids:
-            return f"iteration {iteration} does not list iteration 1's row ids in order"
-        try:
-            raw = np.asarray(block[1::5], dtype=np.int64)
-        except OverflowError:
-            return "column raw_C holds an integer outside int64"
-        states[iteration] = TrustState(iteration=iteration, raw_complexity=raw,
-                                       normalized=np.asarray(block[2::5], dtype=np.float64),
-                                       tau=np.asarray(block[3::5], dtype=np.float64),
-                                       weights=np.asarray(block[4::5], dtype=np.float64))
-        return None
+        states[iteration] = TrustState(iteration=iteration, raw_complexity=np.asarray(block[0::4], dtype=np.int64),
+                                       normalized=np.asarray(block[1::4], dtype=np.float64),
+                                       tau=np.asarray(block[2::4], dtype=np.float64),
+                                       weights=np.asarray(block[3::4], dtype=np.float64))
 
     with open_input("load_trace_csv", path) as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
+        if fh.readline().strip() != TRACE_HEADER:
             raise DataError(f"load_trace_csv: unexpected header in {path}")
         for line_no, line in enumerate(fh, start=2):
             try:
@@ -382,35 +376,46 @@ def load_trace_csv(path) -> tuple[np.ndarray, dict[int, TrustState]]:
                     m, row_id, raw = int(cells[0]), int(cells[1]), int(cells[2])
                     norm, tau, w = float(cells[3]), float(cells[4]), float(cells[5])
                 except ValueError:
-                    raise ValueError(
-                        "expected integer iteration, row_id and raw_C and float normalized_C, tau and weight, "
-                        f"got {line.strip()!r}"
-                    ) from None
+                    raise ValueError("expected integer iteration, row_id and raw_C and float normalized_C, tau and "
+                                     f"weight, got {line.strip()!r}") from None
                 if not (math.isfinite(norm) and math.isfinite(tau) and math.isfinite(w)):
                     raise ValueError(f"normalized_C, tau and weight must be finite, got {line.strip()!r}")
                 if not 0.0 <= norm <= 1.0:
                     raise ValueError(f"normalized_C must be in [0, 1], got {line.strip()!r}")
                 if not iteration or m != iteration:
                     if m != iteration + 1:
-                        raise ValueError(
-                            f"iteration {m} after iteration {iteration}; iterations must run 1..M in order, "
-                            "one block each"
-                        )
+                        raise ValueError(f"iteration {m} after iteration {iteration}; iterations must run 1..M in "
+                                         "order, one block each")
                     if iteration:
-                        fault = fault or close_block(iteration, block)
+                        if len(block) != 4 * len(row_ids):
+                            raise ValueError(f"iteration {iteration} ends after {len(block) // 4} of iteration 1's "
+                                             f"{len(row_ids)} rows")
+                        seen = None
+                        close_block(iteration, block)
+                        expected = iter(row_ids)
                     iteration, block = m, []
-                block += row_id, raw, norm, tau, w
+                if m == 1:
+                    if row_id in seen:
+                        raise ValueError(f"row id {row_id} is listed twice in iteration 1")
+                    if not _INT64_MIN <= row_id <= _INT64_MAX:
+                        raise ValueError(f"row_id must be within int64, got {line.strip()!r}")
+                    seen.add(row_id)
+                    row_ids.append(row_id)
+                elif row_id != next(expected, None):
+                    raise ValueError(f"iteration {m} does not list iteration 1's {len(row_ids)} row ids in order: its "
+                                     f"row {len(block) // 4 + 1} is row id {row_id}")
+                if not _INT64_MIN <= raw <= _INT64_MAX:
+                    raise ValueError(f"raw_C must be within int64, got {line.strip()!r}")
+                block += raw, norm, tau, w
             except ValueError as exc:
                 raise DataError(f"load_trace_csv: {path} line {line_no}: {exc}") from None
     if not iteration:
         raise DataError(f"load_trace_csv: {path} has no data rows")
-    fault = fault or close_block(iteration, block)
-    if fault is None:
-        try:
-            return np.asarray(row_ids, dtype=np.int64), states
-        except OverflowError:
-            fault = "column row_id holds an integer outside int64"
-    raise DataError(f"load_trace_csv: {path} {fault}")
+    if len(block) != 4 * len(row_ids):
+        raise DataError(f"load_trace_csv: {path} ends in iteration {iteration} after {len(block) // 4} of "
+                        f"iteration 1's {len(row_ids)} rows")
+    close_block(iteration, block)
+    return np.array(row_ids, dtype=np.int64), states
 
 
 def train(dataset: Dataset, config: BoostConfig) -> tuple[Model, RunTrace]:

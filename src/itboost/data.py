@@ -68,6 +68,9 @@ class Dataset:
         sorted_ids = np.sort(row_ids, kind="stable")  # timsort: one linear pass over ids already in order
         if np.any(sorted_ids[1:] == sorted_ids[:-1]):
             raise DataError("Dataset: row_ids must be unique")
+        if isinstance(self.feature_names, str):
+            raise DataError(f"Dataset: feature_names must be a sequence of names, got the string "
+                            f"{self.feature_names!r}")
         if self.feature_names is None:
             names = tuple(f"x{j}" for j in range(feats.shape[1]))
         else:

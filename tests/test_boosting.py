@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 import tracemalloc
@@ -798,7 +799,18 @@ class TestTraceCsv:
             fields = rows[6 * block + 1].split(",")
             fields[1] = first_id
             rows[6 * block + 1] = ",".join(fields)
-        self._rejects(path, header, rows, "row id twice")
+        self._rejects(path, header, rows, f"line 3: row id {first_id} is listed twice in iteration 1$")
+
+    def test_block_of_another_length_than_iteration_1_rejected(self, tmp_path):
+        path, header, rows = self._written(tmp_path)
+        prefix = f"^load_trace_csv: {re.escape(str(path))}"
+        # a short block at the line that starts the next one, or at the end of the file
+        self._rejects(path, header, rows[:11] + rows[12:], f"{prefix} line 13: iteration 2 ends after 5 of iteration "
+                                                            "1's 6 rows$")
+        self._rejects(path, header, rows[:17], f"{prefix} ends in iteration 3 after 5 of iteration 1's 6 rows$")
+        extra_id = rows[17].split(",")[1]
+        self._rejects(path, header, rows + [rows[17]], f"{prefix} line 20: iteration 3 does not list iteration 1's 6 "
+                                                       f"row ids in order: its row 7 is row id {extra_id}$")
 
     def test_iteration_split_across_blocks_rejected(self, tmp_path):
         path, header, rows = self._written(tmp_path)
@@ -826,7 +838,7 @@ class TestTraceCsv:
             cells[column] = text
             rows[6 * block + 1] = ",".join(cells)
         path.write_text("\n".join([header] + rows) + "\n")
-        message = f"^load_trace_csv: {re.escape(str(path))} column {name} holds an integer outside int64$"
+        message = f"^load_trace_csv: {re.escape(str(path))} line 3: {name} must be within int64, got '.*{text},"
         with pytest.raises(DataError, match=message):
             load_trace_csv(path)
 
@@ -856,44 +868,47 @@ class TestTraceCsv:
             cells[column] = text
             rows[i] = ",".join(cells)
 
-    # Two faults per file: the reader reports the first in its order (a bad line, then a
-    # duplicate row id in iteration 1, then per iteration a row-id mismatch and then raw_C
-    # outside int64, and row_id outside int64 last), whatever else the file holds.
-    def test_bad_line_wins_over_a_duplicate_row_id(self, tmp_path):
-        path, header, rows = self._written(tmp_path)
-        self._set_cell(rows, [1], 1, rows[0].split(",")[1])  # iteration 1 lists its first row id twice
-        self._set_cell(rows, [14], 4, "inf")  # a non-finite tau in the last iteration
-        self._rejects(path, header, rows, f"^load_trace_csv: {re.escape(str(path))} line 16: normalized_C, tau and "
-                                          "weight must be finite")
+    # Puts one fault of the kind into rows, at an early or a late place, and returns the line and the
+    # message it is rejected with.  A repeated row id is only ever in iteration 1, where no row id
+    # mismatch and no short block can be, so it never follows either of them.
+    @staticmethod
+    def _fault(kind, rows, late):
+        if kind == "repeated-id":
+            i = 5 if late else 1
+            repeated = rows[i - 1].split(",")[1]
+            TestTraceCsv._set_cell(rows, [i, i + 6, i + 12], 1, repeated)  # the same ids in every block
+            return i + 2, f"row id {repeated} is listed twice in iteration 1"
+        if kind == "bad-cell":
+            i = 16 if late else 0
+            TestTraceCsv._set_cell(rows, [i], 4, "inf")
+            return i + 2, "normalized_C, tau and weight must be finite"
+        if kind == "id-mismatch":
+            i = 14 if late else 6
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+            return i + 2, f"iteration {i // 6 + 1} does not list iteration 1's 6 row ids in order"
+        if kind == "raw-overflow":
+            i = 17 if late else 0
+            TestTraceCsv._set_cell(rows, [i], 2, "99999999999999999999")
+            return i + 2, "raw_C must be within int64"
+        assert kind == "short-block"
+        del rows[17 if late else 11]
+        return 13, "iteration 2 ends after 5 of iteration 1's 6 rows"  # block 3 now starts on line 13
 
-    def test_duplicate_row_id_wins_over_raw_c_outside_int64(self, tmp_path):
-        path, header, rows = self._written(tmp_path)
-        self._set_cell(rows, [1, 7, 13], 1, rows[0].split(",")[1])  # every block lists the same ids, one twice
-        self._set_cell(rows, [2], 2, "99999999999999999999")
-        self._rejects(path, header, rows, f"^load_trace_csv: {re.escape(str(path))} lists a row id twice in "
-                                          "iteration 1$")
-
-    @pytest.mark.parametrize("swapped, overflowing, message", [
-        (2, 3, "iteration 2 does not list iteration 1's row ids in order"),
-        (3, 2, "column raw_C holds an integer outside int64"),
+    @pytest.mark.parametrize("first, second", [
+        pair for pair in itertools.permutations(["repeated-id", "bad-cell", "id-mismatch", "raw-overflow",
+                                                 "short-block"], 2)
+        if pair not in {("id-mismatch", "repeated-id"), ("short-block", "repeated-id")}
     ])
-    def test_earlier_iteration_fault_wins(self, tmp_path, swapped, overflowing, message):
+    def test_earlier_fault_in_the_file_wins(self, tmp_path, first, second):
         path, header, rows = self._written(tmp_path)
-        first = 6 * (swapped - 1)
-        rows[first + 1], rows[first + 2] = rows[first + 2], rows[first + 1]
-        self._set_cell(rows, [6 * (overflowing - 1) + 3], 2, "99999999999999999999")
-        self._rejects(path, header, rows, f"^load_trace_csv: {re.escape(str(path))} {message}$")
+        self._fault(second, rows, late=True)  # first, so that a deleted row cannot move the early fault
+        line, message = self._fault(first, rows, late=False)
+        self._rejects(path, header, rows, f"^load_trace_csv: {re.escape(str(path))} line {line}: {message}")
 
-    def test_row_id_mismatch_wins_over_row_id_outside_int64(self, tmp_path):
-        path, header, rows = self._written(tmp_path)
-        self._set_cell(rows, [1, 7, 13], 1, "9223372036854775808")  # the same row id in every block
-        rows[13], rows[14] = rows[14], rows[13]
-        self._rejects(path, header, rows, f"^load_trace_csv: {re.escape(str(path))} iteration 3 does not list "
-                                          "iteration 1's row ids in order$")
-
-    def test_reader_peak_memory_is_near_the_arrays_it_returns(self, tmp_path):
-        ds = make_gaussian_dataset(n_rows=400, n_informative=10, separation=5.5, seed=0)
-        _, trace = train(ds, BoostConfig(iterations=100))
+    @pytest.mark.parametrize("n_rows, iterations", [(400, 100), (20000, 5)], ids=["acceptance", "wide"])
+    def test_reader_peak_memory_is_near_the_arrays_it_returns(self, tmp_path, n_rows, iterations):
+        ds = make_gaussian_dataset(n_rows=n_rows, n_informative=10, separation=5.5, seed=0)
+        _, trace = train(ds, BoostConfig(iterations=iterations))
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         tracemalloc.start()
@@ -904,7 +919,7 @@ class TestTraceCsv:
             tracemalloc.stop()
         arrays = row_ids.nbytes + sum(a.nbytes for s in states.values()
                                       for a in (s.raw_complexity, s.normalized, s.tau, s.weights))
-        assert arrays == 400 * 8 * (1 + 4 * 100)
+        assert arrays == n_rows * 8 * (1 + 4 * iterations)
         assert peak <= 2 * arrays, f"peak {peak} bytes against {arrays} bytes of arrays"
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -960,7 +975,13 @@ class TestTraceCsv:
             try:
                 row_ids, states = load_trace_csv(path)
             except DataError as exc:
-                assert str(path) in str(exc)
+                # every rejection names its line but these three; the file is ASCII, so the opener's own
+                # errors (a missing or unreadable file, a byte that is not UTF-8) cannot arise
+                prefix = f"load_trace_csv: {path}"
+                assert str(exc).startswith(prefix + " line ") or str(exc) in (
+                    f"load_trace_csv: unexpected header in {path}", f"{prefix} has no data rows",
+                ) or re.fullmatch(rf"{re.escape(prefix)} ends in iteration \d+ after \d+ of iteration 1's \d+ rows",
+                                  str(exc)), str(exc)
                 states = None
         assert opened == [path]
         if states is None:
@@ -998,6 +1019,12 @@ class TestConfig:
             BoostConfig(loss="absolute")
         with pytest.raises(ValueError):
             BoostConfig(trust="sometimes")
+        for name, value in [("iterations", True), ("iterations", 5.0), ("max_depth", 1.5), ("min_samples_leaf", "1"),
+                            ("seed", False), ("learning_rate", True), ("learning_rate", "0.1")]:
+            message = f"^BoostConfig: {name} must be (int|float), got {re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=message):
+                BoostConfig(**{name: value})
+        assert BoostConfig(iterations=np.int64(5), learning_rate=1).learning_rate == 1
 
     def test_defaults(self):
         cfg = BoostConfig()

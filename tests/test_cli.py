@@ -438,7 +438,7 @@ class TestVerifyBoundsReport:
         (lambda cells: cells[:5], "line 4: expected 6 cells, got 5"),
         (lambda cells: cells[:3] + ["nan"] + cells[4:], "line 4: normalized_C, tau and weight must be finite"),
         (lambda cells: cells[:5] + ["inf"], "line 4: normalized_C, tau and weight must be finite"),
-        (lambda cells: cells[:2] + ["99999999999999999999"] + cells[3:], "column raw_C holds an integer outside int64"),
+        (lambda cells: cells[:2] + ["99999999999999999999"] + cells[3:], "line 4: raw_C must be within int64"),
         (lambda cells: cells[:3] + ["1e10"] + cells[4:], "line 4: normalized_C must be in [0, 1]"),
         (lambda cells: cells[:3] + ["-800"] + cells[4:], "line 4: normalized_C must be in [0, 1]"),
     ], ids=["short-record", "nan-cell", "inf-cell", "int64-overflow", "complexity-above-1", "complexity-below-0"])

@@ -46,6 +46,10 @@ class TestDataset:
         with pytest.raises(DataError, match="row_ids must be unique"):
             Dataset(np.ones((5, 1)), np.array([1, -1, 1, -1, 1]), np.array([7, -2, 4, 0, -2]))
 
+    def test_rejects_a_string_of_feature_names(self):
+        with pytest.raises(DataError, match="^Dataset: feature_names must be a sequence of names, got the string 'abc'"):
+            Dataset(np.zeros((2, 3)), np.array([1, -1]), np.array([0, 1]), feature_names="abc")
+
     def test_unsorted_distinct_row_ids_accepted(self):
         ds = Dataset(np.ones((4, 1)), np.array([1, -1, 1, -1]), np.array([9, -1, 4, 0]))
         assert ds.row_ids.tolist() == [9, -1, 4, 0]

@@ -10,6 +10,7 @@ import re
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import fields, replace
 
 from .boosting import CONFIG_TYPES, BoostConfig, load_trace_csv, parse_config_file, save_model, train
@@ -29,6 +30,16 @@ from .theory import ratio_bound_check, required_group_size, separability_from_gr
 
 class UsageError(Exception):
     pass
+
+
+@contextmanager
+def flag_values(prefix: str = ""):
+    """A block that checks flag values with the library's own checks, before the command reads any file:
+    a ``ValueError`` raised in it (a ``DataError`` too) becomes a ``UsageError``, its message after ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(prefix + str(exc)) from None
 
 
 class CliParser(argparse.ArgumentParser):
@@ -94,10 +105,8 @@ def _build_config(args) -> BoostConfig:
         value = getattr(args, f.name, None)  # no attribute for a field the command sets itself
         if value is not None:
             mapping[f.name] = value
-    try:
+    with flag_values():
         return BoostConfig.from_mapping(mapping)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _load(args):
@@ -105,7 +114,7 @@ def _load(args):
 
 
 def cmd_synth(args) -> int:
-    try:
+    with flag_values():
         dataset = make_gaussian_dataset(
             n_rows=args.n,
             n_informative=args.d,
@@ -113,8 +122,6 @@ def cmd_synth(args) -> int:
             separation=args.sep,
             seed=args.seed,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     save_csv(dataset, args.out)
     print(f"wrote {dataset.n_rows} rows x {dataset.n_features} features to {args.out}")
     return 0
@@ -182,16 +189,12 @@ def _peak_memory_mb():
 
 def cmd_noise_sweep(args) -> int:
     config = _build_config(args)
-    try:
+    with flag_values("bad --rates value: "):
         rates = sorted(float(r) for r in args.rates.split(","))
         specs = [None if rate == 0 else NoiseSpec(kind=args.kind, rate=rate, seed=config.seed) for rate in rates]
-    except ValueError as exc:
-        raise UsageError(f"bad --rates value: {exc}") from None
     modes = [m.strip() for m in args.modes.split(",")]
-    try:
+    with flag_values("bad --modes value: "):
         configs = [replace(config, trust=mode) for mode in modes]
-    except ValueError as exc:
-        raise UsageError(f"bad --modes value: {exc}") from None
     for flag, values in (("--rates", rates), ("--modes", modes)):
         for value, count in Counter(values).items():
             if count > 1:
@@ -232,10 +235,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_trajectory(args) -> int:
     config = _build_config(args)
-    try:
+    with flag_values():
         spec = NoiseSpec(kind=args.noise_kind, rate=args.noise_rate, seed=config.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     dataset = _load(args)
     noisy, mask = inject(dataset, spec)
     model, trace = train(noisy, config)
@@ -252,10 +253,8 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
-    try:
+    with flag_values():
         required_group_size(args.eps, args.delta)  # check --eps and --delta before reading any file
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     row_ids, states = load_trace_csv(args.trace)
     mask = NoiseMask.read_csv(args.mask)
     foreign = mask.flipped_rows.difference(row_ids.tolist())
@@ -322,10 +321,10 @@ def build_parser() -> CliParser:
 
     p = command("trajectory", cmd_trajectory, "per-category mean weight curves from a noisy run")
     _add_run_flags(p)
-    p.add_argument("--noise-kind", choices=NOISE_KINDS, default="symmetric", dest="noise_kind")
-    p.add_argument("--noise-rate", type=float, default=0.2, dest="noise_rate")
-    p.add_argument("--mask-out", default=None, dest="mask_out")
-    p.add_argument("--trace-out", default=None, dest="trace_out")
+    p.add_argument("--noise-kind", choices=NOISE_KINDS, default="symmetric")
+    p.add_argument("--noise-rate", type=float, default=0.2)
+    p.add_argument("--mask-out", default=None)
+    p.add_argument("--trace-out", default=None)
 
     p = command("verify-bounds", cmd_verify_bounds, "trust-weight bound and separability reports from a trace")
     p.add_argument("--trace", required=True, help="trace CSV written by train/trajectory")
@@ -338,13 +337,11 @@ def build_parser() -> CliParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Parse ``argv`` and run its command; return the exit code. A bad command line or flag value prints
+    ``usage error:`` (1), a bad input file ``data error:`` (2), and any other failure, such as an
+    unwritable ``--out``, ``error:`` (1)."""
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

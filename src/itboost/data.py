@@ -77,6 +77,9 @@ class Dataset:
             names = tuple(self.feature_names)
         if len(names) != feats.shape[1]:
             raise DataError("Dataset: feature_names length does not match feature columns")
+        for name in names:
+            if not isinstance(name, str):
+                raise DataError(f"Dataset: feature name {name!r} is not a string")
         for name, count in Counter(names).items():
             if count > 1:
                 raise DataError(f"Dataset: feature_names names {name!r} {count} times")
@@ -224,16 +227,16 @@ def write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def save_csv(dataset: Dataset, path, label_name: str = "label") -> None:
-    """Write a Dataset to CSV with exact float round-trip (repr formatting).
+def save_csv(dataset: Dataset, path) -> None:
+    """Write a Dataset to CSV with exact float round-trip (repr formatting), the label column last as ``label``.
 
     Rows are formatted and written one at a time; no line list is built.
     """
     names = dataset.feature_names
-    if label_name in names:
-        raise DataError(f"save_csv: label column name {label_name!r} clashes with a feature name")
+    if "label" in names:
+        raise DataError("save_csv: label column name 'label' clashes with a feature name")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(list(names) + [label_name])
+        csv.writer(fh, lineterminator="\n").writerow(list(names) + ["label"])
         fh.writelines(
             ",".join(map(repr, row.tolist())) + f",{label}\n"
             for row, label in zip(dataset.features, dataset.labels.tolist())

@@ -75,11 +75,12 @@ def robustness_study():
         spec = NoiseSpec(kind="symmetric", rate=TASK["noise_rate"], seed=seed)
         cfg_enabled = BoostConfig(trust="enabled", seed=seed, **BASE)
         cfg_disabled = BoostConfig(trust="disabled", seed=seed, **BASE)
-        rep_e = cross_validate(ds, cfg_enabled, folds, noise=spec)
-        rep_d = cross_validate(ds, cfg_disabled, folds, noise=spec)
+        # two fold workers: cross_validate returns the serial run's per-fold metrics in fold order
+        rep_e = cross_validate(ds, cfg_enabled, folds, noise=spec, threads=2)
+        rep_d = cross_validate(ds, cfg_disabled, folds, noise=spec, threads=2)
         enabled_acc.append(rep_e.mean("acc"))
         disabled_acc.append(rep_d.mean("acc"))
-        clean_acc.append(cross_validate(ds, cfg_disabled, folds).mean("acc"))
+        clean_acc.append(cross_validate(ds, cfg_disabled, folds, threads=2).mean("acc"))
         if seed == SEEDS[0]:
             # fold 0's corrupted training split, as run_fold builds it (noise seed + fold index)
             fold_train, _ = split_fold(ds, folds, 0)

@@ -50,6 +50,11 @@ class TestDataset:
         with pytest.raises(DataError, match="^Dataset: feature_names must be a sequence of names, got the string 'abc'"):
             Dataset(np.zeros((2, 3)), np.array([1, -1]), np.array([0, 1]), feature_names="abc")
 
+    @pytest.mark.parametrize("names, bad", [([1, 2, 3], "1"), ([None], "None")])
+    def test_rejects_a_feature_name_that_is_not_a_string(self, names, bad):
+        with pytest.raises(DataError, match=f"^Dataset: feature name {bad} is not a string$"):
+            Dataset(np.zeros((2, len(names))), np.array([1, -1]), np.array([0, 1]), feature_names=names)
+
     def test_unsorted_distinct_row_ids_accepted(self):
         ds = Dataset(np.ones((4, 1)), np.array([1, -1, 1, -1]), np.array([9, -1, 4, 0]))
         assert ds.row_ids.tolist() == [9, -1, 4, 0]
@@ -293,14 +298,20 @@ class TestRoundTrip:
             feature_names=("a", "b c", "comma,name", 'say "q"'),
         )
         path = tmp_path / "golden.csv"
-        save_csv(ds, path, label_name="y")
+        save_csv(ds, path)
         raw = path.read_bytes()
-        assert raw.startswith(b'a,b c,"comma,name","say ""q""",y\n-0.0,5e-324,1.7e+308,3.0,1\n')
-        # sha256 of the file written by the former per-row csv.writer loop
-        assert hashlib.sha256(raw).hexdigest() == "60e563ab7c5a5973645feee07eb010ebbe5fa779945ab426ed830ef367ae73ad"
-        back = load_csv(path, "y", positive_label="1")
+        assert raw.startswith(b'a,b c,"comma,name","say ""q""",label\n-0.0,5e-324,1.7e+308,3.0,1\n')
+        # whole-file sha256; every byte after the header line is what the former per-row csv.writer loop wrote
+        assert hashlib.sha256(raw).hexdigest() == "31d989cf0f15033c96fcb8d6d199a6168315c6ea3b985678c6ae87e204e0eff2"
+        back = load_csv(path, "label", positive_label="1")
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.feature_names == ds.feature_names
+
+    def test_feature_named_label_rejected_on_save(self, tmp_path):
+        ds = Dataset(np.ones((2, 2)), np.array([1, -1]), np.arange(2), feature_names=("a", "label"))
+        with pytest.raises(DataError, match="^save_csv: label column name 'label' clashes with a feature name$"):
+            save_csv(ds, tmp_path / "clash.csv")
+        assert not (tmp_path / "clash.csv").exists()
 
     def test_duplicate_feature_names_rejected_before_save(self):
         # load_csv refuses a header that names a column twice, so such a Dataset must not exist to be saved
